@@ -10,11 +10,9 @@
 //     from scratch at every commit — checking the same recorded trace.
 //  B. Audit period: the cost of periodically deep-comparing the
 //     incremental views against rebuilt ones.
-//  C. Log backend: MemoryLog vs FileLog serialization cost.
 //
 // Expected shape: incremental wins by a growing factor as the structure
-// gets larger; audits add cost inversely proportional to their period;
-// the file backend adds a constant serialization overhead per record.
+// gets larger; audits add cost inversely proportional to their period.
 //
 //===----------------------------------------------------------------------===//
 
@@ -132,41 +130,8 @@ int main(int Argc, char **Argv) {
   }
   hr('-', 30);
 
-  std::printf("\nAblation C: log backend cost (Cache workload, CPU "
-              "seconds)\n\n");
-  {
-    WorkloadOptions WO;
-    WO.Threads = 4;
-    WO.OpsPerThread = Args.Quick ? 400 : 2500;
-    WO.KeyPoolSize = 24;
-    WO.Seed = 17;
-    auto TimeMode = [&](const char *Label, const char *Cfg,
-                        const std::string &Path) {
-      ScenarioOptions SO;
-      SO.Prog = Program::P_Cache;
-      SO.Mode = RunMode::RM_LogOnlyView;
-      SO.LogPath = Path;
-      uint64_t Records = 0;
-      Timed T = timed([&] {
-        auto [WRes, Rep] = runScenario(SO, WO, false);
-        (void)WRes;
-        Records = Rep.LogRecords;
-      });
-      double Secs = T.Cpu > 0 ? T.Cpu : T.Wall;
-      std::printf("%-22s %10.3f\n", Label, Secs);
-      jsonRow(Cfg, WO.Threads, Records, Secs);
-    };
-    TimeMode("MemoryLog", "backend-memory", "");
-    std::string Path =
-        "/tmp/vyrd-ablc-" + std::to_string(getpid()) + ".bin";
-    TimeMode("FileLog (serialized)", "backend-file", Path);
-    std::remove(Path.c_str());
-  }
   std::printf("\nExpected shape: incremental maintenance beats full "
               "rebuilds by a factor that\ngrows with structure size; "
-              "frequent audits approach full-rebuild cost. With no\n"
-              "consumer draining the log, FileLog (compact serialized "
-              "bytes, no retained tail)\ntypically beats MemoryLog "
-              "(which must retain every structured record).\n");
+              "frequent audits approach full-rebuild cost.\n");
   return BJ.write() ? 0 : 1;
 }

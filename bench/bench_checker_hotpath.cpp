@@ -15,8 +15,8 @@
 //     Both runs must report identical violations (none).
 //
 //  2. Heap allocations per logged record on the append -> batch -> check
-//     path, counted with an operator-new hook around a MemoryLog
-//     append/nextBatch/feed pipeline of the same trace.
+//     path, counted with an operator-new hook around a BufferedLog
+//     append/tryNext/feed pipeline of the same trace.
 //
 // Usage: bench_checker_hotpath [--quick] [--json <out.json>]
 //
@@ -29,7 +29,7 @@
 #include "BenchUtil.h"
 
 #include "vyrd/Checker.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 
 #include <atomic>
 #include <cstdio>
@@ -333,14 +333,15 @@ int main(int Argc, char **Argv) {
 
   // --- 2. allocations per record, append -> batch -> check ---------------
   // The trace is pre-built and the checker pre-warmed (pools, memo table,
-  // deque blocks), so the counted window holds only the steady-state
-  // per-record cost of the pipeline.
+  // queue chunks), so the counted window holds only the steady-state
+  // per-record cost of the pipeline. PumpReady takes what the flusher has
+  // published; close() before the last call makes that everything.
   {
     VectorSpec S;
     CheckerConfig CC;
     CC.Mode = CheckMode::CM_IORefinement;
     RefinementChecker Checker(S, nullptr, CC);
-    MemoryLog Log;
+    BufferedLog Log;
     LogWriter &W = Log.writer();
 
     auto PumpReady = [&](std::vector<Action> &Batch) {
@@ -369,6 +370,7 @@ int main(int Argc, char **Argv) {
       if ((I & 255) == 0)
         PumpReady(Batch);
     }
+    Log.close();
     PumpReady(Batch);
     double CSecs = cpuSeconds() - C0;
     GCountAllocs.store(false, std::memory_order_relaxed);

@@ -1,4 +1,4 @@
-//===- bench_log_backends.cpp - Mutex log vs sharded buffered log ----------===//
+//===- bench_log_backends.cpp - Append throughput of the sharded log ------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -7,11 +7,10 @@
 // The paper's Table 2 measures how much the log slows down the
 // *instrumented program*: appends execute inside the application's
 // methods, while draining, serialization and checking can run elsewhere.
-// The seed backends pay a global mutex (MemoryLog) or a mutex plus
-// inline encode+write (FileLog) on every append; BufferedLog pays a
-// ticket fetch_add and one move into a private ring.
+// BufferedLog pays a ticket fetch_add and one move into a private ring
+// per append.
 //
-// This bench therefore reports two numbers per backend at 1/2/4/8
+// This bench therefore reports two numbers per configuration at 1/2/4/8
 // producer threads:
 //
 //  * app-side append throughput: total records divided by the CPU time
@@ -20,15 +19,15 @@
 //    the program, independent of how many cores the host has.
 //  * end-to-end throughput: total records over the wall time until the
 //    log is closed and fully drained. On a single-core host this sums
-//    every pipeline stage, so a backend that shifts work off the app
-//    threads cannot win here; on a multi-core host the stages overlap.
+//    every pipeline stage, so work shifted off the app threads cannot
+//    win here; on a multi-core host the stages overlap.
 //
-// Memory variants drain concurrently in 256-record batches (the online
-// verifier's consumption pattern); file variants write records to disk
-// with no consumer (the Table 2 logging-overhead pattern, RetainTail /
-// RetainRecords off). Records are an alloc-free call/write/commit/return
-// mix so the allocator doesn't dilute the backend comparison. Results
-// are recorded in EXPERIMENTS.md.
+// The in-memory configuration drains concurrently in 256-record batches
+// (the online verifier's consumption pattern); the file configuration
+// writes records to disk with no consumer (the Table 2 logging-overhead
+// pattern, RetainRecords off). Records are an alloc-free
+// call/write/commit/return mix so the allocator doesn't dilute the
+// comparison. Results are recorded in EXPERIMENTS.md.
 //
 //===----------------------------------------------------------------------===//
 
@@ -127,10 +126,6 @@ Throughput measure(const std::function<std::unique_ptr<Log>()> &Make,
   double Total = static_cast<double>(Threads) * MethodsPerThread * 4;
   for (unsigned R = 0; R < Reps; ++R) {
     auto L = Make();
-    if (!L) {
-      std::fprintf(stderr, "failed to open a log backend\n");
-      std::exit(1);
-    }
     RunCost C = runProducers(*L, Threads, Drain);
     Best.App = std::max(Best.App, Total / C.ProducerCpu / 1e6);
     Best.E2E = std::max(Best.E2E, Total / C.Wall / 1e6);
@@ -143,18 +138,13 @@ std::string tmpFile(const char *Tag) {
          std::to_string(getpid()) + ".bin";
 }
 
-void printRow(unsigned Threads, Throughput Mutex, Throughput Buffered) {
-  std::printf("%-8u %13.2f %13.2f %8.2fx %11.2f %11.2f\n", Threads,
-              Mutex.App, Buffered.App, Buffered.App / Mutex.App, Mutex.E2E,
-              Buffered.E2E);
+void printHeader() {
+  std::printf("%-8s %13s %11s\n", "threads", "app M/s", "e2e M/s");
+  hr();
 }
 
-void printHeader(const char *MutexName) {
-  std::printf("%-8s %13s %13s %9s %11s %11s\n", "", "app M/s", "app M/s",
-              "app", "e2e M/s", "e2e M/s");
-  std::printf("%-8s %13s %13s %9s %11s %11s\n", "threads", MutexName,
-              "BufferedLog", "speedup", MutexName, "BufferedLog");
-  hr();
+void printRow(unsigned Threads, Throughput T) {
+  std::printf("%-8u %13.2f %11.2f\n", Threads, T.App, T.E2E);
 }
 
 /// App-side nanoseconds per record from a throughput in M records/s.
@@ -421,7 +411,7 @@ int main(int Argc, char **Argv) {
                  : std::vector<unsigned>{1, 2, 4, 8};
   BenchJson BJ("log_backends", Args.JsonPath);
 
-  std::printf("Log backend append throughput (%u methods x 4 records per "
+  std::printf("Log append throughput (%u methods x 4 records per "
               "producer, best of %u)\n"
               "app = records per CPU-second spent in the producer threads "
               "(instrumentation cost)\ne2e = records per wall second until "
@@ -430,10 +420,8 @@ int main(int Argc, char **Argv) {
 
   std::printf("In-memory, concurrent consumer draining 256-record "
               "batches:\n\n");
-  printHeader("MemoryLog");
+  printHeader();
   for (unsigned Threads : ThreadCounts) {
-    Throughput Mem = measure([] { return std::make_unique<MemoryLog>(); },
-                             Threads, /*Drain=*/true);
     Throughput Buf = measure(
         [] {
           BufferedLog::Options O;
@@ -441,24 +429,14 @@ int main(int Argc, char **Argv) {
           return std::make_unique<BufferedLog>(std::move(O));
         },
         Threads, /*Drain=*/true);
-    printRow(Threads, Mem, Buf);
-    jsonRow(BJ, "memory-drain", Threads, Mem);
+    printRow(Threads, Buf);
     jsonRow(BJ, "buffered-drain", Threads, Buf);
   }
   hr();
 
   std::printf("\nFile-backed, no consumer (logging-overhead pattern):\n\n");
-  printHeader("FileLog");
+  printHeader();
   for (unsigned Threads : ThreadCounts) {
-    std::string FilePath = tmpFile("file");
-    Throughput File = measure(
-        [&FilePath] {
-          bool Valid = false;
-          auto L = std::make_unique<FileLog>(FilePath, Valid,
-                                             /*RetainTail=*/false);
-          return Valid ? std::move(L) : nullptr;
-        },
-        Threads, /*Drain=*/false);
     std::string BufPath = tmpFile("buffered");
     Throughput Buf = measure(
         [&BufPath] {
@@ -469,10 +447,8 @@ int main(int Argc, char **Argv) {
           return std::make_unique<BufferedLog>(std::move(O));
         },
         Threads, /*Drain=*/false);
-    std::remove(FilePath.c_str());
     std::remove(BufPath.c_str());
-    printRow(Threads, File, Buf);
-    jsonRow(BJ, "file-nodrain", Threads, File);
+    printRow(Threads, Buf);
     jsonRow(BJ, "buffered-file-nodrain", Threads, Buf);
   }
   hr();
@@ -484,8 +460,7 @@ int main(int Argc, char **Argv) {
   // e2e column absorbs the final segment's transfer and Close ack.
   std::printf("\nSegment shipping overhead (buffered file log, 256 KiB "
               "segments, unix-socket fleet stand-in):\n\n");
-  std::printf("%-8s %13s %11s\n", "threads", "app M/s", "e2e M/s");
-  hr();
+  printHeader();
   {
     std::string Sock =
         "/tmp/vyrd-benchship-" + std::to_string(getpid()) + ".sock";
@@ -496,7 +471,7 @@ int main(int Argc, char **Argv) {
       for (unsigned Threads : ThreadCounts) {
         std::string Base = tmpFile("shipped");
         Throughput T = measureShipped(Base, Sock, Threads);
-        std::printf("%-8u %13.2f %11.2f\n", Threads, T.App, T.E2E);
+        printRow(Threads, T);
         jsonRow(BJ, "buffered-shipped", Threads, T);
       }
     }

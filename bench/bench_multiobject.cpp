@@ -84,7 +84,7 @@ RunResult runOnce(const std::vector<Action> &Records,
   Scenario S = makeCompositeScenario(SO);
   RunResult R;
   double T0 = wallSeconds();
-  // MemoryLog reassigns Seq in append order, so the replayed stream is
+  // The log reassigns Seq in append order, so the replayed stream is
   // exactly as well-formed as the recorded one.
   for (const Action &A : Records)
     S.L->append(A);

@@ -14,26 +14,13 @@
 #include "vyrd/Auto.h"
 #include "multiset/MultisetSpec.h"
 #include "vyrd/Checker.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 #include "vyrd/Serialize.h"
 #include "vyrd/View.h"
 
 #include <benchmark/benchmark.h>
 
 using namespace vyrd;
-
-static void BM_MemoryLogAppend(benchmark::State &State) {
-  Name M = internName("bench.m");
-  for (auto _ : State) {
-    State.PauseTiming();
-    MemoryLog L;
-    State.ResumeTiming();
-    for (int I = 0; I < 1000; ++I)
-      L.append(Action::call(0, M, {Value(I)}));
-  }
-  State.SetItemsProcessed(State.iterations() * 1000);
-}
-BENCHMARK(BM_MemoryLogAppend);
 
 static void BM_ActionEncode(benchmark::State &State) {
   Name M = internName("bench.encode");
@@ -110,7 +97,7 @@ static void BM_CheckerFeed(benchmark::State &State) {
   // Record the trace once.
   static std::vector<Action> *Trace = [] {
     auto *T = new std::vector<Action>();
-    MemoryLog L;
+    BufferedLog L;
     multiset::ArrayMultiset::Options MO;
     MO.Capacity = 32;
     multiset::ArrayMultiset M(MO, Hooks(&L, LogLevel::LL_View));

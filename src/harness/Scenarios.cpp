@@ -178,6 +178,18 @@ std::string keyString(int64_t K, size_t Len) {
   return S;
 }
 
+/// The log of the logging-only modes. Without a file it keeps every
+/// record in memory, to be read back through Scenario::L after finish;
+/// with a file it only writes the file (nothing consumes it online).
+std::shared_ptr<Log> makeLogOnlyLog(const ScenarioOptions &O) {
+  BufferedLog::Options BO;
+  BO.FilePath = O.LogPath;
+  BO.RetainRecords = O.LogPath.empty();
+  auto BL = std::make_shared<BufferedLog>(std::move(BO));
+  assert(BL->valid() && "cannot open log file");
+  return BL;
+}
+
 /// Shared wiring: builds the log / verifier per run mode and fills
 /// Scenario::V, L, Finish. \returns the Hooks the data structure should
 /// use.
@@ -195,23 +207,7 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
 
   if (!modeChecks(O.Mode)) {
     // Logging only: a bare log with no consumer.
-    std::shared_ptr<Log> L;
-    if (O.Buffered) {
-      BufferedLog::Options BO;
-      BO.FilePath = O.LogPath;
-      BO.RetainRecords = false; // nothing consumes the log
-      auto BL = std::make_shared<BufferedLog>(std::move(BO));
-      assert(BL->valid() && "cannot open log file");
-      L = std::move(BL);
-    } else if (!O.LogPath.empty()) {
-      bool Valid = false;
-      L = std::make_shared<FileLog>(O.LogPath, Valid,
-                                    /*RetainTail=*/false);
-      assert(Valid && "cannot open log file");
-      (void)Valid;
-    } else {
-      L = std::make_shared<MemoryLog>();
-    }
+    std::shared_ptr<Log> L = makeLogOnlyLog(O);
     S.L = L.get();
     S.Owned.push_back(L);
     S.Finish = [L] {
@@ -242,8 +238,6 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
   // (VerifierConfig::validate would reject the combination).
   VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
   VC.LogFilePath = O.LogPath;
-  if (O.Buffered)
-    VC.Backend = LogBackend::LB_Buffered;
   VC.Backpressure = O.Backpressure;
   VC.Adaptive = O.Adaptive;
   // Like the pool, adaptation only exists online: there is no live
@@ -584,22 +578,7 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   } else if (!modeChecks(O.Mode)) {
     // Logging only: a bare log, four hook sets stamping object ids in the
     // same order registerObject would assign them.
-    std::shared_ptr<Log> L;
-    if (O.Buffered) {
-      BufferedLog::Options BO;
-      BO.FilePath = O.LogPath;
-      BO.RetainRecords = false;
-      auto BL = std::make_shared<BufferedLog>(std::move(BO));
-      assert(BL->valid() && "cannot open log file");
-      L = std::move(BL);
-    } else if (!O.LogPath.empty()) {
-      bool Valid = false;
-      L = std::make_shared<FileLog>(O.LogPath, Valid, /*RetainTail=*/false);
-      assert(Valid && "cannot open log file");
-      (void)Valid;
-    } else {
-      L = std::make_shared<MemoryLog>();
-    }
+    std::shared_ptr<Log> L = makeLogOnlyLog(O);
     S.L = L.get();
     S.Owned.push_back(L);
     S.Finish = [L] {
@@ -628,8 +607,6 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
                 O.Mode == RunMode::RM_OnlineView;
     VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
     VC.LogFilePath = O.LogPath;
-    if (O.Buffered)
-      VC.Backend = LogBackend::LB_Buffered;
     VC.Backpressure = O.Backpressure;
     VC.Adaptive = O.Adaptive;
     // Like the pool, adaptation only exists online: there is no live

@@ -86,10 +86,12 @@ struct ScenarioOptions {
   RunMode Mode = RunMode::RM_OnlineView;
   /// Inject the program's Table 1 bug.
   bool Buggy = false;
-  /// Log to this file instead of memory (empty = MemoryLog).
+  /// Also write the log to this file. In the logging-only modes the log
+  /// keeps its records in memory (readable through Scenario::L after
+  /// finish) exactly when this is empty.
   std::string LogPath;
-  /// Use the sharded BufferedLog backend (with LogPath as its file when
-  /// set) instead of MemoryLog/FileLog.
+  /// Ignored: BufferedLog is the only log. Kept for source compatibility;
+  /// will be removed.
   bool Buffered = false;
   /// Stop recording violations after the first (Table 1 protocol).
   bool StopAtFirstViolation = false;

@@ -81,7 +81,8 @@ struct WorkloadOptions {
   /// Stop issuing operations once this verifier reports a violation.
   Verifier *StopOnViolation = nullptr;
   /// When set, one extra thread runs this continuously until the
-  /// application threads finish (the compression thread).
+  /// application threads finish (the compression thread), and at least
+  /// once.
   std::function<void()> BackgroundOp;
 };
 

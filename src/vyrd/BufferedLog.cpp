@@ -506,7 +506,7 @@ void BufferedLog::popFrontLocked(Action &Out) {
 }
 
 bool BufferedLog::spillNextLocked(Action &Out) {
-  // Same catch-up dance as FileLog: the record is at the sink (published
+  // Catch-up read from the file: the record is at the sink (published
   // via EmittedSeq only after the sink write), at worst still in stdio
   // buffers, which sync() pushes down.
   if (!I->SpillReader || I->SpillNextSeq != I->Delivered) {

@@ -5,8 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A log backend that takes the global mutex off the instrumentation hot
-/// path (the dominant runtime cost the paper measures in Table 2). Each
+/// The execution log (Sec. 4.2), built to keep a global mutex off the
+/// instrumentation hot path (the dominant runtime cost the paper measures
+/// in Table 2). With a file sink it is the paper's "file whose tail is
+/// kept in memory"; without one, an in-memory log. Each
 /// producer thread appends into its own bounded single-producer /
 /// single-consumer ring (ThreadLogShard); a flusher thread drains the
 /// shards in epochs and merges the records into the global append order,
@@ -47,12 +49,14 @@
 /// (spin, then yield, then short sleeps) until the flusher makes room, so
 /// memory for unflushed records is capped at ShardCapacity per thread.
 ///
-/// Thread registration: a shard is created for a thread the first time it
-/// calls writer() (or append). Shards are owned by the log and outlive
-/// their threads; thread ids are never reused, so a shard has exactly one
-/// producer for its whole life. close() must only be called after all
-/// producer threads are done appending (same contract as the other
-/// backends, where it is enforced by an assert).
+/// Thread registration: shards are keyed by the dense thread id
+/// (currentTid()) and created the first time a thread with that id calls
+/// writer() (or append). Shards are owned by the log and outlive their
+/// threads. Thread ids are recycled when a thread exits, so a shard can
+/// pass to a later thread; the exiting thread's appends happen-before the
+/// id's reuse, so a shard never has two producers at once, and
+/// shardCount() is at most the number of producer threads. close() must
+/// only be called after all producer threads are done appending.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -103,8 +107,8 @@ private:
   TelemetryCell *TC = nullptr;
 };
 
-/// The sharded, batched log backend. See the file comment for the
-/// ordering and registration contract.
+/// The sharded, batched log. See the file comment for the ordering and
+/// registration contract.
 class BufferedLog final : public Log {
 public:
   struct Options {
@@ -113,13 +117,13 @@ public:
     /// distance a producer can run ahead of the flusher.
     size_t ShardCapacity = 1024;
     /// When non-empty, the flusher serializes every flushed batch to this
-    /// file (same format as FileLog; readable with loadLogFile). With
+    /// file (docs/LOGFORMAT.md; readable with loadLogFile). With
     /// Backpressure.SegmentBytes > 0 the output rotates into a segment
     /// chain instead of one file.
     std::string FilePath;
     /// Keep flushed records in memory for next()/tryNext()/nextBatch().
-    /// Disable for logging-only measurement runs where nothing consumes
-    /// the log (the FileLog RetainTail=false analogue).
+    /// Disable for logging-only runs where nothing consumes the log; the
+    /// reader then reports end of log only after close().
     bool RetainRecords = true;
     /// Bound + policy for the merged reader queue. The shard rings are
     /// already bounded (ShardCapacity per thread); this bounds the
@@ -158,7 +162,8 @@ public:
   void takeSegmentCuts(std::vector<SegmentCut> &Out) override;
   void onPolicyChange() override;
 
-  /// Number of producer threads that have registered a shard.
+  /// Number of shards registered so far: at most the number of producer
+  /// threads, fewer when a thread reused an exited thread's id.
   size_t shardCount() const;
 
 private:

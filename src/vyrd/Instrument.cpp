@@ -6,6 +6,7 @@
 
 #include "vyrd/Instrument.h"
 
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -115,6 +116,9 @@ bool Chaos::point() {
   ChaosState = X;
   if ((X * 0x2545F4914F6CDD1DULL >> 33) % Inv != 0)
     return false;
-  std::this_thread::yield();
+  // A sleep, not a yield: with idle cores yield() returns at once, while
+  // a sleep deschedules the thread, so a thread blocked on a lock it just
+  // released gets to run inside the race window.
+  std::this_thread::sleep_for(std::chrono::microseconds(1));
   return true;
 }

@@ -16,10 +16,10 @@
 /// practice the data structures call hooks while still holding the lock
 /// that protects the recorded update, exactly as the paper prescribes.
 ///
-/// This file also provides the chaos scheduler: seeded random yields at
-/// hook and race points. On the paper's hardware, preemption provided the
-/// interleaving diversity; on a single-core container the chaos points
-/// restore it so the seeded races actually fire.
+/// This file also provides the chaos scheduler: seeded random short
+/// sleeps at hook and race points. On the paper's hardware, preemption
+/// provided the interleaving diversity; the chaos points restore it so
+/// the seeded races actually fire.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,19 +54,21 @@ enum class LogLevel : uint8_t {
 /// stays bounded by the peak live-thread count under thread churn.
 ThreadId currentTid();
 
-/// Seeded random-yield injector. Global, cheap, disabled by default.
+/// Seeded random-preemption injector. Global, cheap when disabled (the
+/// default).
 class Chaos {
 public:
-  /// Enables chaos with yield probability 1/\p Inverse at every chaos
-  /// point. \p Seed makes runs reproducible per thread: every enable()
-  /// starts a fresh session, and each thread's yield-decision stream is a
-  /// pure function of (Seed, its ThreadId) from the session start.
+  /// Enables chaos with preemption probability 1/\p Inverse at every
+  /// chaos point. \p Seed makes runs reproducible per thread: every
+  /// enable() starts a fresh session, and each thread's decision stream
+  /// is a pure function of (Seed, its ThreadId) from the session start.
   static void enable(uint32_t Inverse, uint64_t Seed);
   static void disable();
 
   /// A potential preemption point; implementations sprinkle these inside
-  /// critical regions and races. \returns whether this point yielded, so
-  /// tests can pin the decision sequence.
+  /// critical regions and races. A chosen point sleeps briefly (a real
+  /// deschedule, also on a multi-core host). \returns whether this point
+  /// was chosen, so tests can pin the decision sequence.
   static bool point();
 
 private:
@@ -79,10 +81,9 @@ private:
 /// structure instance. Copies are cheap (pointer + level).
 ///
 /// Records are appended through the log's per-thread writer handle
-/// (Log::writer), not Log::append: for sharded backends (BufferedLog) the
-/// handle is the calling thread's own lock-free shard, so the hot path
-/// performs no locking; for the mutex-guarded backends the handle is the
-/// log itself and behaves exactly as a direct append.
+/// (Log::writer), not Log::append: for BufferedLog the handle is the
+/// calling thread's own lock-free shard, so the hot path performs no
+/// locking.
 class Hooks {
 public:
   Hooks() : L(nullptr), Level(LogLevel::LL_None) {}
@@ -131,9 +132,8 @@ public:
 
 private:
   /// Appends via the calling thread's writer handle. The handle lookup is
-  /// a thread-local cache hit for sharded backends and `return *this` for
-  /// the others, so it stays on the fast path (as is the telemetry cell
-  /// lookup when a hub is attached).
+  /// a thread-local cache hit, so it stays on the fast path (as is the
+  /// telemetry cell lookup when a hub is attached).
   void emit(Action A) const {
     if (telemetryCompiledIn() && Telem)
       Telem->count(Counter::C_HookRecords);

@@ -8,10 +8,10 @@
 /// The log decouples the instrumented program from refinement checking
 /// (Sec. 4.2): implementation threads append records as they run; the
 /// verification thread reads them, concurrently (online) or afterwards
-/// (offline). Three implementations are provided: MemoryLog (a guarded
-/// queue), FileLog (durable binary file whose tail is kept in memory for
-/// fast access, as in the paper), and BufferedLog (per-thread sharded
-/// rings merged off the hot path; see BufferedLog.h).
+/// (offline). The implementation is BufferedLog (BufferedLog.h): per-thread
+/// sharded rings merged off the hot path into a reader queue, with an
+/// optional file sink — the paper's "file whose tail is kept in memory".
+/// This header keeps the abstract interface and the file reader.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -20,22 +20,17 @@
 
 #include "vyrd/Action.h"
 #include "vyrd/Backpressure.h"
-#include "vyrd/Ring.h"
 #include "vyrd/Serialize.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 namespace vyrd {
 
 class Telemetry;
-class LogFileReader;
 
 /// The producer side of a log: the handle instrumentation hooks append
 /// through. Log itself is a LogWriter (append forwards to the log), and
@@ -166,8 +161,8 @@ protected:
   }
 
   /// Whether a dynamic policy cell is installed (the policy can change
-  /// mid-run; spill-capable backends must then track their delivery
-  /// frontier from the start — see FileLog).
+  /// mid-run; a spill-capable log must then track its delivery frontier
+  /// from the start — see BufferedLog::spillCapable).
   bool hasDynamicPolicy() const {
     return DynPolicy.load(std::memory_order_acquire) != nullptr;
   }
@@ -184,134 +179,7 @@ private:
   std::atomic<const std::atomic<size_t> *> BatchHint{nullptr};
 };
 
-/// In-memory log: a mutex-guarded queue with a condition variable for the
-/// reader. Records are released as they are consumed. With a
-/// BackpressureConfig the queue is bounded: BP_Block parks the producer
-/// until the reader makes room, BP_Shed drops observer executions
-/// (BP_SpillToDisk has no disk here and degrades to BP_Block — the
-/// Verifier's validate() rejects the combination up front).
-class MemoryLog : public Log {
-public:
-  MemoryLog();
-  explicit MemoryLog(const BackpressureConfig &BP);
-  ~MemoryLog() override;
-
-  uint64_t append(Action A) override;
-  void close() override;
-  bool next(Action &Out) override;
-  bool tryNext(Action &Out, bool &End) override;
-  /// Bulk drain: one lock round trip and one producer wakeup for the
-  /// whole batch instead of per record — the sync cost the adaptive
-  /// batch target amortizes under backlog.
-  bool nextBatch(std::vector<Action> &Out, size_t Max) override;
-  uint64_t appendCount() const override;
-  BackpressureStats backpressureStats() const override;
-  void setShedClassifier(std::function<bool(const Action &)> Fn) override;
-  void onPolicyChange() override;
-
-private:
-  bool overLimitLocked() const;
-  void popLocked(Action &Out);
-
-  mutable std::mutex M;
-  std::condition_variable CV;
-  /// BP_Block producers wait here; separate from CV so a room-making pop
-  /// never wakes the reader and vice versa.
-  std::condition_variable SpaceCV;
-  ChunkQueue<Action> Q; // chunk-recycling: see Ring.h
-  uint64_t NextSeq = 0;
-  bool Closed = false;
-
-  BackpressureConfig BP;
-  ShedFilter Shed;        // guarded by M
-  BackpressureStats Stats; // guarded by M
-  uint64_t QueueBytes = 0; // estimated bytes Q pins (BP enabled only)
-};
-
-/// File-backed log. Every record is serialized and written to the file; the
-/// encoded tail is also kept in an in-memory queue so the online reader does
-/// not touch the disk (Sec. 4.2: "the log is a file whose tail is kept in
-/// memory for faster access"). The file can be re-read later with
-/// loadLogFile for post-mortem checking.
-///
-/// With a BackpressureConfig the in-memory tail is bounded. BP_Block
-/// parks the producer; BP_SpillToDisk stops retaining over-limit records
-/// in the tail (they are on disk anyway) and the reader re-reads the
-/// spilled region through a tailing LogFileReader when it catches up;
-/// BP_Shed drops observer executions from the tail only — the disk log
-/// stays complete for post-mortem re-checking, the accounting says
-/// exactly what the online checker did not see. SegmentBytes > 0 rotates
-/// the output into a segment chain (SegmentSink) that
-/// reclaimCheckedPrefix() trims as checkers advance.
-class FileLog : public Log {
-public:
-  /// Creates/truncates \p Path. \p Valid reports whether the file opened.
-  /// With \p RetainTail false no in-memory tail is kept (next() then only
-  /// reports end-of-log after close): use for logging-only measurement
-  /// runs where nothing consumes the log online.
-  FileLog(const std::string &Path, bool &Valid, bool RetainTail = true);
-  FileLog(const std::string &Path, bool &Valid, const BackpressureConfig &BP,
-          bool RetainTail = true);
-  ~FileLog() override;
-
-  uint64_t append(Action A) override;
-  void close() override;
-  bool next(Action &Out) override;
-  bool tryNext(Action &Out, bool &End) override;
-  uint64_t appendCount() const override;
-  uint64_t byteCount() const override;
-  BackpressureStats backpressureStats() const override;
-  void setShedClassifier(std::function<bool(const Action &)> Fn) override;
-  void onPolicyChange() override;
-  void reclaimCheckedPrefix(uint64_t Watermark) override;
-  void takeSegmentCuts(std::vector<SegmentCut> &Out) override;
-
-  const std::string &path() const { return Path; }
-
-private:
-  bool overLimitLocked() const;
-  bool readyLocked() const;
-  bool spillCapable() const;
-  void admitTailLocked(std::unique_lock<std::mutex> &Lock, Action &&A);
-  bool tryNextLocked(Action &Out, bool &End);
-  bool spillNextLocked(Action &Out);
-  void popTailLocked(Action &Out);
-  void noteShedGapLocked(uint64_t Seq);
-
-  std::string Path;
-  SegmentSink Sink; ///< the disk side: file(s), encoder, rotation
-
-  mutable std::mutex M;
-  std::condition_variable CV;
-  std::condition_variable SpaceCV; // BP_Block producers wait for room
-  ChunkQueue<Action> Tail; // decoded tail for the online reader
-  uint64_t NextSeq = 0;
-  bool Closed = false;
-  bool RetainTail = true;
-
-  BackpressureConfig BP;
-  ShedFilter Shed;         // guarded by M
-  BackpressureStats Stats; // guarded by M
-  uint64_t TailBytes = 0;  // estimated bytes Tail pins (BP enabled only)
-  /// Spill bookkeeping (guarded by M): the next sequence number the
-  /// reader delivers, and the catch-up reader over the sink's file(s)
-  /// positioned so its next record is SpillNextSeq.
-  uint64_t Delivered = 0;
-  std::unique_ptr<LogFileReader> SpillReader;
-  uint64_t SpillNextSeq = 0;
-  bool SpillFailed = false; // latched on corrupt spilled region
-  /// Seq ranges [first, second) dropped by BP_Shed while spill-capable
-  /// (dynamic policy): those records exist on disk, so the catch-up
-  /// reader must skip them instead of resurrecting them as spill
-  /// deliveries. Sheds are bursty, so the ranges stay few; entries below
-  /// Delivered are pruned as the reader passes them. Guarded by M.
-  std::vector<std::pair<uint64_t, uint64_t>> ShedGaps;
-  /// Segment telemetry deltas already forwarded (pump thread only).
-  uint64_t SegCreatedSeen = 0;
-  uint64_t SegReclaimedSeen = 0;
-};
-
-/// Streaming reader over a log file produced by FileLog/BufferedLog:
+/// Streaming reader over a log file produced by BufferedLog:
 /// decodes one record at a time out of a bounded read window, so multi-GB
 /// logs are processed in O(window) memory. loadLogFile and
 /// `vyrd-logdump --stats` are built on it; the window only grows when a
@@ -329,7 +197,7 @@ private:
 /// to: end-of-file is treated as "no more data *yet*" — next() returns
 /// false without latching EOF or flagging a record truncated at the
 /// write frontier as malformed, and a later call re-probes the file and
-/// the chain. FileLog/BufferedLog spill readers run in this mode.
+/// the chain. BufferedLog's spill reader runs in this mode.
 class LogFileReader {
 public:
   explicit LogFileReader(const std::string &Path);
@@ -379,7 +247,7 @@ private:
   uint64_t ChainIndex = 0;
 };
 
-/// Decodes all records of a log file previously produced by FileLog.
+/// Decodes all records of a log file previously produced by BufferedLog.
 /// \returns false if the file cannot be read or is malformed.
 bool loadLogFile(const std::string &Path, std::vector<Action> &Out);
 

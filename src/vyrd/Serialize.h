@@ -5,7 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Compact binary serialization for Action records, used by FileLog. Plays
+/// Compact binary serialization for Action records, used by the log file
+/// (BufferedLog's sink, LogFileReader) and the shipping wire. Plays
 /// the role the .NET binary object serializer played in the original tool
 /// (Sec. 6.1): records are restored exactly as they were saved at runtime.
 ///

@@ -8,6 +8,7 @@
 
 #include "vyrd/Instrument.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
@@ -473,7 +474,6 @@ void Telemetry::samplerMain() {
       continue;
     }
     if (Now - LastAdvanceNs >= QuietNs) {
-      StallFlag.store(true, std::memory_order_relaxed);
       if (!Reported) {
         Reported = true;
         TC.count(Counter::C_WatchdogStalls);
@@ -494,12 +494,18 @@ void Telemetry::samplerMain() {
                      : "; checker slow") +
             ")");
       }
+      // Raised only after the stall is counted and reported: whoever sees
+      // the flag (acquire) also sees both.
+      StallFlag.store(true, std::memory_order_release);
     }
   }
 }
 
 TelemetrySnapshot Telemetry::snapshot() const {
   TelemetrySnapshot S;
+  // The flag before the counters: a stalled snapshot always carries the
+  // C_WatchdogStalls count the sampler made before raising it.
+  S.Stalled = stalled();
   {
     std::lock_guard Lock(RegistryM);
     for (const auto &CellPtr : CellByTid) {
@@ -530,10 +536,12 @@ TelemetrySnapshot Telemetry::snapshot() const {
     }
   }
   for (size_t G = 0; G < NumGauges; ++G) {
-    S.Gauges[G] = GaugeNow[G].load(std::memory_order_relaxed);
-    S.GaugeHwms[G] = GaugeHwm[G].load(std::memory_order_relaxed);
+    // Value before HWM, and the HWM clamped to it: gaugeAdd raises its
+    // HWM only after the add, so a snapshot can land between the two.
+    S.Gauges[G] = GaugeNow[G].load(std::memory_order_acquire);
+    S.GaugeHwms[G] = std::max(
+        S.Gauges[G], GaugeHwm[G].load(std::memory_order_relaxed));
   }
   S.CheckerLag = checkerLag();
-  S.Stalled = stalled();
   return S;
 }

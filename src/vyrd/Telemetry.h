@@ -375,8 +375,10 @@ public:
       count(Counter::C_GaugeUnderflow);
   }
   void gaugeSet(Gauge G, uint64_t V) {
-    GaugeNow[static_cast<size_t>(G)].store(V, std::memory_order_relaxed);
+    // HWM first, value second (release): a snapshot that sees the value
+    // also sees a HWM at least as high.
     raiseGaugeHwm(G, V);
+    GaugeNow[static_cast<size_t>(G)].store(V, std::memory_order_release);
   }
   uint64_t gauge(Gauge G) const {
     return GaugeNow[static_cast<size_t>(G)].load(std::memory_order_relaxed);
@@ -401,7 +403,7 @@ public:
   uint64_t objectBacklog(uint32_t Obj) const;
 
   /// Watchdog verdict: is the consumer currently quiet with work pending?
-  bool stalled() const { return StallFlag.load(std::memory_order_relaxed); }
+  bool stalled() const { return StallFlag.load(std::memory_order_acquire); }
 
   /// Starts/stops the sampler thread (the constructor starts it when
   /// Options::SampleIntervalUs is non-zero). Idempotent.

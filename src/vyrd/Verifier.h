@@ -54,16 +54,9 @@
 
 namespace vyrd {
 
-/// Which Log implementation a Verifier constructs. See
-/// docs/ARCHITECTURE.md ("Choosing a log backend") for the trade-offs.
+/// The Log implementation a Verifier constructs. BufferedLog is the only
+/// one; the enum survives for source compatibility and will go away.
 enum class LogBackend : uint8_t {
-  /// FileLog when LogFilePath is set, MemoryLog otherwise (the historical
-  /// default).
-  LB_Auto,
-  /// Mutex-guarded in-memory queue.
-  LB_Memory,
-  /// Durable binary file + in-memory tail; requires LogFilePath.
-  LB_File,
   /// Sharded per-thread rings merged by a flusher thread (BufferedLog);
   /// also writes LogFilePath when set.
   LB_Buffered,
@@ -96,18 +89,19 @@ struct VerifierConfig {
   /// Run the checkers concurrently with the program. When false, records
   /// are buffered and checked when finish() is called.
   bool Online = true;
-  /// Log file path, used by the LB_Auto/LB_File/LB_Buffered backends.
+  /// When set, the log also writes every record to this file (or, with
+  /// Backpressure.SegmentBytes > 0, to a segment chain based here).
   std::string LogFilePath;
-  /// Log implementation to construct.
-  LogBackend Backend = LogBackend::LB_Auto;
-  /// Shard capacity for LB_Buffered (records per producer thread).
+  /// Log implementation to construct (there is only BufferedLog).
+  LogBackend Backend = LogBackend::LB_Buffered;
+  /// Log shard capacity (records per producer thread).
   size_t ShardCapacity = 1024;
   /// Bound + admission policy for every queue between the hooks and the
-  /// checkers: the log backend's pending queue/tail and the checker
-  /// pool's per-object batch queues (see Backpressure.h for the
-  /// policies). Disabled by default — the historical unbounded pipeline.
-  /// SegmentBytes > 0 additionally rotates file-backed logs into a
-  /// segment chain that is trimmed as checkers advance.
+  /// checkers: the log's reader queue and the checker pool's per-object
+  /// batch queues (see Backpressure.h for the policies). Disabled by
+  /// default — the historical unbounded pipeline.
+  /// SegmentBytes > 0 additionally rotates the log file into a segment
+  /// chain that is trimmed as checkers advance.
   BackpressureConfig Backpressure;
   /// Self-tuning pipeline (docs/ARCHITECTURE.md, "Self-tuning pipeline"):
   /// when Adaptive.Enabled, an AIMD controller on the pump thread drives
@@ -125,11 +119,10 @@ struct VerifierConfig {
   /// and writes it as `<LogFilePath>.NNNNNN.snap` next to the new segment.
   /// A later `vyrd-check --resume` (or epochCheck) then restarts checking
   /// from the oldest live segment instead of record 0. Requires a
-  /// file-backed log with Backpressure.SegmentBytes > 0. Snapshots are
+  /// LogFilePath with Backpressure.SegmentBytes > 0. Snapshots are
   /// best-effort: a cut is skipped (counted in C_SnapshotSkips) when a
-  /// checker is dirty, its spec/replayer does not support serialization,
-  /// or — with the buffered backend's asynchronous flusher — the cut is
-  /// reported after the pump already fed records past it.
+  /// checker is dirty or its spec/replayer does not support
+  /// serialization.
   bool Snapshots = false;
   /// Size of the checker pool. 1 (the default) feeds every object's
   /// checker inline on the consumption thread — exactly the historical
@@ -171,8 +164,8 @@ struct VerifierConfig {
   /// and shedding with VK_Degraded accounting (SD_Shed).
   ShipperOptions Shipping;
 
-  /// Checks the configuration for nonsensical combinations (LB_File
-  /// without a path, a zero-sized or offline multi-threaded checker pool,
+  /// Checks the configuration for nonsensical combinations (spilling
+  /// without a log file, a zero-sized or offline multi-threaded checker pool,
   /// watchdog without telemetry, ...). Returns the empty string when the
   /// configuration is usable, otherwise a one-line description of the
   /// first problem. The Verifier constructor calls this and refuses
@@ -357,7 +350,7 @@ private:
   bool degradeShipping(VerifierReport &R, uint64_t FinalSeqExclusive);
 
   VerifierConfig Config;
-  /// Declared before TheLog: the log backends hold raw pointers to the
+  /// Declared before TheLog: the log holds raw pointers to the
   /// controller's policy/batch-target cells, so the controller must
   /// outlive them (members are destroyed in reverse declaration order).
   std::unique_ptr<AdaptiveController> Ctl;

@@ -461,31 +461,32 @@ TEST(AdaptiveVerifierTest, AdaptationOffIsBehaviorallyUnchanged) {
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptiveStressTest, BlockedProducersNeverDuplicateSpillReadRecords) {
-  // Regression: with a block-base dynamic ladder the file log is
-  // spill-capable, so the reader fills tail gaps from disk. A producer
-  // blocked on space has already written its record to the sink; a fast
-  // reader can drain the tail, spill-read that record from disk, and
-  // advance the delivery frontier past it — all before the producer
-  // wakes and pushes the record into the tail. Popping that stale tail
-  // entry used to rewind the frontier, delivering the next record
-  // twice (duplicate commits, bracket-state violations). The frontier
-  // is monotone now; this drives the exact overlap with two blocked
-  // producers and an unthrottled checker.
+  // Regression: with a block-base dynamic ladder the file-backed log is
+  // spill-capable, so the reader fills queue gaps from disk. A record
+  // blocked on queue space is already in the file; a fast reader can
+  // spill-read it and advance the delivery frontier past it before the
+  // record enters the queue. Popping that stale queue entry used to
+  // rewind the frontier, delivering the next record twice (duplicate
+  // commits, bracket-state violations). The frontier is monotone now;
+  // this drives the overlap with two blocked producers and an
+  // unthrottled checker.
   ThrottledRegisterSpec Script;
   std::string Path =
       std::string(::testing::TempDir()) + "vyrd-adaptive-monotone-" +
       std::to_string(::getpid()) + ".bin";
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backend = LogBackend::LB_File;
   C.LogFilePath = Path;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 128;
   C.Adaptive.Enabled = true;
   C.Adaptive.EscalatePolicy = true;
-  // Lag is capped at the bound under block, so the ladder never moves:
-  // every record must be checked, none shed or left to spill.
-  C.Adaptive.EscalateLagHi = 4096;
+  // The ladder must never move: every record must be checked, none shed
+  // or left to spill. Lag also counts records in the shard rings, the
+  // reorder ring and the pump batch, which the queue bound does not cap
+  // (a descheduled producer lets the reorder ring grow), so only a
+  // threshold above the run's 12003 records holds on every schedule.
+  C.Adaptive.EscalateLagHi = 1 << 14;
   Verifier V(std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/0),
              nullptr, std::move(C));
   V.start();
@@ -527,7 +528,6 @@ TEST(AdaptiveStressTest, FourProducersWithAdaptationAndEscalation) {
   ThrottledRegisterSpec Script;
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backend = LogBackend::LB_Buffered;
   C.ShardCapacity = 256;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 512;

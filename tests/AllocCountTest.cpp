@@ -17,7 +17,7 @@
 
 #include "TestUtil.h"
 #include "vyrd/Checker.h"
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 
 #include <gtest/gtest.h>
 
@@ -103,11 +103,13 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   CC.Mode = CheckMode::CM_IORefinement;
   RefinementChecker C(S, nullptr, CC);
 
-  MemoryLog Log;
+  BufferedLog Log;
   std::vector<Action> Batch;
 
   // Drain helper mirroring the verifier pump: batch out of the log and
-  // feed in order, reusing the same batch vector throughout.
+  // feed in order, reusing the same batch vector throughout. It takes
+  // what the flusher has published so far; close() before the last call
+  // makes that everything.
   auto Pump = [&] {
     bool End = false;
     Batch.clear();
@@ -118,7 +120,7 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
       C.feed(B);
   };
 
-  // Warm-up: grows the log's deque blocks, the batch vector, the
+  // Warm-up: grows the log's queue chunks, the batch vector, the
   // checker's event queue, exec pool and memo table to steady state.
   constexpr int WarmupEpochs = 200;
   for (int E = 0; E < WarmupEpochs; ++E) {
@@ -138,6 +140,7 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
     if (E % 4 == 0)
       Pump();
   }
+  Log.close();
   Pump();
   GCountAllocs.store(false);
   uint64_t Allocs = GAllocCount.load();

@@ -84,7 +84,10 @@ TEST(BufferedLogTest, StressPreservesTotalAndPerThreadOrder) {
   Reader.join();
 
   EXPECT_EQ(L.appendCount(), static_cast<uint64_t>(NumThreads) * Ops);
-  EXPECT_EQ(L.shardCount(), NumThreads);
+  // A thread that finishes early can hand its recycled id, and with it
+  // its shard, to a later producer.
+  EXPECT_GE(L.shardCount(), 1u);
+  EXPECT_LE(L.shardCount(), NumThreads);
   auditOrder(Got, NumThreads, Ops);
 }
 

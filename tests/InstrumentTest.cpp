@@ -4,6 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "vyrd/BufferedLog.h"
 #include "vyrd/Instrument.h"
 
 #include <gtest/gtest.h>
@@ -37,7 +38,7 @@ TEST(InstrumentTest, DisabledHooksLogNothing) {
 }
 
 TEST(InstrumentTest, IOLevelSkipsWritesAndBlocks) {
-  MemoryLog L;
+  BufferedLog L;
   Hooks H(&L, LogLevel::LL_IO);
   Name M = internName("m");
   H.call(M, {Value(1)});
@@ -58,7 +59,7 @@ TEST(InstrumentTest, IOLevelSkipsWritesAndBlocks) {
 }
 
 TEST(InstrumentTest, ViewLevelLogsEverything) {
-  MemoryLog L;
+  BufferedLog L;
   Hooks H(&L, LogLevel::LL_View);
   Name M = internName("m");
   H.call(M, {});
@@ -72,7 +73,7 @@ TEST(InstrumentTest, ViewLevelLogsEverything) {
 }
 
 TEST(InstrumentTest, MethodScopeLogsCallAndReturn) {
-  MemoryLog L;
+  BufferedLog L;
   Hooks H(&L, LogLevel::LL_IO);
   Name M = internName("scoped");
   {
@@ -91,7 +92,7 @@ TEST(InstrumentTest, MethodScopeLogsCallAndReturn) {
 }
 
 TEST(InstrumentTest, MethodScopeDefaultReturnIsNull) {
-  MemoryLog L;
+  BufferedLog L;
   Hooks H(&L, LogLevel::LL_IO);
   { MethodScope S(H, internName("noret"), {}); }
   L.close();
@@ -102,7 +103,7 @@ TEST(InstrumentTest, MethodScopeDefaultReturnIsNull) {
 }
 
 TEST(InstrumentTest, CommitBlockBrackets) {
-  MemoryLog L;
+  BufferedLog L;
   Hooks H(&L, LogLevel::LL_View);
   { CommitBlock B(H); }
   L.close();

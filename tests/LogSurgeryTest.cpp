@@ -42,11 +42,10 @@ protected:
     WO.KeyPoolSize = 8;
     WO.Seed = 42;
     runWorkload(WO, S.Op);
-    MemoryLog *L = static_cast<MemoryLog *>(S.L);
+    // Log-only mode without a file keeps the records for reading back.
     S.Finish();
     Action A;
-    // Re-record: MemoryLog was drained by Finish? LogOnly keeps records.
-    while (L->next(A))
+    while (S.L->next(A))
       Trace->push_back(A);
     ASSERT_GT(Trace->size(), 500u);
   }

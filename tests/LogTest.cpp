@@ -1,10 +1,15 @@
-//===- LogTest.cpp - Unit tests for MemoryLog and FileLog ------------------===//
+//===- LogTest.cpp - Unit tests for the log with and without a file -------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// MemoryLogTest exercises BufferedLog without a file sink, FileLogTest
+// with one (BufferedLogTest.cpp covers ordering under concurrency).
+//
+//===----------------------------------------------------------------------===//
 
-#include "vyrd/Log.h"
+#include "vyrd/BufferedLog.h"
 
 #include <gtest/gtest.h>
 
@@ -20,56 +25,18 @@ std::string tempPath(const char *Tag) {
          std::to_string(::getpid()) + ".bin";
 }
 
+BufferedLog::Options fileOptions(const std::string &Path,
+                                 bool RetainRecords = true) {
+  BufferedLog::Options O;
+  O.FilePath = Path;
+  O.RetainRecords = RetainRecords;
+  return O;
+}
+
 } // namespace
 
-TEST(MemoryLogTest, AssignsSequentialSeqNumbers) {
-  MemoryLog L;
-  Name M = internName("m");
-  EXPECT_EQ(L.append(Action::call(0, M, {})), 0u);
-  EXPECT_EQ(L.append(Action::commit(0)), 1u);
-  EXPECT_EQ(L.append(Action::ret(0, M, Value(true))), 2u);
-  EXPECT_EQ(L.appendCount(), 3u);
-}
-
-TEST(MemoryLogTest, NextDrainsInOrderThenEnds) {
-  MemoryLog L;
-  Name M = internName("m");
-  L.append(Action::call(1, M, {Value(5)}));
-  L.append(Action::ret(1, M, Value(false)));
-  L.close();
-  Action A;
-  ASSERT_TRUE(L.next(A));
-  EXPECT_EQ(A.Kind, ActionKind::AK_Call);
-  EXPECT_EQ(A.Seq, 0u);
-  ASSERT_TRUE(L.next(A));
-  EXPECT_EQ(A.Kind, ActionKind::AK_Return);
-  EXPECT_FALSE(L.next(A));
-}
-
-TEST(MemoryLogTest, TryNextReportsPendingVsEnd) {
-  MemoryLog L;
-  Action A;
-  bool End = true;
-  EXPECT_FALSE(L.tryNext(A, End));
-  EXPECT_FALSE(End) << "log still open: not at end";
-  L.close();
-  EXPECT_FALSE(L.tryNext(A, End));
-  EXPECT_TRUE(End);
-}
-
-TEST(MemoryLogTest, BlockingReaderWakesOnAppend) {
-  MemoryLog L;
-  Action Got;
-  std::thread Reader([&] { ASSERT_TRUE(L.next(Got)); });
-  L.append(Action::commit(7));
-  Reader.join();
-  EXPECT_EQ(Got.Kind, ActionKind::AK_Commit);
-  EXPECT_EQ(Got.Tid, 7u);
-  L.close();
-}
-
 TEST(MemoryLogTest, ConcurrentAppendersGetUniqueSeqs) {
-  MemoryLog L;
+  BufferedLog L;
   constexpr int PerThread = 500;
   std::vector<std::thread> Ts;
   for (int T = 0; T < 4; ++T)
@@ -90,9 +57,8 @@ TEST(MemoryLogTest, ConcurrentAppendersGetUniqueSeqs) {
 
 TEST(FileLogTest, TailServesOnlineReader) {
   std::string Path = tempPath("tail");
-  bool Valid = false;
-  FileLog L(Path, Valid);
-  ASSERT_TRUE(Valid);
+  BufferedLog L(fileOptions(Path));
+  ASSERT_TRUE(L.valid());
   Name M = internName("FileM");
   L.append(Action::call(2, M, {Value(1)}));
   L.append(Action::ret(2, M, Value(true)));
@@ -105,47 +71,22 @@ TEST(FileLogTest, TailServesOnlineReader) {
   std::remove(Path.c_str());
 }
 
-TEST(FileLogTest, FileRoundTripsThroughLoadLogFile) {
-  std::string Path = tempPath("roundtrip");
-  {
-    bool Valid = false;
-    FileLog L(Path, Valid);
-    ASSERT_TRUE(Valid);
-    Name M = internName("FileRt");
-    Name Var = internName("file.var");
-    L.append(Action::call(1, M, {Value(10), Value("arg")}));
-    L.append(Action::write(1, Var, Value(Value::Bytes{1, 2, 3})));
-    L.append(Action::blockBegin(1));
-    L.append(Action::commit(1));
-    L.append(Action::blockEnd(1));
-    L.append(Action::ret(1, M, Value(false)));
-    L.close();
-  }
-  std::vector<Action> Loaded;
-  ASSERT_TRUE(loadLogFile(Path, Loaded));
-  ASSERT_EQ(Loaded.size(), 6u);
-  EXPECT_EQ(Loaded[0].Kind, ActionKind::AK_Call);
-  EXPECT_EQ(Loaded[0].Args[1], Value("arg"));
-  EXPECT_EQ(Loaded[1].Ret, Value(Value::Bytes{1, 2, 3}));
-  EXPECT_EQ(Loaded[3].Kind, ActionKind::AK_Commit);
-  EXPECT_EQ(Loaded[5].Ret, Value(false));
-  for (size_t I = 0; I < Loaded.size(); ++I)
-    EXPECT_EQ(Loaded[I].Seq, I);
-  std::remove(Path.c_str());
-}
-
 TEST(FileLogTest, ByteCountGrows) {
   std::string Path = tempPath("bytes");
-  bool Valid = false;
-  FileLog L(Path, Valid);
-  ASSERT_TRUE(Valid);
+  BufferedLog L(fileOptions(Path));
+  ASSERT_TRUE(L.valid());
   // A fresh file already holds the format header (docs/LOGFORMAT.md):
   // 4 magic bytes + 1 version varint.
   EXPECT_EQ(L.byteCount(), 5u);
+  // A record reaches the reader only after the flusher wrote it, so
+  // next() is the barrier that makes the byte count observable.
+  Action A;
   L.append(Action::commit(0));
+  ASSERT_TRUE(L.next(A));
   uint64_t B1 = L.byteCount();
   EXPECT_GT(B1, 5u);
   L.append(Action::commit(0));
+  ASSERT_TRUE(L.next(A));
   EXPECT_GT(L.byteCount(), B1);
   L.close();
   std::remove(Path.c_str());
@@ -154,14 +95,13 @@ TEST(FileLogTest, ByteCountGrows) {
 TEST(FileLogTest, NoTailModeRetainsNothingButStillWritesFile) {
   std::string Path = tempPath("notail");
   {
-    bool Valid = false;
-    FileLog L(Path, Valid, /*RetainTail=*/false);
-    ASSERT_TRUE(Valid);
+    BufferedLog L(fileOptions(Path, /*RetainRecords=*/false));
+    ASSERT_TRUE(L.valid());
     for (int I = 0; I < 10; ++I)
       L.append(Action::commit(0));
     L.close();
     Action A;
-    EXPECT_FALSE(L.next(A)) << "no tail kept";
+    EXPECT_FALSE(L.next(A)) << "no records kept";
     EXPECT_EQ(L.appendCount(), 10u);
   }
   std::vector<Action> Loaded;
@@ -171,7 +111,7 @@ TEST(FileLogTest, NoTailModeRetainsNothingButStillWritesFile) {
 }
 
 TEST(MemoryLogTest, TryNextDrainsTailThenSignalsEnd) {
-  MemoryLog L;
+  BufferedLog L;
   L.append(Action::commit(1));
   L.append(Action::commit(2));
   L.close();
@@ -189,7 +129,7 @@ TEST(MemoryLogTest, TryNextDrainsTailThenSignalsEnd) {
 }
 
 TEST(MemoryLogTest, NextBatchDrainsUpToMax) {
-  MemoryLog L;
+  BufferedLog L;
   for (int I = 0; I < 7; ++I)
     L.append(Action::commit(0));
   L.close();
@@ -205,12 +145,11 @@ TEST(MemoryLogTest, NextBatchDrainsUpToMax) {
 
 TEST(FileLogTest, NoTailTryNextSignalsEndOnlyAfterClose) {
   std::string Path = tempPath("notail-signal");
-  bool Valid = false;
-  FileLog L(Path, Valid, /*RetainTail=*/false);
-  ASSERT_TRUE(Valid);
+  BufferedLog L(fileOptions(Path, /*RetainRecords=*/false));
+  ASSERT_TRUE(L.valid());
   L.append(Action::commit(0));
-  // Without a tail the records are never readable, but the reader must
-  // still be told "not yet" until the log closes, and "end" after.
+  // Without retained records nothing is ever readable, but the reader
+  // must still be told "not yet" until the log closes, and "end" after.
   Action A;
   bool End = true;
   EXPECT_FALSE(L.tryNext(A, End));
@@ -223,9 +162,8 @@ TEST(FileLogTest, NoTailTryNextSignalsEndOnlyAfterClose) {
 
 TEST(FileLogTest, NoTailNextBatchReportsEndAfterClose) {
   std::string Path = tempPath("notail-batch");
-  bool Valid = false;
-  FileLog L(Path, Valid, /*RetainTail=*/false);
-  ASSERT_TRUE(Valid);
+  BufferedLog L(fileOptions(Path, /*RetainRecords=*/false));
+  ASSERT_TRUE(L.valid());
   for (int I = 0; I < 3; ++I)
     L.append(Action::commit(0));
   L.close();
@@ -234,12 +172,6 @@ TEST(FileLogTest, NoTailNextBatchReportsEndAfterClose) {
   EXPECT_TRUE(Batch.empty());
   EXPECT_EQ(L.appendCount(), 3u);
   std::remove(Path.c_str());
-}
-
-TEST(FileLogTest, InvalidPathReportsInvalid) {
-  bool Valid = true;
-  FileLog L("/nonexistent-dir-xyz/file.bin", Valid);
-  EXPECT_FALSE(Valid);
 }
 
 TEST(FileLogTest, LoadLogFileFailsOnMissingFile) {

@@ -305,14 +305,6 @@ TEST(VerifierConfigValidate, AcceptsDefaults) {
   EXPECT_EQ(VerifierConfig().validate(), "");
 }
 
-TEST(VerifierConfigValidate, RejectsFileBackendWithoutPath) {
-  VerifierConfig VC;
-  VC.Backend = LogBackend::LB_File;
-  EXPECT_NE(VC.validate().find("LogFilePath"), std::string::npos);
-  VC.LogFilePath = "/tmp/x.bin";
-  EXPECT_EQ(VC.validate(), "");
-}
-
 TEST(VerifierConfigValidate, RejectsZeroCheckerThreads) {
   VerifierConfig VC;
   VC.CheckerThreads = 0;
@@ -330,7 +322,6 @@ TEST(VerifierConfigValidate, RejectsOfflinePool) {
 
 TEST(VerifierConfigValidate, RejectsZeroShardBufferedBackend) {
   VerifierConfig VC;
-  VC.Backend = LogBackend::LB_Buffered;
   VC.ShardCapacity = 0;
   EXPECT_NE(VC.validate().find("ShardCapacity"), std::string::npos);
 }

@@ -13,9 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "vyrd/Backpressure.h"
 #include "vyrd/BufferedLog.h"
-#include "vyrd/Log.h"
 
 #include <gtest/gtest.h>
 
@@ -55,11 +53,23 @@ void appendPairs(Log &L, size_t N) {
   }
 }
 
-BackpressureConfig segmented(uint64_t SegmentBytes, bool Reclaim = false) {
-  BackpressureConfig BP;
-  BP.SegmentBytes = SegmentBytes;
-  BP.ReclaimSegments = Reclaim;
-  return BP;
+/// A log writing a segment chain at \p Base.
+BufferedLog::Options segmented(const std::string &Base,
+                               uint64_t SegmentBytes, bool Reclaim = false) {
+  BufferedLog::Options O;
+  O.FilePath = Base;
+  O.Backpressure.SegmentBytes = SegmentBytes;
+  O.Backpressure.ReclaimSegments = Reclaim;
+  return O;
+}
+
+/// Reads \p N records back: the flusher hands a record to the reader
+/// only after writing it, so this is the barrier after which the first
+/// \p N records are in the chain.
+void awaitWritten(BufferedLog &L, size_t N) {
+  Action A;
+  for (size_t I = 0; I < N; ++I)
+    ASSERT_TRUE(L.next(A));
 }
 
 } // namespace
@@ -68,9 +78,8 @@ TEST(SegmentLogTest, FileLogRotatesIntoNumberedSegments) {
   std::string Base = tempPath("rotate");
   removeChain(Base);
   {
-    bool Valid = false;
-    FileLog L(Base, Valid, segmented(512));
-    ASSERT_TRUE(Valid);
+    BufferedLog L(segmented(Base, 512));
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 100);
     L.close();
   }
@@ -87,9 +96,8 @@ TEST(SegmentLogTest, LoadLogFileWalksTheChainFromTheBasePath) {
   std::string Base = tempPath("walk");
   removeChain(Base);
   {
-    bool Valid = false;
-    FileLog L(Base, Valid, segmented(512));
-    ASSERT_TRUE(Valid);
+    BufferedLog L(segmented(Base, 512));
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 100);
     L.close();
   }
@@ -107,9 +115,8 @@ TEST(SegmentLogTest, SegmentsAreSelfContained) {
   std::string Base = tempPath("selfcontained");
   removeChain(Base);
   {
-    bool Valid = false;
-    FileLog L(Base, Valid, segmented(512));
-    ASSERT_TRUE(Valid);
+    BufferedLog L(segmented(Base, 512));
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 100);
     L.close();
   }
@@ -139,10 +146,10 @@ TEST(SegmentLogTest, SegmentsAreSelfContained) {
 TEST(SegmentLogTest, ReclaimDeletesFullyCheckedSegmentsOnly) {
   std::string Base = tempPath("reclaim");
   removeChain(Base);
-  bool Valid = false;
-  FileLog L(Base, Valid, segmented(512, /*Reclaim=*/true));
-  ASSERT_TRUE(Valid);
+  BufferedLog L(segmented(Base, 512, /*Reclaim=*/true));
+  ASSERT_TRUE(L.valid());
   appendPairs(L, 100);
+  awaitWritten(L, 200);
 
   // Nothing checked yet: nothing may disappear.
   L.reclaimCheckedPrefix(0);
@@ -163,10 +170,10 @@ TEST(SegmentLogTest, ReclaimDeletesFullyCheckedSegmentsOnly) {
 TEST(SegmentLogTest, ReclaimRespectsTheWatermark) {
   std::string Base = tempPath("watermark");
   removeChain(Base);
-  bool Valid = false;
-  FileLog L(Base, Valid, segmented(512, /*Reclaim=*/true));
-  ASSERT_TRUE(Valid);
+  BufferedLog L(segmented(Base, 512, /*Reclaim=*/true));
+  ASSERT_TRUE(L.valid());
   appendPairs(L, 100);
+  awaitWritten(L, 200);
   // A watermark inside the log only releases segments entirely below it.
   L.reclaimCheckedPrefix(10);
   std::vector<Action> Got;
@@ -185,10 +192,7 @@ TEST(SegmentLogTest, BufferedLogRotatesAndReloads) {
   removeChain(Base);
   constexpr size_t PerThread = 200;
   {
-    BufferedLog::Options O;
-    O.FilePath = Base;
-    O.Backpressure = segmented(1024);
-    BufferedLog L(O);
+    BufferedLog L(segmented(Base, 1024));
     ASSERT_TRUE(L.valid());
     std::vector<std::thread> Ts;
     for (int T = 0; T < 2; ++T)
@@ -216,9 +220,10 @@ TEST(SegmentLogTest, UnsegmentedOutputStaysPlainV3) {
   std::string Path = tempPath("plain");
   std::remove(Path.c_str());
   {
-    bool Valid = false;
-    FileLog L(Path, Valid); // no BackpressureConfig: the historical ctor
-    ASSERT_TRUE(Valid);
+    BufferedLog::Options O;
+    O.FilePath = Path; // no SegmentBytes: one plain file
+    BufferedLog L(O);
+    ASSERT_TRUE(L.valid());
     appendPairs(L, 5);
     L.close();
   }

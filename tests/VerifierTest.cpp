@@ -111,7 +111,6 @@ TEST(VerifierTest, FileLogPathProducesReloadableLog) {
 
 TEST(VerifierTest, BufferedBackendOnlineCleanRun) {
   VerifierConfig VC;
-  VC.Backend = LogBackend::LB_Buffered;
   VC.ShardCapacity = 64;
   auto V = makeVerifier(VC, /*Capacity=*/32);
   V->start();
@@ -143,7 +142,6 @@ TEST(VerifierTest, BufferedBackendWithFileProducesReloadableLog) {
   uint64_t Records = 0;
   {
     VerifierConfig VC;
-    VC.Backend = LogBackend::LB_Buffered;
     VC.LogFilePath = Path;
     auto V = makeVerifier(VC);
     V->start();
@@ -164,7 +162,6 @@ TEST(VerifierTest, BufferedBackendWithFileProducesReloadableLog) {
 TEST(VerifierTest, BufferedBackendOfflineRun) {
   VerifierConfig VC;
   VC.Online = false;
-  VC.Backend = LogBackend::LB_Buffered;
   auto V = makeVerifier(VC);
   V->start();
   driveMultiset(*V, 16, 100);

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Dumps a binary log file produced by FileLog in human-readable form.
+// Dumps a binary log file produced by BufferedLog in human-readable form.
 //
 //   vyrd-logdump <log-file> [--limit N] [--tid T] [--obj O] [--kind K]
 //                [--stats] [--json] [--snapshots]
