@@ -334,7 +334,7 @@ int main(int Argc, char **Argv) {
   // --- 2. allocations per record, append -> batch -> check ---------------
   // The trace is pre-built and the checker pre-warmed (pools, memo table,
   // queue chunks), so the counted window holds only the steady-state
-  // per-record cost of the pipeline. PumpReady takes what the flusher has
+  // per-record cost of the pipeline. PumpReady takes what has been
   // published; close() before the last call makes that everything.
   {
     VectorSpec S;

@@ -122,8 +122,8 @@ public:
   /// none). Call before the pipeline starts.
   void setTelemetry(Telemetry *T) { Telem = T; }
 
-  /// Current batch target for the pump loop and the flusher's drain
-  /// quantum. Relaxed: any thread.
+  /// Current batch target for the pump loop and the log's merge-round
+  /// emit quantum. Relaxed: any thread.
   size_t batchTarget() const {
     return Target.load(std::memory_order_relaxed);
   }

@@ -63,7 +63,7 @@ enum class BackpressurePolicy : uint8_t {
 const char *backpressurePolicyName(BackpressurePolicy P);
 
 /// The pipeline-wide bound and admission policy, enforced uniformly by
-/// BufferedLog's flusher and the checker pool's pending queues. Part of
+/// BufferedLog's merge rounds and the checker pool's pending queues. Part of
 /// VerifierConfig; validated there.
 struct BackpressureConfig {
   /// Master switch. Disabled (the default) keeps the historical
@@ -194,7 +194,7 @@ public:
   /// Encodes \p A into the pending buffer, rotating to a fresh segment
   /// first when the current one is full. Records must arrive in
   /// ascending Seq order (they do: callers encode under the lock that
-  /// assigns Seq, or on the single flusher thread).
+  /// assigns Seq, or under BufferedLog's merge mutex).
   void write(const Action &A);
 
   /// Pushes the pending encoded bytes into stdio (one fwrite). Cheap;

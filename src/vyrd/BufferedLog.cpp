@@ -24,7 +24,7 @@ using namespace vyrd;
 namespace {
 
 /// Producer-side wait while the shard ring is full: a couple of yields,
-/// then short sleeps so a starved flusher gets CPU even on one core.
+/// then short sleeps so a starved merger gets CPU even on one core.
 void backoff(unsigned Round) {
   if (Round < 8)
     std::this_thread::yield();
@@ -46,6 +46,42 @@ constexpr size_t ShardCacheWays = 4;
 /// shard), so the append fast path avoids the registry mutex.
 thread_local ShardCacheEntry ShardCache[ShardCacheWays];
 
+/// Reorder-ring slot states. A merge round marks each record of the run it
+/// emits admitted or dropped (shed or spilled: on disk only) under the
+/// queue mutex, writes the run to the sink, then pushes the admitted ones.
+enum SlotState : uint8_t { SlotEmpty, SlotParked, SlotAdmit, SlotDrop };
+
+/// Where one thread (the reader or the flusher) parks: a sleeper flag and
+/// an eventcount. BufferedLog.h ("Who merges, who sleeps") has the
+/// argument that no wake-up is lost.
+struct alignas(64) Sleeper {
+  std::atomic<bool> Parked{false};
+  std::atomic<uint32_t> Epoch{0};
+
+  /// Wakes the thread if it is parked. The load keeps the common call (no
+  /// sleeper) read-only; the exchange makes one waker per sleep.
+  void wake() {
+    if (Parked.load(std::memory_order_seq_cst) &&
+        Parked.exchange(false, std::memory_order_seq_cst)) {
+      Epoch.fetch_add(1, std::memory_order_seq_cst);
+      Epoch.notify_one();
+    }
+  }
+
+  /// Parks the calling thread unless \p HasWork, called once the flag is
+  /// up, finds something to do.
+  template <typename Fn> void park(Fn HasWork) {
+    uint32_t E = Epoch.load(std::memory_order_seq_cst);
+    Parked.store(true, std::memory_order_seq_cst);
+    if (HasWork()) {
+      Parked.store(false, std::memory_order_relaxed);
+      return;
+    }
+    // A waker clears the flag before it bumps the epoch.
+    Epoch.wait(E, std::memory_order_seq_cst);
+  }
+};
+
 } // namespace
 
 struct BufferedLog::Impl {
@@ -57,44 +93,53 @@ struct BufferedLog::Impl {
   std::atomic<uint64_t> Tickets{0};
   std::atomic<bool> Closed{false};
 
-  /// Registered shards, indexed by dense thread id. Grown under RegistryM;
-  /// shards live until the log is destroyed. RegisteredShards counts the
-  /// non-null entries so the flusher can skip the mutex when nothing new
-  /// registered since its last snapshot.
-  mutable std::mutex RegistryM;
-  std::vector<std::unique_ptr<ThreadLogShard>> ShardByTid;
-  std::atomic<size_t> RegisteredShards{0};
-  std::vector<ThreadLogShard *> ShardScratch; // flusher-only snapshot
+  /// Where the reader and the flusher park. Every append loads
+  /// Reader.Parked; only parking and waking write its cache line.
+  Sleeper Reader;
+  Sleeper Flusher;
+  /// A shard holding this many records wakes the flusher: half a ring.
+  uint64_t ShardHalf = 0;
 
-  /// Flusher state (flusher thread only).
-  std::thread Flusher;
+  /// Registered shards, indexed by dense thread id. Grown under RegistryM;
+  /// shards live until the log is destroyed. Shards lists the same shards
+  /// newest first, linked through ThreadLogShard::NextShard; it is only
+  /// ever prepended to, so mergers and sleepers walk it without the mutex.
+  std::mutex RegistryM;
+  std::vector<std::unique_ptr<ThreadLogShard>> ShardByTid;
+  std::atomic<ThreadLogShard *> Shards{nullptr};
+
+  /// Merge state, guarded by MergeM (whoever runs the round).
+  std::mutex MergeM;
   uint64_t SeqNext = 0; // next ticket to enter the global order
   /// The reorder ring: drained records parked at `Seq & ReorderMask`
   /// until the contiguous run starting at SeqNext is complete.
   std::vector<Action> Reorder;
-  std::vector<uint8_t> Parked;
+  std::vector<uint8_t> Parked; // SlotState per slot
   uint64_t ReorderMask = 0;
   /// The disk side (FilePath mode): file(s), encoder, rotation.
   SegmentSink Sink;
   bool HasFile = false;
 
-  /// The global, merged order the readers consume.
+  /// The global, merged order the readers consume. Lock order: MergeM
+  /// before QM.
   std::mutex QM;
-  std::condition_variable QCV;
-  /// The flusher parks here in BP_Block mode until the reader makes room.
+  /// The flusher waits here in BP_Block mode until the reader makes room.
   std::condition_variable QSpaceCV;
   ChunkQueue<Action> Q; // chunk-recycling: see Ring.h
   bool Finished = false; // flusher exited; Q holds everything remaining
 
-  /// Backpressure state, guarded by QM (admission happens where the
-  /// flusher pushes into Q; the shard rings have their own bound).
+  /// Backpressure state, guarded by QM (admission happens where a merge
+  /// round pushes into Q; the shard rings have their own bound).
   ShedFilter Shed;
   BackpressureStats Stats;
+  /// When the record now first in line met the bound under BP_Block (0:
+  /// none waiting). One wait counts once, whichever round meets it.
+  uint64_t BlockedSince = 0;
   uint64_t QBytes = 0; // estimated bytes Q pins (BP enabled only)
   /// Spill bookkeeping: Delivered = next seq the reader hands out;
   /// EmittedSeq = every record below it has reached the sink, published
-  /// by the flusher at the end of each emit round (under QM, so readers
-  /// see queue and watermark consistently).
+  /// at the end of each merge round (under QM, so readers see queue and
+  /// watermark consistently).
   uint64_t Delivered = 0;
   std::atomic<uint64_t> EmittedSeq{0};
   std::unique_ptr<LogFileReader> SpillReader;
@@ -114,6 +159,10 @@ struct BufferedLog::Impl {
   /// Serializes close() so it is idempotent.
   std::mutex CloseM;
   bool CloseDone = false;
+
+  /// Started by the constructor once everything above exists; joined by
+  /// close().
+  std::thread FlusherThread;
 };
 
 //===----------------------------------------------------------------------===//
@@ -125,8 +174,8 @@ ThreadLogShard::ThreadLogShard(BufferedLog &Parent, size_t Capacity)
       Mask(Slots.size() - 1) {}
 
 uint64_t ThreadLogShard::append(Action A) {
-  assert(!Parent.I->Closed.load(std::memory_order_relaxed) &&
-         "append after close");
+  BufferedLog::Impl &P = *Parent.I;
+  assert(!P.Closed.load(std::memory_order_relaxed) && "append after close");
   uint64_t H = Head.load(std::memory_order_relaxed);
   // Latency sampling reuses the already-loaded ring position instead of a
   // separate tick counter: every 64th append per shard takes two clock
@@ -145,7 +194,9 @@ uint64_t ThreadLogShard::append(Action A) {
       if (telemetryCompiledIn() && TC)
         TC->count(Counter::C_AppendStalls);
       for (unsigned Round = 0; H - CachedTail > Mask; ++Round) {
-        backoff(Round); // ring full: wait for the flusher to make room
+        // Ring full: nobody keeps up, so hand the backlog to the flusher.
+        P.Flusher.wake();
+        backoff(Round);
         CachedTail = Tail.load(std::memory_order_acquire);
       }
     }
@@ -153,11 +204,20 @@ uint64_t ThreadLogShard::append(Action A) {
   // Claim the record's place in the global order only once a slot is
   // certain, so a producer never stalls between ticket and publish longer
   // than the store below takes.
-  uint64_t Ticket =
-      Parent.I->Tickets.fetch_add(1, std::memory_order_relaxed);
+  uint64_t Ticket = P.Tickets.fetch_add(1, std::memory_order_relaxed);
   A.Seq = Ticket;
   Slots[H & Mask] = std::move(A);
-  Head.store(H + 1, std::memory_order_release);
+  // seq_cst, not just release: this store and the flag loads after it are
+  // the producer's half of the lost-wake-up argument (BufferedLog.h).
+  Head.store(H + 1, std::memory_order_seq_cst);
+  P.Reader.wake();
+  if (H + 1 - CachedTail == P.ShardHalf) {
+    // Passing half full by the cached tail: if the real tail agrees,
+    // nobody is keeping up, and the flusher takes over.
+    CachedTail = Tail.load(std::memory_order_acquire);
+    if (H + 1 - CachedTail >= P.ShardHalf)
+      P.Flusher.wake();
+  }
   if (telemetryCompiledIn() && TC) {
     TC->count(Counter::C_LogAppends);
     if (T0)
@@ -191,8 +251,10 @@ BufferedLog::BufferedLog(Options O) : I(std::make_unique<Impl>()) {
   // between taking a ticket and publishing while others run far ahead.
   I->Reorder.resize(std::bit_ceil(std::max<size_t>(
       2 * std::bit_ceil(std::max<size_t>(I->Opts.ShardCapacity, 2)), 16)));
-  I->Parked.assign(I->Reorder.size(), 0);
+  I->Parked.assign(I->Reorder.size(), SlotEmpty);
   I->ReorderMask = I->Reorder.size() - 1;
+  I->ShardHalf =
+      std::bit_ceil(std::max<size_t>(I->Opts.ShardCapacity, 2)) / 2;
   if (!I->Opts.FilePath.empty()) {
     // Plain file or rotated segment chain, header(s) included — see
     // SegmentSink (docs/LOGFORMAT.md).
@@ -200,7 +262,7 @@ BufferedLog::BufferedLog(Options O) : I(std::make_unique<Impl>()) {
                          I->Opts.Backpressure.SegmentBytes);
     I->HasFile = Valid;
   }
-  I->Flusher = std::thread([this] { flusherMain(); });
+  I->FlusherThread = std::thread([this] { flusherMain(); });
 }
 
 BufferedLog::~BufferedLog() { close(); }
@@ -211,9 +273,12 @@ ThreadLogShard &BufferedLog::shardForCurrentThread() {
   if (I->ShardByTid.size() <= Tid)
     I->ShardByTid.resize(Tid + 1);
   if (!I->ShardByTid[Tid]) {
-    I->ShardByTid[Tid] =
-        std::make_unique<ThreadLogShard>(*this, I->Opts.ShardCapacity);
-    I->RegisteredShards.fetch_add(1, std::memory_order_release);
+    auto S = std::make_unique<ThreadLogShard>(*this, I->Opts.ShardCapacity);
+    S->NextShard = I->Shards.load(std::memory_order_relaxed);
+    // seq_cst: ordered before this shard's first publish for the sleepers'
+    // recheck (BufferedLog.h).
+    I->Shards.store(S.get(), std::memory_order_seq_cst);
+    I->ShardByTid[Tid] = std::move(S);
   }
   return *I->ShardByTid[Tid];
 }
@@ -231,26 +296,17 @@ LogWriter &BufferedLog::writer() {
 uint64_t BufferedLog::append(Action A) { return writer().append(std::move(A)); }
 
 size_t BufferedLog::shardCount() const {
-  std::lock_guard Lock(I->RegistryM);
   size_t N = 0;
-  for (const auto &S : I->ShardByTid)
-    N += S != nullptr;
+  for (ThreadLogShard *S = I->Shards.load(std::memory_order_acquire); S;
+       S = S->NextShard)
+    ++N;
   return N;
 }
 
 size_t BufferedLog::drainShards() {
-  // Re-snapshot only when a thread registered since the last round; the
-  // count only grows, so a stale snapshot just means one extra check.
-  if (I->ShardScratch.size() !=
-      I->RegisteredShards.load(std::memory_order_acquire)) {
-    std::lock_guard Lock(I->RegistryM);
-    I->ShardScratch.clear();
-    for (const auto &S : I->ShardByTid)
-      if (S)
-        I->ShardScratch.push_back(S.get());
-  }
   size_t Drained = 0;
-  for (ThreadLogShard *S : I->ShardScratch)
+  for (ThreadLogShard *S = I->Shards.load(std::memory_order_acquire); S;
+       S = S->NextShard)
     Drained += S->drain();
   return Drained;
 }
@@ -267,7 +323,7 @@ void BufferedLog::park(Action &&A) {
     for (size_t Slot = 0; Slot != I->Reorder.size(); ++Slot)
       if (I->Parked[Slot]) {
         Action &Old = I->Reorder[Slot];
-        NewParked[Old.Seq & (NewSize - 1)] = 1;
+        NewParked[Old.Seq & (NewSize - 1)] = SlotParked;
         NewReorder[Old.Seq & (NewSize - 1)] = std::move(Old);
       }
     I->Reorder = std::move(NewReorder);
@@ -278,7 +334,7 @@ void BufferedLog::park(Action &&A) {
         T->count(Counter::C_ReorderGrows);
   }
   size_t Slot = A.Seq & I->ReorderMask;
-  I->Parked[Slot] = 1;
+  I->Parked[Slot] = SlotParked;
   I->Reorder[Slot] = std::move(A);
 }
 
@@ -289,92 +345,99 @@ bool BufferedLog::spillCapable() const {
           hasDynamicPolicy());
 }
 
-void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
+bool BufferedLog::waitsAtBound(BackpressurePolicy P) const {
+  return P == BackpressurePolicy::BP_Block ||
+         (P == BackpressurePolicy::BP_SpillToDisk && !I->HasFile);
+}
+
+uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
+                                  bool &Blocked) {
   const BackpressureConfig &BP = I->Opts.Backpressure;
+  if (!BP.Enabled) {
+    for (uint64_t Ti = First; Ti != S; ++Ti)
+      I->Parked[Ti & I->ReorderMask] = SlotAdmit;
+    return S;
+  }
   Telemetry *T = telemetry();
-  std::unique_lock Lock(I->QM);
+  // The queue as it will stand after this round's pushes. The reader can
+  // only shrink it before they happen, so the bound holds.
+  uint64_t Pending = I->Q.size();
+  uint64_t Bytes = I->QBytes;
   for (uint64_t Ti = First; Ti != S; ++Ti) {
     Action &A = I->Reorder[Ti & I->ReorderMask];
-    if (BP.Enabled) {
-      bool Admit = true;
-      bool Blocked = false;
-      uint64_t W0 = 0;
-      // The policy is re-read each admission attempt: a dynamic-policy
-      // cell (adaptive escalation) may change it while the flusher is
-      // parked, and the record must then be re-decided under the new
-      // policy rather than admitted as if nothing changed.
-      for (;;) {
-        BackpressurePolicy P = activePolicy(BP);
-        bool Over = I->Q.size() >= BP.MaxPendingRecords ||
-                    (BP.MaxTailBytes && I->QBytes >= BP.MaxTailBytes);
-        if (P == BackpressurePolicy::BP_Shed || hasDynamicPolicy()) {
-          // With a dynamic policy the filter is consulted under every
-          // rung so open shed windows close whole: continuation records
-          // of a shed execution drop regardless of the current rung (the
-          // filter ignores OverLimit inside a window).
-          if (I->Shed.shouldShed(A, Over &&
-                                        P == BackpressurePolicy::BP_Shed)) {
-            // Dropped from the queue only; the file (when present) stays
-            // complete for post-mortem re-checking.
-            ++I->Stats.ShedRecords;
-            if (telemetryCompiledIn() && T)
-              T->count(Counter::C_ShedRecords);
-            if (spillCapable()) {
-              // The record is on disk; the catch-up reader must not
-              // resurrect it if we later escalate into spill.
-              if (!I->ShedGaps.empty() &&
-                  I->ShedGaps.back().second == A.Seq)
-                ++I->ShedGaps.back().second;
-              else
-                I->ShedGaps.emplace_back(A.Seq, A.Seq + 1);
-            }
-            Admit = false;
-            break;
-          }
-          if (P == BackpressurePolicy::BP_Shed)
-            break; // not shed: admit unconditionally under BP_Shed
-        }
-        if (P == BackpressurePolicy::BP_SpillToDisk && I->HasFile) {
-          if (Over) {
-            // Already at the sink; the reader re-reads the gap from disk.
-            ++I->Stats.SpilledRecords;
-            if (telemetryCompiledIn() && T)
-              T->count(Counter::C_SpilledRecords);
-            Admit = false;
-          }
-          break;
-        }
-        if (!Over)
-          break;
-        // BP_Block (and BP_SpillToDisk without a file): park the flusher.
-        // Shard rings then fill and producers hit the ring-full backoff,
-        // which is how the bound propagates to the hot path.
-        if (!Blocked) {
-          Blocked = true;
-          ++I->Stats.BlockedAppends;
-          W0 = telemetryNowNanos();
-        }
-        // Records pushed earlier in this batch are consumable but the
-        // batch-end QCV notify has not happened yet; wake any reader
-        // parked on what it last saw as an empty queue before this side
-        // goes to sleep, or neither ever wakes.
-        I->QCV.notify_all();
-        I->QSpaceCV.wait(Lock, [&] {
-          return (I->Q.size() < BP.MaxPendingRecords &&
-                  (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes)) ||
-                 activePolicy(BP) != BackpressurePolicy::BP_Block;
-        });
-      }
-      if (Blocked) {
-        uint64_t Waited = telemetryNowNanos() - W0;
-        I->Stats.BlockedNanos += Waited;
-        if (telemetryCompiledIn() && T) {
+    // The policy is read per record: a dynamic-policy cell (adaptive
+    // escalation) may change it between rounds or within one.
+    BackpressurePolicy P = activePolicy(BP);
+    bool Over = Pending >= BP.MaxPendingRecords ||
+                (BP.MaxTailBytes && Bytes >= BP.MaxTailBytes);
+    if (Over && (Reader || waitsAtBound(P))) {
+      // The record waits parked: for the reader to drain the queue (its
+      // own next round), or for the flusher's waitForRoom.
+      if (waitsAtBound(P) && !I->BlockedSince) {
+        ++I->Stats.BlockedAppends;
+        I->BlockedSince = telemetryNowNanos();
+        if (telemetryCompiledIn() && T)
           T->count(Counter::C_BlockedAppends);
-          T->record(Histo::H_BlockedNs, Waited);
-        }
       }
-      if (!Admit)
-        continue;
+      Blocked = !Reader;
+      return Ti;
+    }
+    if (I->BlockedSince) {
+      uint64_t Waited = telemetryNowNanos() - I->BlockedSince;
+      I->BlockedSince = 0;
+      I->Stats.BlockedNanos += Waited;
+      if (telemetryCompiledIn() && T)
+        T->record(Histo::H_BlockedNs, Waited);
+    }
+    bool Admit = true;
+    if (P == BackpressurePolicy::BP_Shed || hasDynamicPolicy()) {
+      // With a dynamic policy the filter is consulted under every rung so
+      // open shed windows close whole: continuation records of a shed
+      // execution drop regardless of the current rung (the filter ignores
+      // OverLimit inside a window).
+      if (I->Shed.shouldShed(A, Over && P == BackpressurePolicy::BP_Shed)) {
+        // Dropped from the queue only; the file (when present) stays
+        // complete for post-mortem re-checking.
+        ++I->Stats.ShedRecords;
+        if (telemetryCompiledIn() && T)
+          T->count(Counter::C_ShedRecords);
+        if (spillCapable()) {
+          // The record is on disk; the catch-up reader must not
+          // resurrect it if we later escalate into spill.
+          if (!I->ShedGaps.empty() && I->ShedGaps.back().second == A.Seq)
+            ++I->ShedGaps.back().second;
+          else
+            I->ShedGaps.emplace_back(A.Seq, A.Seq + 1);
+        }
+        Admit = false;
+      }
+    }
+    if (Admit && Over && P == BackpressurePolicy::BP_SpillToDisk) {
+      // At the sink by the time the round publishes; the reader re-reads
+      // the gap from disk.
+      ++I->Stats.SpilledRecords;
+      if (telemetryCompiledIn() && T)
+        T->count(Counter::C_SpilledRecords);
+      Admit = false;
+    }
+    I->Parked[Ti & I->ReorderMask] = Admit ? SlotAdmit : SlotDrop;
+    if (Admit) {
+      ++Pending;
+      Bytes += actionFootprintBytes(A);
+    }
+  }
+  return S;
+}
+
+void BufferedLog::publishLocked(uint64_t First, uint64_t S) {
+  const BackpressureConfig &BP = I->Opts.Backpressure;
+  Telemetry *T = telemetry();
+  for (uint64_t Ti = First; Ti != S; ++Ti) {
+    size_t Slot = Ti & I->ReorderMask;
+    if (I->Parked[Slot] != SlotAdmit)
+      continue;
+    Action &A = I->Reorder[Slot];
+    if (BP.Enabled) {
       size_t FP = actionFootprintBytes(A);
       I->QBytes += FP;
       I->Stats.PendingRecordsHwm =
@@ -391,74 +454,122 @@ void BufferedLog::enqueueEmitted(uint64_t First, uint64_t S) {
   // Publish the disk watermark under QM so readers never see a record
   // "on disk" that this round is still deciding to queue or spill.
   I->EmittedSeq.store(S, std::memory_order_release);
-  Lock.unlock();
-  I->QCV.notify_one();
 }
 
-size_t BufferedLog::emitReady() {
+size_t BufferedLog::emitReady(bool Reader, bool &Blocked) {
   const uint64_t First = I->SeqNext;
   uint64_t S = First;
   // An adaptive controller caps the emit quantum through the batch-target
   // hint (floor 1 so progress never stalls); without one the whole
-  // contiguous run goes out at once, as before.
+  // contiguous run goes out at once.
   uint64_t Limit = std::min<uint64_t>(
       I->Reorder.size(),
       std::max<size_t>(batchTargetHint(I->Reorder.size()), 1));
   while (S - First < Limit && I->Parked[S & I->ReorderMask])
     ++S;
-  size_t K = static_cast<size_t>(S - First);
-  if (K == 0)
+  if (S != First && I->Opts.RetainRecords) {
+    std::lock_guard Lock(I->QM);
+    S = admitLocked(First, S, Reader, Blocked);
+  }
+  if (S == First)
     return 0;
   if (I->HasFile) {
-    // All records reach the disk log, including ones the queue admission
-    // below will shed or spill (the file is the complete witness).
+    // All records reach the disk log, including ones the admission above
+    // shed or spilled (the file is the complete witness). A rotation
+    // records its cut here, before any record past it is published.
     for (uint64_t T = First; T != S; ++T)
       I->Sink.write(I->Reorder[T & I->ReorderMask]);
     I->Sink.flushPending();
   }
-  if (I->Opts.RetainRecords) {
-    enqueueEmitted(First, S);
-  } else {
+  {
     std::lock_guard Lock(I->QM);
-    I->EmittedSeq.store(S, std::memory_order_release);
+    if (I->Opts.RetainRecords)
+      publishLocked(First, S);
+    else
+      I->EmittedSeq.store(S, std::memory_order_release);
   }
   for (uint64_t T = First; T != S; ++T)
-    I->Parked[T & I->ReorderMask] = 0;
+    I->Parked[T & I->ReorderMask] = SlotEmpty;
   I->SeqNext = S;
-  return K;
+  return static_cast<size_t>(S - First);
+}
+
+BufferedLog::MergeResult BufferedLog::mergeRound(bool Reader) {
+  std::lock_guard Lock(I->MergeM);
+  MergeResult R;
+  // Drain only once the run at SeqNext is used up. A round stopped at the
+  // queue bound leaves records parked; pulling more out of the shards
+  // then would move the whole backlog into the reorder ring past the
+  // bound instead of leaving it to press on the producers.
+  if (!I->Parked[I->SeqNext & I->ReorderMask])
+    R.Drained = drainShards();
+  R.Emitted = emitReady(Reader, R.Blocked);
+  if (telemetryCompiledIn() && R.Emitted)
+    if (Telemetry *T = telemetry()) {
+      // Recorded by whichever thread ran the round.
+      TelemetryCell &TC = T->cell();
+      TC.count(Counter::C_FlushBatches);
+      TC.count(Counter::C_FlushedRecords, R.Emitted);
+      TC.record(Histo::H_FlushBatch, R.Emitted);
+      // Occupancy after the merge: tickets issued but not yet in the
+      // global order (parked, unpublished or undrained records).
+      TC.record(Histo::H_ReorderOccupancy,
+                I->Tickets.load(std::memory_order_relaxed) - I->SeqNext);
+    }
+  R.CaughtUp = I->SeqNext == I->Tickets.load(std::memory_order_acquire);
+  return R;
+}
+
+void BufferedLog::waitForRoom() {
+  const BackpressureConfig &BP = I->Opts.Backpressure;
+  std::unique_lock Lock(I->QM);
+  I->QSpaceCV.wait(Lock, [&] {
+    return (I->Q.size() < BP.MaxPendingRecords &&
+            (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes)) ||
+           !waitsAtBound(activePolicy(BP));
+  });
+}
+
+bool BufferedLog::shardsHold(uint64_t N) const {
+  for (ThreadLogShard *S = I->Shards.load(std::memory_order_seq_cst); S;
+       S = S->NextShard)
+    if (S->Head.load(std::memory_order_seq_cst) -
+            S->Tail.load(std::memory_order_acquire) >=
+        N)
+      return true;
+  return false;
+}
+
+void BufferedLog::awaitRecords() {
+  if (mergeRound(/*Reader=*/true).Emitted)
+    return;
+  I->Reader.park([this] {
+    {
+      std::lock_guard Lock(I->QM);
+      if (readyLocked() || I->Finished)
+        return true;
+    }
+    return shardsHold(1);
+  });
 }
 
 void BufferedLog::flusherMain() {
-  unsigned Idle = 0;
-  TelemetryCell *TC = nullptr;
   for (;;) {
-    // Order matters: observe Closed before the final drain, so everything
+    // Order matters: observe Closed before the round, so everything
     // appended before close() is captured by this round's drain.
-    bool ClosedNow = I->Closed.load(std::memory_order_acquire);
-    size_t Drained = drainShards();
-    size_t Emitted = emitReady();
-    if (telemetryCompiledIn()) {
-      if (!TC)
-        if (Telemetry *T = telemetry())
-          TC = &T->cell();
-      if (TC && Emitted) {
-        TC->count(Counter::C_FlushBatches);
-        TC->count(Counter::C_FlushedRecords, Emitted);
-        TC->record(Histo::H_FlushBatch, Emitted);
-        // Occupancy after the merge: tickets issued but not yet in the
-        // global order (parked, unpublished or undrained records).
-        TC->record(Histo::H_ReorderOccupancy,
-                   I->Tickets.load(std::memory_order_relaxed) -
-                       I->SeqNext);
-      }
-    }
-    if (ClosedNow &&
-        I->SeqNext == I->Tickets.load(std::memory_order_acquire))
+    bool ClosedNow = I->Closed.load(std::memory_order_seq_cst);
+    MergeResult R = mergeRound(/*Reader=*/false);
+    if (R.Emitted || R.Blocked)
+      I->Reader.wake(); // the queue changed under a reader that may be parked
+    if (ClosedNow && R.CaughtUp)
       break;
-    if (Drained == 0 && Emitted == 0)
-      backoff(Idle++);
-    else
-      Idle = 0;
+    if (R.Blocked)
+      waitForRoom();
+    else if (!R.Drained && !R.Emitted)
+      I->Flusher.park([this] {
+        return I->Closed.load(std::memory_order_seq_cst) ||
+               shardsHold(I->ShardHalf);
+      });
   }
   if (I->HasFile)
     I->Sink.sync();
@@ -466,7 +577,7 @@ void BufferedLog::flusherMain() {
     std::lock_guard Lock(I->QM);
     I->Finished = true;
   }
-  I->QCV.notify_all();
+  I->Reader.wake();
 }
 
 void BufferedLog::close() {
@@ -474,8 +585,9 @@ void BufferedLog::close() {
   if (I->CloseDone)
     return;
   I->CloseDone = true;
-  I->Closed.store(true, std::memory_order_release);
-  I->Flusher.join();
+  I->Closed.store(true, std::memory_order_seq_cst);
+  I->Flusher.wake();
+  I->FlusherThread.join();
 }
 
 void BufferedLog::popFrontLocked(Action &Out) {
@@ -592,20 +704,32 @@ bool BufferedLog::tryNextLocked(Action &Out, bool &End) {
 
 bool BufferedLog::next(Action &Out) {
   std::unique_lock Lock(I->QM);
-  while (true) {
-    I->QCV.wait(Lock, [&] { return readyLocked() || I->Finished; });
+  for (;;) {
     bool End = false;
     if (tryNextLocked(Out, End))
       return true;
     if (End)
       return false;
-    // Spill data momentarily invisible (stdio buffering around a
-    // rotation); spillNextLocked has synced, so retrying converges.
+    // Ready but not delivered: spill data momentarily invisible (stdio
+    // buffering around a rotation); spillNextLocked has synced, so
+    // retrying converges.
+    if (readyLocked())
+      continue;
+    Lock.unlock();
+    awaitRecords();
+    Lock.lock();
   }
 }
 
 bool BufferedLog::tryNext(Action &Out, bool &End) {
   std::unique_lock Lock(I->QM);
+  if (tryNextLocked(Out, End))
+    return true;
+  if (End)
+    return false;
+  Lock.unlock();
+  mergeRound(/*Reader=*/true);
+  Lock.lock();
   return tryNextLocked(Out, End);
 }
 
@@ -613,8 +737,14 @@ bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
   if (spillCapable())
     return Log::nextBatch(Out, Max); // per-record path handles disk gaps
   Out.clear();
+  if (Max == 0)
+    Max = 1; // the Log::nextBatch contract
   std::unique_lock Lock(I->QM);
-  I->QCV.wait(Lock, [&] { return !I->Q.empty() || I->Finished; });
+  while (I->Q.empty() && !I->Finished) {
+    Lock.unlock();
+    awaitRecords();
+    Lock.lock();
+  }
   while (!I->Q.empty() && Out.size() < Max) {
     Action A;
     popFrontLocked(A);
@@ -645,14 +775,13 @@ void BufferedLog::setShedClassifier(std::function<bool(const Action &)> Fn) {
 }
 
 void BufferedLog::onPolicyChange() {
-  // A policy transition can strand the flusher parked on QSpaceCV under a
-  // predicate the new policy would decide differently; wake it to
+  // A policy transition can strand the flusher waiting on QSpaceCV under
+  // a predicate the new policy would decide differently; wake it to
   // re-decide. Taking QM orders the wakeup after the cell store.
   {
     std::lock_guard Lock(I->QM);
   }
   I->QSpaceCV.notify_all();
-  I->QCV.notify_all();
 }
 
 void BufferedLog::takeSegmentCuts(std::vector<SegmentCut> &Out) {

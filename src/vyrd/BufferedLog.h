@@ -10,9 +10,9 @@
 /// in Table 2). With a file sink it is the paper's "file whose tail is
 /// kept in memory"; without one, an in-memory log. Each
 /// producer thread appends into its own bounded single-producer /
-/// single-consumer ring (ThreadLogShard); a flusher thread drains the
-/// shards in epochs and merges the records into the global append order,
-/// from which readers consume in batches.
+/// single-consumer ring (ThreadLogShard); merge rounds drain the shards
+/// and merge the records into the global append order, from which readers
+/// consume in batches.
 ///
 /// Ordering contract
 /// -----------------
@@ -31,23 +31,72 @@
 ///    X's increment precedes Y's in the counter's modification order, so
 ///    ticket(X) < ticket(Y). No stronger ordering is needed from the RMW
 ///    itself; `relaxed` suffices.
-///  * the record is published to the shard with a release store of the
-///    ring head; the flusher reads the head with acquire, so the record
-///    contents are visible when it drains.
-///  * tickets are dense, so the flusher can (and must) emit records in
+///  * the record is published to the shard with a (seq_cst, hence
+///    release) store of the ring head; the merger reads the head with
+///    acquire, so the record contents are visible when it drains.
+///  * tickets are dense, so a merge round can (and must) emit records in
 ///    exactly ticket order: it holds records back until the contiguous
 ///    prefix is complete, then stamps them into the global order as the
 ///    final, dense sequence numbers. A record's sequence number therefore
 ///    *is* its ticket; it becomes observable to readers only at flush.
-///    Density also makes reordering O(1) per record: the flusher parks
+///    Density also makes reordering O(1) per record: the merger parks
 ///    each drained record in a ring indexed by `Seq & Mask` (growing the
 ///    ring if a stalled producer ever leaves a wider gap) and emits the
 ///    contiguous run starting at the next expected ticket — no
 ///    comparisons, no heap.
 ///
-/// Backpressure: shards are bounded. A producer whose ring is full waits
-/// (spin, then yield, then short sleeps) until the flusher makes room, so
-/// memory for unflushed records is capped at ShardCapacity per thread.
+/// Who merges, who sleeps
+/// ----------------------
+/// A merge round (mergeRound) runs under the merge mutex: it drains the
+/// shards into the reorder ring, parks each record at its ticket, and
+/// emits the contiguous ticket run to the file sink and to the reader
+/// queue's admission. Two kinds of thread run rounds:
+///
+///  * the reader. Every reader entry point (nextBatch, next, tryNext, and
+///    the per-record spill path) runs a round itself when its queue has
+///    nothing for it, so a record reaches the checker on the thread that
+///    checks it. A reader-side round emits at most the queue's free room,
+///    so it never has to wait on its own queue; what does not fit stays
+///    parked for the next round. When a round finds nothing, the reader
+///    parks on an eventcount until a producer publishes.
+///  * the flusher thread, for the logs nobody reads online: log-only and
+///    offline runs, the backlog behind a spilling reader, and a reader
+///    blocked downstream (checker-pool admission). It sleeps on its own
+///    eventcount until close(), or until a producer's ring passes half
+///    full. Awake, it runs rounds until one finds nothing. Under BP_Block
+///    it waits for queue room between rounds, never inside one, so the
+///    merge mutex is never held across a wait.
+///
+/// The lost-wake-up argument. A sleeper loads its epoch, stores its
+/// sleeper flag (seq_cst), then rechecks for work: it loads every shard's
+/// Head (seq_cst) and parks only if no shard holds a record (the reader)
+/// or half a ring (the flusher); the reader also looks at its queue under
+/// the queue mutex, the flusher at Closed. A producer stores Head
+/// (seq_cst), then loads the reader's flag (seq_cst), and the flusher's
+/// when its ring passes half full. These accesses are all in the single
+/// total order S of seq_cst operations, so either the sleeper's Head load
+/// follows the producer's Head store in S (the recheck sees the record
+/// and the sleeper does not sleep), or the sleeper's flag store precedes
+/// the producer's flag load (the producer sees the flag and wakes it).
+/// A waker wakes only after clearing the flag with an exchange, so each
+/// sleep costs one notify, not one per publish. The epoch was loaded
+/// before the flag was stored and the waker bumps it after reading that
+/// store, so the bump is never the value the sleeper waits against:
+/// atomic<uint32_t>::wait returns. Shards registered after the recheck's
+/// list load are covered the same way (the registration store is seq_cst
+/// and precedes the new shard's first publish); close() stores Closed
+/// (seq_cst) before it loads the flusher's flag. Records a merge round
+/// moves to the queue are covered by the queue mutex: every flusher round
+/// that emits ends with a wake-up check, and a reader whose recheck took
+/// the mutex before the round's push had stored its flag before that
+/// check. A producer that finds its ring full wakes the flusher on every
+/// backoff round, so no ring stays full unmerged whatever the half-full
+/// check saw.
+///
+/// Backpressure: shards are bounded. A producer whose ring is full wakes
+/// the flusher and waits (yield, then short sleeps) until a merge round
+/// makes room, so memory for unmerged records is capped at ShardCapacity
+/// per thread.
 ///
 /// Thread registration: shards are keyed by the dense thread id
 /// (currentTid()) and created the first time a thread with that id calls
@@ -75,7 +124,8 @@ class BufferedLog;
 class TelemetryCell;
 
 /// One thread's bounded SPSC ring. Producer: the owning thread, through
-/// LogWriter::append. Consumer: the parent log's flusher thread.
+/// LogWriter::append. Consumer: whichever thread runs the parent log's
+/// merge round (one at a time, under its merge mutex).
 class ThreadLogShard final : public LogWriter {
 public:
   ThreadLogShard(BufferedLog &Parent, size_t Capacity);
@@ -88,17 +138,20 @@ public:
 private:
   friend class BufferedLog;
 
-  /// Consumer side (flusher only): moves all published records out into
-  /// the parent's reorder ring. \returns how many were moved.
+  /// Consumer side (merge round only): moves all published records out
+  /// into the parent's reorder ring. \returns how many were moved.
   size_t drain();
 
   BufferedLog &Parent;
   std::vector<Action> Slots;
   const uint64_t Mask;
+  /// The next older registered shard; fixed before this one is published
+  /// to BufferedLog's shard list.
+  ThreadLogShard *NextShard = nullptr;
   /// Monotonic positions; slot = position & Mask. Head is written by the
-  /// producer (release) and read by the flusher (acquire); Tail is the
-  /// reverse. CachedTail lets the producer check for space without
-  /// touching the shared Tail in the common case.
+  /// producer (seq_cst, see the file comment) and read by the merger
+  /// (acquire); Tail is the reverse. CachedTail lets the producer check
+  /// for space without touching the shared Tail in the common case.
   alignas(64) std::atomic<uint64_t> Head{0};
   alignas(64) std::atomic<uint64_t> Tail{0};
   uint64_t CachedTail = 0;
@@ -114,9 +167,9 @@ public:
   struct Options {
     /// Ring capacity per producer thread, in records; rounded up to a
     /// power of two. Bounds the memory held in unflushed shards and the
-    /// distance a producer can run ahead of the flusher.
+    /// distance a producer can run ahead of the merge rounds.
     size_t ShardCapacity = 1024;
-    /// When non-empty, the flusher serializes every flushed batch to this
+    /// When non-empty, merge rounds serialize every emitted run to this
     /// file (docs/LOGFORMAT.md; readable with loadLogFile). With
     /// Backpressure.SegmentBytes > 0 the output rotates into a segment
     /// chain instead of one file.
@@ -127,8 +180,9 @@ public:
     bool RetainRecords = true;
     /// Bound + policy for the merged reader queue. The shard rings are
     /// already bounded (ShardCapacity per thread); this bounds the
-    /// downstream stage the flusher feeds. BP_Block parks the *flusher*
-    /// (shards then fill and producers hit the ring-full backoff, so the
+    /// downstream stage merge rounds feed. BP_Block stops a round at the
+    /// bound and parks the *flusher* until the reader makes room (shards
+    /// then fill and producers hit the ring-full backoff, so the
     /// pressure propagates); BP_SpillToDisk needs FilePath and lets the
     /// reader re-read over-limit records from disk; BP_Shed drops
     /// observer executions from the queue only (the file, when present,
@@ -169,6 +223,16 @@ public:
 private:
   friend class ThreadLogShard;
 
+  /// What one merge round did.
+  struct MergeResult {
+    size_t Drained = 0; ///< records moved out of the shards
+    size_t Emitted = 0; ///< records emitted into the global order
+    /// BP_Block stopped the run at the queue bound (flusher rounds only).
+    bool Blocked = false;
+    /// Every ticket issued so far is in the global order.
+    bool CaughtUp = false;
+  };
+
   ThreadLogShard &shardForCurrentThread();
   void flusherMain();
   /// True when the reader must track the delivery frontier and be able to
@@ -177,23 +241,49 @@ private:
   /// escalate into it mid-run (frontier bookkeeping must be on from the
   /// first record, or an escalation would re-deliver the whole file).
   bool spillCapable() const;
-  /// Pushes one emit round's records [\p First, \p S) into the reader
-  /// queue under the configured admission policy.
-  void enqueueEmitted(uint64_t First, uint64_t S);
-  bool readyLocked() const;
-  bool tryNextLocked(Action &Out, bool &End);
-  bool spillNextLocked(Action &Out);
-  void popFrontLocked(Action &Out);
+  /// True when \p P makes a record wait at the queue bound: BP_Block, and
+  /// BP_SpillToDisk without a file to spill to.
+  bool waitsAtBound(BackpressurePolicy P) const;
+  /// One merge round under the merge mutex (file comment, "Who merges,
+  /// who sleeps"). \p Reader marks a reader-side round, which emits at
+  /// most the queue's free room.
+  MergeResult mergeRound(bool Reader);
   /// Drains every shard into the reorder ring. \returns records drained.
   size_t drainShards();
   /// Parks one drained record in the reorder ring at `Seq & Mask`,
   /// growing the ring when a stalled producer has left a gap wider than
-  /// its current capacity. Flusher thread only.
+  /// its current capacity.
   void park(Action &&A);
   /// Emits the contiguous ticket run starting at the next expected
   /// sequence number into the global order (file and/or reader queue).
   /// \returns records emitted.
-  size_t emitReady();
+  size_t emitReady(bool Reader, bool &Blocked);
+  /// Decides queue admission for the run [\p First, \p S) in ticket
+  /// order and marks each slot admitted or dropped (shed or spilled).
+  /// \returns the end of the decided prefix: \p S, or the first record
+  /// that met a full queue where it has to wait, which is under any
+  /// policy in a reader-side round and under waitsAtBound otherwise (and
+  /// then sets \p Blocked). A wait under waitsAtBound counts once in
+  /// BlockedAppends; its length goes to BlockedNanos when the record is
+  /// admitted.
+  uint64_t admitLocked(uint64_t First, uint64_t S, bool Reader,
+                       bool &Blocked);
+  /// Pushes the admitted records of [\p First, \p S) into the reader
+  /// queue and publishes \p S as the emitted (on-disk) watermark.
+  void publishLocked(uint64_t First, uint64_t S);
+  /// Flusher after a blocked round: waits until the queue has room or the
+  /// policy stops waiting at the bound.
+  void waitForRoom();
+  /// Reader with nothing queued: runs one round and, when it emitted
+  /// nothing, parks until a producer or a merge round wakes it.
+  void awaitRecords();
+  /// True when some shard holds at least \p N published records not yet
+  /// drained (the sleepers' recheck: seq_cst loads of every Head).
+  bool shardsHold(uint64_t N) const;
+  bool readyLocked() const;
+  bool tryNextLocked(Action &Out, bool &End);
+  bool spillNextLocked(Action &Out);
+  void popFrontLocked(Action &Out);
 
   struct Impl;
   std::unique_ptr<Impl> I;

@@ -67,11 +67,11 @@ public:
 
   /// Batch consumption: clears \p Out, blocks until at least one record is
   /// available (or end of log), then moves up to \p Max ready records into
-  /// \p Out without further blocking. \returns false (with \p Out empty)
-  /// only at end of log. Readers that batch amortize one wakeup and one
-  /// lock round trip over the whole batch; the default implementation is
-  /// built on next()/tryNext(), backends may override with something
-  /// cheaper.
+  /// \p Out without further blocking; \p Max == 0 is treated as 1.
+  /// \returns false (with \p Out empty) only at end of log. Readers that
+  /// batch amortize one wakeup and one lock round trip over the whole
+  /// batch; the default implementation is built on next()/tryNext(),
+  /// backends may override with something cheaper.
   virtual bool nextBatch(std::vector<Action> &Out, size_t Max);
 
   /// The append handle the calling thread should use. The default is the
@@ -88,9 +88,10 @@ public:
   virtual uint64_t byteCount() const { return 0; }
 
   /// Attaches a telemetry hub: appends count Counter::C_LogAppends (with
-  /// sampled Histo::H_AppendNs latencies) and BufferedLog's flusher feeds
-  /// the flush-batch/occupancy metrics. Attach before producers start and
-  /// keep \p T alive until the log is destroyed; pass nullptr to detach.
+  /// sampled Histo::H_AppendNs latencies) and BufferedLog's merge rounds
+  /// feed the flush-batch/occupancy metrics. Attach before producers start
+  /// and keep \p T alive until the log is destroyed; pass nullptr to
+  /// detach.
   void setTelemetry(Telemetry *T) {
     Telem.store(T, std::memory_order_release);
   }
@@ -109,7 +110,7 @@ public:
     DynPolicy.store(Cell, std::memory_order_release);
   }
 
-  /// Subscribes the backend's drain stage (BufferedLog's flusher emit
+  /// Subscribes the backend's drain stage (BufferedLog's merge-round emit
   /// quantum) to the adaptive batch target. Backends without a drain
   /// quantum ignore it. Same lifetime rules as setDynamicPolicy.
   void setBatchTargetHint(const std::atomic<size_t> *Cell) {

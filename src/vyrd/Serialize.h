@@ -139,7 +139,7 @@ private:
 class ActionEncoder {
 public:
   /// Appends the encoding of \p A to \p W. Batch consumers (BufferedLog's
-  /// flusher) fill one buffer with a whole flush epoch of encodings and
+  /// merge rounds) fill one buffer with a whole run of encodings and
   /// write it with a single file write.
   void encode(const Action &A, ByteWriter &W);
 

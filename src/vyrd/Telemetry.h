@@ -7,7 +7,7 @@
 /// \file
 /// Observability for the verification pipeline: lock-free per-thread
 /// counters and fixed-bucket histograms covering every stage
-/// (instrumentation hooks, log append, flusher merge, checker feed, view
+/// (instrumentation hooks, log append, log merge, checker feed, view
 /// comparison), a checker-lag gauge (distance in sequence numbers between
 /// the newest producer ticket and the last record the checker consumed), an
 /// optional sampler thread that records the lag over time, and a watchdog
@@ -66,9 +66,10 @@ enum class Counter : uint8_t {
   C_LogAppends,
   /// Backoff rounds spent waiting for shard-ring space (BufferedLog).
   C_AppendStalls,
-  /// Flusher rounds that merged at least one record into the global order.
+  /// Merge rounds (reader or flusher) that merged at least one record
+  /// into the global order.
   C_FlushBatches,
-  /// Records the flusher merged into the global order.
+  /// Records merge rounds merged into the global order.
   C_FlushedRecords,
   /// Reorder-ring regrowths (a producer stalled between ticket and
   /// publish while others ran more than a ring ahead).
@@ -99,7 +100,7 @@ enum class Counter : uint8_t {
   C_SegmentsCreated,
   C_SegmentsReclaimed,
   /// Snapshot sidecars written at segment cuts / cuts where the snapshot
-  /// was skipped (late cut on an async flusher, a dirty checker, or an
+  /// was skipped (late cut on an asynchronous log, a dirty checker, or an
   /// unsupported spec) / sidecars loaded by a resuming or epoch checker
   /// (docs/SNAPSHOTS.md).
   C_SnapshotWrites,
@@ -141,7 +142,7 @@ enum class Counter : uint8_t {
 enum class Histo : uint8_t {
   /// Sampled latency of one log append, nanoseconds.
   H_AppendNs,
-  /// Records merged per flusher emit round.
+  /// Records merged per merge round (reader or flusher).
   H_FlushBatch,
   /// Pipeline occupancy at emit time: tickets issued but not yet merged
   /// (reorder ring + unpublished + undrained records).
@@ -180,7 +181,7 @@ enum class Gauge : uint8_t {
   /// to a from-zero replay would be (appendCount - watermark).
   G_RestartLag,
   /// The adaptive controller's current pump-batch target (records per
-  /// pump loop / flusher drain quantum). Static pipelines leave it 0.
+  /// pump loop / merge-round emit quantum). Static pipelines leave it 0.
   G_PumpBatchTarget,
   /// The admission policy currently in force, as its BackpressurePolicy
   /// ordinal (0 = block, 1 = spill, 2 = shed). Written by the pump on

@@ -545,7 +545,7 @@ void Verifier::pump() {
         Cuts.erase(Cuts.begin());
         if (Cut.FirstSeq < RoutedUpto) {
           // Late cut: the log reported the cut after the pump consumed
-          // past it. BufferedLog's sink records a cut before the flusher
+          // past it. BufferedLog's sink records a cut before a merge round
           // publishes records past it, so this is a guard for other Log
           // implementations. Nothing to align on — skip.
           if (Telem)

@@ -57,8 +57,8 @@ namespace vyrd {
 /// The Log implementation a Verifier constructs. BufferedLog is the only
 /// one; the enum survives for source compatibility and will go away.
 enum class LogBackend : uint8_t {
-  /// Sharded per-thread rings merged by a flusher thread (BufferedLog);
-  /// also writes LogFilePath when set.
+  /// Sharded per-thread rings merged in ticket order by the reader or a
+  /// flusher thread (BufferedLog); also writes LogFilePath when set.
   LB_Buffered,
 };
 

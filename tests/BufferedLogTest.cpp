@@ -14,14 +14,22 @@
 //===----------------------------------------------------------------------===//
 
 #include "vyrd/BufferedLog.h"
+#include "vyrd/Telemetry.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <random>
 #include <thread>
+#include <time.h>
 
 using namespace vyrd;
+using namespace std::chrono_literals;
 
 namespace {
 
@@ -61,6 +69,51 @@ void auditOrder(const std::vector<Action> &Got, unsigned NumThreads,
   }
   for (auto &[Tid, Next] : NextPerThread)
     EXPECT_EQ(Next, static_cast<int64_t>(Ops)) << "thread " << Tid;
+}
+
+/// Polls \p Done for up to 10 s. A reader that missed its wake-up, or a
+/// merge that waits on itself, would otherwise hang the suite; past the
+/// deadline the threads cannot be joined, so the test aborts instead.
+void watchdog(const std::atomic<bool> &Done, const char *What) {
+  auto Deadline = std::chrono::steady_clock::now() + 10s;
+  while (!Done.load(std::memory_order_acquire)) {
+    if (std::chrono::steady_clock::now() > Deadline) {
+      std::fprintf(stderr, "watchdog: %s did not finish within 10 s\n",
+                   What);
+      std::abort();
+    }
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
+/// Starts \p Read on a reader thread against an open log, gives it time
+/// to park, appends one record, and expects the reader to return it
+/// while the log is still open.
+void expectReaderWakesOnOneAppend(
+    const std::function<bool(BufferedLog &, Action &)> &Read) {
+  BufferedLog L;
+  L.writer();
+  Action Got;
+  bool Ok = false;
+  std::atomic<bool> Done{false};
+  std::thread Reader([&] {
+    Ok = Read(L, Got);
+    Done.store(true, std::memory_order_release);
+  });
+  std::this_thread::sleep_for(20ms);
+  L.append(Action::commit(7));
+  watchdog(Done, "reader after a single append");
+  Reader.join();
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(Got.Kind, ActionKind::AK_Commit);
+  EXPECT_EQ(Got.Tid, 7u);
+  L.close();
+}
+
+double processCpuMs() {
+  timespec Ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &Ts);
+  return Ts.tv_sec * 1e3 + Ts.tv_nsec / 1e6;
 }
 
 } // namespace
@@ -151,6 +204,170 @@ TEST(BufferedLogTest, BlockingReaderWakesOnAppend) {
   EXPECT_EQ(Got.Kind, ActionKind::AK_Commit);
   EXPECT_EQ(Got.Tid, 7u);
   L.close();
+}
+
+TEST(BufferedLogTest, NextBatchWakesOnOneAppend) {
+  expectReaderWakesOnOneAppend([](BufferedLog &L, Action &Out) {
+    std::vector<Action> Batch;
+    if (!L.nextBatch(Batch, 64) || Batch.size() != 1)
+      return false;
+    Out = std::move(Batch.front());
+    return true;
+  });
+}
+
+TEST(BufferedLogTest, NextWakesOnOneAppend) {
+  expectReaderWakesOnOneAppend(
+      [](BufferedLog &L, Action &Out) { return L.next(Out); });
+}
+
+TEST(BufferedLogTest, TryNextPollingSeesOneAppend) {
+  expectReaderWakesOnOneAppend([](BufferedLog &L, Action &Out) {
+    for (;;) {
+      bool End = false;
+      if (L.tryNext(Out, End))
+        return true;
+      if (End)
+        return false;
+      std::this_thread::yield();
+    }
+  });
+}
+
+TEST(BufferedLogTest, NextBatchWithZeroMaxTakesOneRecord) {
+  BufferedLog L;
+  for (int I = 0; I < 3; ++I)
+    L.append(Action::commit(0));
+  std::vector<Action> Batch;
+  ASSERT_TRUE(L.nextBatch(Batch, 0)) << "records pending: not end of log";
+  ASSERT_EQ(Batch.size(), 1u) << "Max == 0 is treated as 1";
+  EXPECT_EQ(Batch[0].Seq, 0u);
+  L.close();
+  ASSERT_TRUE(L.nextBatch(Batch, 0));
+  EXPECT_EQ(Batch[0].Seq, 1u);
+}
+
+TEST(BufferedLogTest, BurstyProducersReachAParkedReaderInOrder) {
+  // Bursts with pauses make the reader park and wake over and over; every
+  // record must arrive exactly once, in ticket order, while the log is
+  // still open (close() would wake a reader that missed its wake-up).
+  constexpr unsigned NumThreads = 4, Ops = 20000;
+  BufferedLog::Options O;
+  O.ShardCapacity = 256; // bursts sometimes pass half: the flusher joins in
+  BufferedLog L(O);
+  std::vector<Action> Got;
+  std::atomic<uint64_t> NumGot{0};
+  std::atomic<bool> ReaderDone{false};
+  std::thread Reader([&] {
+    std::vector<Action> Batch;
+    while (L.nextBatch(Batch, 128)) {
+      for (Action &A : Batch)
+        Got.push_back(std::move(A));
+      NumGot.store(Got.size(), std::memory_order_release);
+    }
+    ReaderDone.store(true, std::memory_order_release);
+  });
+  Name M = internName("burst");
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Ts.emplace_back([&, T] {
+      std::mt19937 Rng(1234 + T);
+      LogWriter &W = L.writer();
+      for (unsigned I = 0; I < Ops;) {
+        unsigned Burst = 1 + Rng() % 200;
+        for (unsigned B = 0; B < Burst && I < Ops; ++B, ++I)
+          W.append(Action::call(T, M, {Value(static_cast<int64_t>(I))}));
+        std::this_thread::sleep_for(std::chrono::microseconds(Rng() % 51));
+      }
+    });
+  for (auto &T : Ts)
+    T.join();
+  std::atomic<bool> AllIn{false};
+  std::thread Waiter([&] {
+    while (NumGot.load(std::memory_order_acquire) < NumThreads * Ops &&
+           !ReaderDone.load(std::memory_order_acquire))
+      std::this_thread::sleep_for(1ms);
+    AllIn.store(true, std::memory_order_release);
+  });
+  watchdog(AllIn, "the open log's reader");
+  Waiter.join();
+  EXPECT_FALSE(ReaderDone.load()) << "reader saw end of log before close()";
+  L.close();
+  Reader.join();
+  auditOrder(Got, NumThreads, Ops);
+}
+
+TEST(BufferedLogTest, ReaderRoundNeverWaitsOnItsOwnQueue) {
+  // With a bound of 1-3 records, a reader-side round that admitted a
+  // whole run would wait for room only it can make. It must emit at most
+  // the free room and leave the rest parked.
+  constexpr unsigned NumThreads = 4, Ops = 2000;
+  for (size_t Bound : {1, 2, 3}) {
+    SCOPED_TRACE(Bound);
+    BufferedLog::Options O;
+    O.ShardCapacity = 64;
+    O.Backpressure.Enabled = true;
+    O.Backpressure.Policy = BackpressurePolicy::BP_Block;
+    O.Backpressure.MaxPendingRecords = Bound;
+    BufferedLog L(O);
+    std::vector<Action> Got;
+    std::atomic<bool> Done{false};
+    std::thread Reader([&] {
+      std::vector<Action> Batch;
+      while (Got.size() < NumThreads * Ops && L.nextBatch(Batch, 256))
+        for (Action &A : Batch)
+          Got.push_back(std::move(A));
+      Done.store(true, std::memory_order_release);
+    });
+    std::thread Producers([&] { produce(L, NumThreads, Ops); });
+    watchdog(Done, "the bounded log's reader");
+    Reader.join();
+    Producers.join();
+    L.close();
+    auditOrder(Got, NumThreads, Ops);
+    EXPECT_LE(L.backpressureStats().PendingRecordsHwm, Bound);
+  }
+}
+
+TEST(BufferedLogTest, IdleOpenLogUsesNoCpu) {
+  BufferedLog L;
+  L.writer(); // a registered, idle producer
+  std::vector<Action> Batch;
+  std::thread Reader([&] { ASSERT_TRUE(L.nextBatch(Batch, 64)); });
+  std::this_thread::sleep_for(20ms); // let the reader park
+  double Cpu0 = processCpuMs();
+  std::this_thread::sleep_for(200ms);
+  double Used = processCpuMs() - Cpu0;
+  EXPECT_LT(Used, 5.0) << "an idle log must not poll";
+  L.append(Action::commit(1));
+  Reader.join();
+  L.close();
+}
+
+TEST(BufferedLogTest, EveryAppendIsCountedAsMergedWithALiveReader) {
+  // flushed_records is counted by whichever thread ran the merge round,
+  // reader or flusher; together they account for every append.
+  Telemetry T;
+  BufferedLog::Options O;
+  O.ShardCapacity = 64;
+  BufferedLog L(O);
+  L.setTelemetry(&T);
+  uint64_t Read = 0;
+  std::thread Reader([&] {
+    std::vector<Action> Batch;
+    while (L.nextBatch(Batch, 32))
+      Read += Batch.size();
+  });
+  produce(L, 4, 3000);
+  L.close();
+  Reader.join();
+  EXPECT_EQ(Read, 12000u);
+  TelemetrySnapshot S = T.snapshot();
+  EXPECT_EQ(S.counter(Counter::C_LogAppends), 12000u);
+  EXPECT_EQ(S.counter(Counter::C_FlushedRecords),
+            S.counter(Counter::C_LogAppends));
+  EXPECT_EQ(S.histo(Histo::H_FlushBatch).Sum, 12000u);
+  L.setTelemetry(nullptr);
 }
 
 TEST(BufferedLogTest, FileRoundTripPreservesMergedOrder) {
