@@ -333,10 +333,15 @@ Scenario makeVectorScenario(const ScenarioOptions &O) {
   return S;
 }
 
+/// The StringBuffer scenario's family of buffers, and the length its
+/// workload truncates a buffer to after every call that grows it.
+constexpr size_t StringBufferBuffers = 3;
+constexpr size_t StringBufferCap = 64;
+
 Scenario makeStringBufferScenario(const ScenarioOptions &O) {
   Scenario S;
   javalib::StringBufferSystem::Options BO;
-  BO.NumBuffers = 3;
+  BO.NumBuffers = StringBufferBuffers;
   BO.BuggyAppendBuffer = O.Buggy;
   Hooks H = wireScenario(
       S, O, std::make_unique<javalib::StringBufferSpec>(BO.NumBuffers),
@@ -344,20 +349,28 @@ Scenario makeStringBufferScenario(const ScenarioOptions &O) {
   auto SB = std::make_shared<javalib::StringBufferSystem>(BO, H);
   S.Owned.push_back(SB);
   size_t N = BO.NumBuffers;
+  // Growth is hard-bounded under every interleaving (see
+  // stringBufferLengthBound): appendBuffer copies only from a lower- into
+  // a higher-indexed buffer, so copies cannot ping-pong a buffer's
+  // contents between two buffers, and each growing call is followed by a
+  // truncation of its buffer to StringBufferCap from the same thread.
   S.Op = [SB, N](Rng &R, int64_t K1, int64_t K2, double) {
     unsigned Dice = static_cast<unsigned>(R.range(100));
     size_t I = static_cast<size_t>(R.range(N));
     size_t J = (I + 1 + static_cast<size_t>(R.range(N - 1))) % N;
-    if (Dice < 30)
+    if (Dice < 30) {
       SB->append(I, keyString(K1, 4 + K1 % 5));
-    else if (Dice < 55)
-      SB->appendBuffer(I, J);
-    else if (Dice < 75)
+      SB->setLength(I, StringBufferCap);
+    } else if (Dice < 55) {
+      SB->appendBuffer(std::max(I, J), std::min(I, J));
+      SB->setLength(std::max(I, J), StringBufferCap);
+    } else if (Dice < 75) {
       SB->setLength(I, static_cast<size_t>(K2 % 24));
-    else if (Dice < 90)
+    } else if (Dice < 90) {
       SB->toString(I);
-    else
+    } else {
       SB->length(I);
+    }
   };
   return S;
 }
@@ -534,6 +547,21 @@ Scenario makeScanFsScenario(const ScenarioOptions &O) {
 }
 
 } // namespace
+
+size_t vyrd::harness::stringBufferLengthBound(unsigned Threads) {
+  // Bound for buffer k (B_k), by induction on k. After the last truncation
+  // of buffer k to at most StringBufferCap (a setLength: the closing
+  // one of some call, or the random one, at most 23), every growth of k
+  // is by a thread whose closing truncation of k has not run yet, so by
+  // distinct threads: at most Threads of them. A growth adds a literal of
+  // at most 8 characters, or (appendBuffer) the length of a lower buffer
+  // j < k, at most B_j <= B_{k-1}. Hence B_0 = Cap + 8 T and
+  // B_k = Cap + T max(8, B_{k-1}) = Cap + T B_{k-1}.
+  size_t B = StringBufferCap + 8 * static_cast<size_t>(Threads);
+  for (size_t K = 1; K < StringBufferBuffers; ++K)
+    B = StringBufferCap + Threads * B;
+  return B;
+}
 
 Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   Scenario S;

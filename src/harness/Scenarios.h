@@ -167,6 +167,13 @@ struct Scenario {
 /// Builds the scenario described by \p O.
 Scenario makeScenario(const ScenarioOptions &O);
 
+/// The longest any P_StringBuffer buffer can get with \p Threads threads
+/// running the scenario's Op, under every interleaving, independent of
+/// the number of operations: at most (Threads + 1)^2 x (64 + 8 x Threads)
+/// for the scenario's 3 buffers truncated to 64 characters after every
+/// call that grows one. Scenarios.cpp has the argument.
+size_t stringBufferLengthBound(unsigned Threads);
+
 /// Builds the composite multi-object scenario: an array multiset, a
 /// Boxwood cache, a B-link tree and a bounded queue all verified by one
 /// Verifier (one shared log, four registered objects). \p O.Prog is

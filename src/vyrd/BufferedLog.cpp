@@ -456,7 +456,8 @@ void BufferedLog::publishLocked(uint64_t First, uint64_t S) {
   I->EmittedSeq.store(S, std::memory_order_release);
 }
 
-size_t BufferedLog::emitReady(bool Reader, bool &Blocked) {
+size_t BufferedLog::emitReady(bool Reader, bool &Blocked,
+                              std::vector<Action> *Out, size_t Max) {
   const uint64_t First = I->SeqNext;
   uint64_t S = First;
   // An adaptive controller caps the emit quantum through the batch-target
@@ -467,8 +468,16 @@ size_t BufferedLog::emitReady(bool Reader, bool &Blocked) {
       std::max<size_t>(batchTargetHint(I->Reorder.size()), 1));
   while (S - First < Limit && I->Parked[S & I->ReorderMask])
     ++S;
+  bool Direct = false;
   if (S != First && I->Opts.RetainRecords) {
     std::lock_guard Lock(I->QM);
+    // Straight into the caller's batch only past an empty queue, so every
+    // record queued before this run is consumed first. Only merge rounds
+    // push, and this one holds MergeM: the queue stays empty until the
+    // run is handed over.
+    Direct = Out && I->Q.empty();
+    if (Direct)
+      S = std::min<uint64_t>(S, First + Max);
     S = admitLocked(First, S, Reader, Blocked);
   }
   if (S == First)
@@ -476,25 +485,30 @@ size_t BufferedLog::emitReady(bool Reader, bool &Blocked) {
   if (I->HasFile) {
     // All records reach the disk log, including ones the admission above
     // shed or spilled (the file is the complete witness). A rotation
-    // records its cut here, before any record past it is published.
+    // records its cut here, before any record past it is handed out.
     for (uint64_t T = First; T != S; ++T)
       I->Sink.write(I->Reorder[T & I->ReorderMask]);
     I->Sink.flushPending();
   }
   {
     std::lock_guard Lock(I->QM);
-    if (I->Opts.RetainRecords)
+    if (I->Opts.RetainRecords && !Direct)
       publishLocked(First, S);
     else
       I->EmittedSeq.store(S, std::memory_order_release);
   }
-  for (uint64_t T = First; T != S; ++T)
-    I->Parked[T & I->ReorderMask] = SlotEmpty;
+  for (uint64_t T = First; T != S; ++T) {
+    size_t Slot = T & I->ReorderMask;
+    if (Direct && I->Parked[Slot] == SlotAdmit)
+      Out->push_back(std::move(I->Reorder[Slot]));
+    I->Parked[Slot] = SlotEmpty;
+  }
   I->SeqNext = S;
   return static_cast<size_t>(S - First);
 }
 
-BufferedLog::MergeResult BufferedLog::mergeRound(bool Reader) {
+BufferedLog::MergeResult
+BufferedLog::mergeRound(bool Reader, std::vector<Action> *Out, size_t Max) {
   std::lock_guard Lock(I->MergeM);
   MergeResult R;
   // Drain only once the run at SeqNext is used up. A round stopped at the
@@ -503,7 +517,7 @@ BufferedLog::MergeResult BufferedLog::mergeRound(bool Reader) {
   // bound instead of leaving it to press on the producers.
   if (!I->Parked[I->SeqNext & I->ReorderMask])
     R.Drained = drainShards();
-  R.Emitted = emitReady(Reader, R.Blocked);
+  R.Emitted = emitReady(Reader, R.Blocked, Out, Max);
   if (telemetryCompiledIn() && R.Emitted)
     if (Telemetry *T = telemetry()) {
       // Recorded by whichever thread ran the round.
@@ -540,8 +554,8 @@ bool BufferedLog::shardsHold(uint64_t N) const {
   return false;
 }
 
-void BufferedLog::awaitRecords() {
-  if (mergeRound(/*Reader=*/true).Emitted)
+void BufferedLog::awaitRecords(std::vector<Action> *Out, size_t Max) {
+  if (mergeRound(/*Reader=*/true, Out, Max).Emitted)
     return;
   I->Reader.park([this] {
     {
@@ -590,18 +604,20 @@ void BufferedLog::close() {
   I->FlusherThread.join();
 }
 
+void BufferedLog::dequeuedLocked(size_t N, uint64_t Bytes) {
+  I->QBytes -= std::min(Bytes, I->QBytes);
+  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
+    T->gaugeSub(Gauge::G_PendingRecords, N);
+    T->gaugeSub(Gauge::G_TailBytes, Bytes);
+  }
+  I->QSpaceCV.notify_one();
+}
+
 void BufferedLog::popFrontLocked(Action &Out) {
   Out = std::move(I->Q.front());
   I->Q.pop_front();
-  const BackpressureConfig &BP = I->Opts.Backpressure;
-  if (BP.Enabled) {
-    size_t FP = actionFootprintBytes(Out);
-    I->QBytes -= std::min<uint64_t>(FP, I->QBytes);
-    if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
-      T->gaugeSub(Gauge::G_PendingRecords, 1);
-      T->gaugeSub(Gauge::G_TailBytes, FP);
-    }
-    I->QSpaceCV.notify_one();
+  if (I->Opts.Backpressure.Enabled) {
+    dequeuedLocked(1, actionFootprintBytes(Out));
     // Monotone: a stale pop (a record the spill reader already
     // delivered from disk while its producer was still blocked) must
     // not rewind the frontier, or the next queued record is delivered
@@ -742,15 +758,27 @@ bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
   std::unique_lock Lock(I->QM);
   while (I->Q.empty() && !I->Finished) {
     Lock.unlock();
-    awaitRecords();
+    // A round that finds the queue empty delivers straight into Out.
+    awaitRecords(&Out, Max);
+    if (!Out.empty())
+      return true;
     Lock.lock();
   }
-  while (!I->Q.empty() && Out.size() < Max) {
-    Action A;
-    popFrontLocked(A);
-    Out.push_back(std::move(A));
+  // The queue holds what flusher rounds emitted while this reader was
+  // away: take it in one pass, with one byte count, gauge update and
+  // wake-up for the whole batch.
+  size_t N = std::min(I->Q.size(), Max);
+  const bool Bounded = I->Opts.Backpressure.Enabled;
+  uint64_t Bytes = 0;
+  for (size_t K = 0; K != N; ++K) {
+    Out.push_back(std::move(I->Q.front()));
+    I->Q.pop_front();
+    if (Bounded)
+      Bytes += actionFootprintBytes(Out.back());
   }
-  return !Out.empty();
+  if (Bounded && N)
+    dequeuedLocked(N, Bytes);
+  return N != 0;
 }
 
 uint64_t BufferedLog::appendCount() const {

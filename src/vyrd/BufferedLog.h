@@ -55,17 +55,28 @@
 ///  * the reader. Every reader entry point (nextBatch, next, tryNext, and
 ///    the per-record spill path) runs a round itself when its queue has
 ///    nothing for it, so a record reaches the checker on the thread that
-///    checks it. A reader-side round emits at most the queue's free room,
-///    so it never has to wait on its own queue; what does not fit stays
-///    parked for the next round. When a round finds nothing, the reader
-///    parks on an eventcount until a producer publishes.
+///    checks it. A round run by nextBatch that finds the queue empty
+///    (under the queue mutex) hands the admitted run straight to the
+///    caller's batch, at most the batch's room, after writing it to the
+///    file sink; those records never enter the queue. Other reader rounds
+///    emit into the queue, at most its free room. Either way a
+///    reader-side round admits at most the queue bound, so it never has
+///    to wait on its own queue; what does not fit stays parked for the
+///    next round. When a round finds nothing, the reader parks on an
+///    eventcount until a producer publishes.
 ///  * the flusher thread, for the logs nobody reads online: log-only and
 ///    offline runs, the backlog behind a spilling reader, and a reader
-///    blocked downstream (checker-pool admission). It sleeps on its own
-///    eventcount until close(), or until a producer's ring passes half
-///    full. Awake, it runs rounds until one finds nothing. Under BP_Block
-///    it waits for queue room between rounds, never inside one, so the
-///    merge mutex is never held across a wait.
+///    busy or blocked downstream (checker-pool admission). It sleeps on
+///    its own eventcount until close(), or until a producer's ring passes
+///    half full. Awake, it runs rounds until one finds nothing. Under
+///    BP_Block it waits for queue room between rounds, never inside one,
+///    so the merge mutex is never held across a wait.
+///
+/// The reader queue is the flusher's overflow: it holds only what flusher
+/// rounds (and next/tryNext rounds) emitted while the reader was away.
+/// nextBatch takes queued records first, in one pass per batch, and takes
+/// a direct run only when the queue is empty, so ticket order holds
+/// across the two paths.
 ///
 /// The lost-wake-up argument. A sleeper loads its epoch, stores its
 /// sleeper flag (seq_cst), then rechecks for work: it loads every shard's
@@ -246,8 +257,11 @@ private:
   bool waitsAtBound(BackpressurePolicy P) const;
   /// One merge round under the merge mutex (file comment, "Who merges,
   /// who sleeps"). \p Reader marks a reader-side round, which emits at
-  /// most the queue's free room.
-  MergeResult mergeRound(bool Reader);
+  /// most the queue's free room. Given \p Out, a round that finds the
+  /// queue empty appends at most \p Max admitted records to \p Out
+  /// instead of queueing them.
+  MergeResult mergeRound(bool Reader, std::vector<Action> *Out = nullptr,
+                         size_t Max = 0);
   /// Drains every shard into the reorder ring. \returns records drained.
   size_t drainShards();
   /// Parks one drained record in the reorder ring at `Seq & Mask`,
@@ -255,9 +269,10 @@ private:
   /// its current capacity.
   void park(Action &&A);
   /// Emits the contiguous ticket run starting at the next expected
-  /// sequence number into the global order (file and/or reader queue).
-  /// \returns records emitted.
-  size_t emitReady(bool Reader, bool &Blocked);
+  /// sequence number into the global order (file, and the reader queue
+  /// or \p Out as mergeRound says). \returns records emitted.
+  size_t emitReady(bool Reader, bool &Blocked, std::vector<Action> *Out,
+                   size_t Max);
   /// Decides queue admission for the run [\p First, \p S) in ticket
   /// order and marks each slot admitted or dropped (shed or spilled).
   /// \returns the end of the decided prefix: \p S, or the first record
@@ -274,9 +289,10 @@ private:
   /// Flusher after a blocked round: waits until the queue has room or the
   /// policy stops waiting at the bound.
   void waitForRoom();
-  /// Reader with nothing queued: runs one round and, when it emitted
-  /// nothing, parks until a producer or a merge round wakes it.
-  void awaitRecords();
+  /// Reader with nothing queued: runs one round (delivering into \p Out
+  /// when given, as mergeRound) and, when it emitted nothing, parks until
+  /// a producer or a merge round wakes it.
+  void awaitRecords(std::vector<Action> *Out = nullptr, size_t Max = 0);
   /// True when some shard holds at least \p N published records not yet
   /// drained (the sleepers' recheck: seq_cst loads of every Head).
   bool shardsHold(uint64_t N) const;
@@ -284,6 +300,10 @@ private:
   bool tryNextLocked(Action &Out, bool &End);
   bool spillNextLocked(Action &Out);
   void popFrontLocked(Action &Out);
+  /// Accounts for \p N records of footprint \p Bytes leaving the queue
+  /// (bounded queues only): the byte estimate, the gauges, and a wake-up
+  /// for a flusher waiting for room.
+  void dequeuedLocked(size_t N, uint64_t Bytes);
 
   struct Impl;
   std::unique_ptr<Impl> I;

@@ -51,12 +51,11 @@ public:
     return Slots[(Head + I) & (Slots.size() - 1)];
   }
 
-  void push_back(T V) {
-    if (Count == Slots.size())
-      grow();
-    Slots[(Head + Count) & (Slots.size() - 1)] = std::move(V);
-    ++Count;
-  }
+  /// Assigns into the recycled slot: one move (or one copy), never a
+  /// by-value parameter's extra move. \p V must not be an element of
+  /// this queue: growing moves the elements.
+  void push_back(T &&V) { slotForPush() = std::move(V); }
+  void push_back(const T &V) { slotForPush() = V; }
 
   /// Advances past the front element without destroying it; the slot's
   /// storage is recycled by the next push into it.
@@ -72,6 +71,12 @@ public:
   }
 
 private:
+  T &slotForPush() {
+    if (Count == Slots.size())
+      grow();
+    return Slots[(Head + Count++) & (Slots.size() - 1)];
+  }
+
   void grow() {
     size_t NewCap = Slots.empty() ? 16 : Slots.size() * 2;
     std::vector<T> Fresh(NewCap);
@@ -123,21 +128,10 @@ public:
     return HeadC->Elems[HeadI];
   }
 
-  void push_back(T V) {
-    if (!TailC || TailI == ChunkElems) {
-      Chunk *C = takeChunk();
-      if (TailC)
-        TailC->Next = C;
-      else {
-        HeadC = C;
-        HeadI = 0;
-      }
-      TailC = C;
-      TailI = 0;
-    }
-    TailC->Elems[TailI++] = std::move(V); // slot storage recycled
-    ++Count;
-  }
+  /// Assigns into the recycled slot (its heap storage is reused): one
+  /// move (or one copy), never a by-value parameter's extra move.
+  void push_back(T &&V) { slotForPush() = std::move(V); }
+  void push_back(const T &V) { slotForPush() = V; }
 
   /// Visits every queued element front to back without consuming the
   /// queue (checker snapshots serialize the pending-event backlog).
@@ -176,6 +170,22 @@ public:
   }
 
 private:
+  T &slotForPush() {
+    if (!TailC || TailI == ChunkElems) {
+      Chunk *C = takeChunk();
+      if (TailC)
+        TailC->Next = C;
+      else {
+        HeadC = C;
+        HeadI = 0;
+      }
+      TailC = C;
+      TailI = 0;
+    }
+    ++Count;
+    return TailC->Elems[TailI++];
+  }
+
   Chunk *takeChunk() {
     if (FreeC) {
       Chunk *C = FreeC;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -311,12 +312,15 @@ TEST(BufferedLogTest, ReaderRoundNeverWaitsOnItsOwnQueue) {
     O.Backpressure.MaxPendingRecords = Bound;
     BufferedLog L(O);
     std::vector<Action> Got;
+    size_t LargestBatch = 0;
     std::atomic<bool> Done{false};
     std::thread Reader([&] {
       std::vector<Action> Batch;
-      while (Got.size() < NumThreads * Ops && L.nextBatch(Batch, 256))
+      while (Got.size() < NumThreads * Ops && L.nextBatch(Batch, 256)) {
+        LargestBatch = std::max(LargestBatch, Batch.size());
         for (Action &A : Batch)
           Got.push_back(std::move(A));
+      }
       Done.store(true, std::memory_order_release);
     });
     std::thread Producers([&] { produce(L, NumThreads, Ops); });
@@ -326,7 +330,160 @@ TEST(BufferedLogTest, ReaderRoundNeverWaitsOnItsOwnQueue) {
     L.close();
     auditOrder(Got, NumThreads, Ops);
     EXPECT_LE(L.backpressureStats().PendingRecordsHwm, Bound);
+    // A run handed straight to the reader is capped by the same bound.
+    EXPECT_LE(LargestBatch, Bound);
   }
+}
+
+TEST(BufferedLogTest, MixedDeliveryPathsKeepTicketOrder) {
+  // A reader that sleeps between batches leaves the merging to flusher
+  // rounds, which queue; when it comes back to an empty queue its own
+  // rounds hand runs straight to its batch. Small rings and small batches
+  // keep the flusher merging while the reader does, so the two paths
+  // interleave. Either way every record arrives once, in ticket order,
+  // while the log is still open.
+  constexpr unsigned NumThreads = 4, Ops = 10000;
+  BufferedLog::Options O;
+  O.ShardCapacity = 16;
+  O.Backpressure.Enabled = true; // track the queue's high-water mark
+  O.Backpressure.Policy = BackpressurePolicy::BP_Block;
+  O.Backpressure.MaxPendingRecords = 1 << 20;
+  BufferedLog L(O);
+  std::vector<Action> Got;
+  std::atomic<bool> Done{false};
+  std::thread Reader([&] {
+    std::vector<Action> Batch;
+    std::mt19937 Rng(99);
+    while (Got.size() < NumThreads * Ops && L.nextBatch(Batch, 16)) {
+      for (Action &A : Batch)
+        Got.push_back(std::move(A));
+      if (Rng() % 16 == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(Rng() % 50));
+    }
+    Done.store(true, std::memory_order_release);
+  });
+  std::thread Producers([&] { produce(L, NumThreads, Ops); });
+  watchdog(Done, "the sleeping reader");
+  Reader.join();
+  Producers.join();
+  L.close();
+  auditOrder(Got, NumThreads, Ops);
+  EXPECT_GT(L.backpressureStats().PendingRecordsHwm, 0u)
+      << "flusher rounds never queued: only one path ran";
+}
+
+TEST(BufferedLogTest, QueueGaugesBalanceAfterDrain) {
+  // Only queued records count as pending; a batch taken from the queue
+  // subtracts what its records added, a run handed straight to the reader
+  // never adds. Drained and closed, both gauges read zero again.
+  constexpr unsigned NumThreads = 4, Ops = 3000;
+  Telemetry T;
+  BufferedLog::Options O;
+  O.ShardCapacity = 64;
+  O.Backpressure.Enabled = true;
+  O.Backpressure.Policy = BackpressurePolicy::BP_Block;
+  O.Backpressure.MaxPendingRecords = 512;
+  BufferedLog L(O);
+  L.setTelemetry(&T);
+  uint64_t Read = 0;
+  std::thread Reader([&] {
+    std::vector<Action> Batch;
+    std::mt19937 Rng(7);
+    while (L.nextBatch(Batch, 128)) {
+      Read += Batch.size();
+      if (Rng() % 4 == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(Rng() % 200));
+    }
+  });
+  produce(L, NumThreads, Ops);
+  L.close();
+  Reader.join();
+  EXPECT_EQ(Read, NumThreads * Ops);
+  TelemetrySnapshot S = T.snapshot();
+  EXPECT_EQ(S.gauge(Gauge::G_PendingRecords), 0u);
+  EXPECT_EQ(S.gauge(Gauge::G_TailBytes), 0u);
+  EXPECT_EQ(S.counter(Counter::C_FlushedRecords),
+            S.counter(Counter::C_LogAppends));
+  EXPECT_EQ(S.counter(Counter::C_LogAppends), NumThreads * Ops);
+  L.setTelemetry(nullptr);
+}
+
+TEST(BufferedLogTest, ShedExecutionsNeverReachTheReader) {
+  // Flusher rounds shed observer executions at the bound; the reader's own
+  // rounds must drop the rest of any execution whose call was shed, also
+  // when they hand the run straight to its batch. What arrives is whole
+  // executions, mutators all of them, and ShedRecords counts the rest.
+  constexpr unsigned NumThreads = 4, Execs = 3000;
+  BufferedLog::Options O;
+  O.ShardCapacity = 32;
+  O.Backpressure.Enabled = true;
+  O.Backpressure.Policy = BackpressurePolicy::BP_Shed;
+  O.Backpressure.MaxPendingRecords = 4;
+  BufferedLog L(O);
+  Name Obs = internName("obs"), Mut = internName("mut");
+  L.setShedClassifier([Obs](const Action &A) { return A.Method == Obs; });
+  std::vector<Action> Got;
+  std::thread Reader([&] {
+    std::vector<Action> Batch;
+    std::mt19937 Rng(5);
+    while (L.nextBatch(Batch, 64)) {
+      for (Action &A : Batch)
+        Got.push_back(std::move(A));
+      if (Rng() % 4 == 0)
+        std::this_thread::sleep_for(std::chrono::microseconds(Rng() % 200));
+    }
+  });
+  std::vector<std::thread> Ts;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Ts.emplace_back([&, T] {
+      LogWriter &W = L.writer();
+      for (unsigned I = 0; I < Execs; ++I) {
+        Value Id(static_cast<int64_t>(I));
+        Name M = I % 2 ? Obs : Mut;
+        W.append(Action::call(T, M, {Id}));
+        if (M == Mut)
+          W.append(Action::commit(T));
+        else if (I % 16 == 1)
+          // Let a round end between call and return, so a window a
+          // flusher round opened is closed by a reader round.
+          std::this_thread::sleep_for(std::chrono::microseconds(20));
+        W.append(Action::ret(T, M, Id));
+      }
+    });
+  for (auto &T : Ts)
+    T.join();
+  L.close();
+  Reader.join();
+
+  // Per thread: every execution arrives whole or not at all, and only
+  // observer executions go missing.
+  std::map<ThreadId, std::vector<const Action *>> PerThread;
+  for (const Action &A : Got)
+    PerThread[A.Tid].push_back(&A);
+  uint64_t Appended = 0, Lost = 0;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    const std::vector<const Action *> &Rs = PerThread[T];
+    size_t K = 0;
+    for (unsigned I = 0; I < Execs; ++I) {
+      bool IsObs = I % 2;
+      unsigned Len = IsObs ? 2 : 3;
+      Appended += Len;
+      if (K < Rs.size() && Rs[K]->Kind == ActionKind::AK_Call &&
+          Rs[K]->Args[0] == Value(static_cast<int64_t>(I))) {
+        ASSERT_LE(K + Len, Rs.size()) << "thread " << T << " exec " << I;
+        EXPECT_EQ(Rs[K + Len - 1]->Kind, ActionKind::AK_Return)
+            << "thread " << T << " exec " << I << " arrived torn";
+        K += Len;
+      } else {
+        EXPECT_TRUE(IsObs) << "thread " << T << " lost mutator exec " << I;
+        Lost += Len;
+      }
+    }
+    EXPECT_EQ(K, Rs.size()) << "thread " << T << ": stray records";
+  }
+  EXPECT_EQ(Got.size() + Lost, Appended);
+  EXPECT_EQ(L.backpressureStats().ShedRecords, Lost);
+  EXPECT_GT(Lost, 0u) << "nothing was shed: the test did not run its path";
 }
 
 TEST(BufferedLogTest, IdleOpenLogUsesNoCpu) {

@@ -293,6 +293,30 @@ TEST(StringBufferVerifiedTest, CorrectRunsClean) {
   }
 }
 
+TEST(StringBufferVerifiedTest, WorkloadKeepsBuffersWithinTheLengthBound) {
+  // The scenario's Op, driven on one thread for a fixed seed: no buffer may
+  // outgrow stringBufferLengthBound(1). An op mix whose copies can feed on
+  // each other grows buffers like Fibonacci numbers and fails this.
+  ScenarioOptions SO;
+  SO.Prog = Program::P_StringBuffer;
+  SO.Mode = RunMode::RM_Bare;
+  Scenario S = makeScenario(SO);
+  auto SB = std::static_pointer_cast<StringBufferSystem>(S.Owned.back());
+  size_t Longest = 0;
+  WorkloadOptions WO;
+  WO.Threads = 1;
+  WO.OpsPerThread = 2400;
+  WO.KeyPoolSize = 16;
+  WO.Seed = 3;
+  runWorkload(WO, [&](Rng &R, int64_t K1, int64_t K2, double Progress) {
+    S.Op(R, K1, K2, Progress);
+    for (size_t I = 0; I < SB->numBuffers(); ++I)
+      Longest = std::max(Longest, static_cast<size_t>(SB->length(I)));
+  });
+  S.Finish();
+  EXPECT_LE(Longest, stringBufferLengthBound(1));
+}
+
 TEST(StringBufferVerifiedTest, BuggyAppendCaughtByViewRefinement) {
   bool Caught = false;
   for (uint64_t Seed = 1; Seed <= 30 && !Caught; ++Seed) {
