@@ -19,6 +19,8 @@
 //  * BP_Shed curve: shed rate as the checker gets 1x/2x/4x slower, with
 //    exact record accounting and the promise that seeded violations are
 //    still flagged (mutators are never shed).
+//  * fixed-256: the bounded-block soak at the pump's fixed 256-record
+//    batch, with how often the producer blocked and its p99 append.
 //
 // Full mode soaks >= 10M records per bounded policy; --quick shrinks
 // everything for CI. Invariant failures exit non-zero so CI notices.
@@ -28,7 +30,6 @@
 
 #include "BenchUtil.h"
 #include "vyrd/Log.h"
-#include "vyrd/Telemetry.h"
 #include "vyrd/Verifier.h"
 
 #include <algorithm>
@@ -36,7 +37,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -370,169 +370,41 @@ int main(int Argc, char **Argv) {
   }
   hr();
 
-  // Self-tuning pipeline: the adaptive pump batch against the historical
-  // fixed 256-record batch, same bounded-block soak. The steady-state
-  // records/s is checker-paced, so the robust signal is the sync cost:
-  // the adaptive target grows past the bound and drains the whole queue
-  // per lock round trip, so the producer blocks and wakes a fraction as
-  // often. check_bench_baseline.py gates both rows.
-  std::printf("\nAdaptive batch sizing vs fixed-256 (%u execs, 1us/step "
-              "throttle, bound %llu)\n\n",
+  // The fixed 256-record pump batch under the bounded-block soak, at the
+  // checker's pace: the producer's sync cost (how often it blocks and how
+  // long the p99 append takes). check_bench_baseline.py gates the row.
+  std::printf("\nFixed-256 pump batch (%u execs, 1us/step throttle, bound "
+              "%llu)\n\n",
               SoakExecs, static_cast<unsigned long long>(PendingBound));
   std::printf("%-12s %12s %12s %12s %14s\n", "config", "append M/s",
               "p99 ns", "pending HWM", "blocked appends");
   hr();
-  RunResult Fixed, Adaptive;
   {
     VerifierConfig C = baseConfig();
     C.Backpressure.Enabled = true;
     C.Backpressure.MaxPendingRecords = PendingBound;
-    Fixed = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
-    requireSeededViolations(Fixed.Report, "fixed-256");
-    require(Fixed.Report.Backpressure.PendingRecordsHwm <= PendingBound,
+    RunResult R = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
+    requireSeededViolations(R.Report, "fixed-256");
+    require(R.Report.Backpressure.PendingRecordsHwm <= PendingBound,
             "fixed-256: pending HWM exceeded MaxPendingRecords");
-  }
-  {
-    VerifierConfig C = baseConfig();
-    C.Backpressure.Enabled = true;
-    C.Backpressure.MaxPendingRecords = PendingBound;
-    C.Adaptive.Enabled = true;
-    // Grow as soon as the backlog covers half the bound; the default
-    // watermark (1024) would sit exactly on the bound and only
-    // trigger on the racy full-queue instants.
-    C.Adaptive.GrowLagRecords = PendingBound / 2;
-    Adaptive = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
-    requireSeededViolations(Adaptive.Report, "adaptive-on");
-    require(Adaptive.Report.Backpressure.PendingRecordsHwm <= PendingBound,
-            "adaptive-on: pending HWM exceeded MaxPendingRecords");
-    require(Adaptive.Report.Adaptive.BatchTargetHwm >
-                Adaptive.Report.Adaptive.BatchTargetFinal ||
-            Adaptive.Report.Adaptive.BatchTargetHwm > 256,
-            "adaptive-on: the batch target never grew under a "
-            "backlogged checker");
-    require(Adaptive.Report.Backpressure.BlockedAppends <
-                Fixed.Report.Backpressure.BlockedAppends,
-            "adaptive-on: larger drain batches must block the producer "
-            "less often than fixed-256");
-  }
-  for (const auto &P : {std::make_pair("fixed-256", &Fixed),
-                        std::make_pair("adaptive-on", &Adaptive)}) {
-    const RunResult &R = *P.second;
-    std::printf("%-12s %12.2f %12llu %12llu %14llu\n", P.first,
+    std::printf("%-12s %12.2f %12llu %12llu %14llu\n", "fixed-256",
                 appendPerSec(R) / 1e6,
                 static_cast<unsigned long long>(R.P99AppendNs),
                 static_cast<unsigned long long>(
                     R.Report.Backpressure.PendingRecordsHwm),
                 static_cast<unsigned long long>(
                     R.Report.Backpressure.BlockedAppends));
-    char Buf[224];
+    char Buf[160];
     std::snprintf(
         Buf, sizeof(Buf),
         "{\"blocked_appends\":%llu,\"blocked_p99_ns\":%llu,"
-        "\"pending_hwm\":%llu,\"batch_target_hwm\":%llu}",
+        "\"pending_hwm\":%llu}",
         static_cast<unsigned long long>(
             R.Report.Backpressure.BlockedAppends),
         static_cast<unsigned long long>(R.P99AppendNs),
         static_cast<unsigned long long>(
-            R.Report.Backpressure.PendingRecordsHwm),
-        static_cast<unsigned long long>(R.Report.Adaptive.BatchTargetHwm));
-    BJ.row(P.first, 1, nsPerAppend(R), appendPerSec(R), Buf);
-  }
-  std::printf("\n  adaptive/fixed records/s ratio: %.3f, blocked-append "
-              "reduction: %.1fx\n",
-              appendPerSec(Adaptive) / appendPerSec(Fixed),
-              double(Fixed.Report.Backpressure.BlockedAppends) /
-                  double(std::max<uint64_t>(
-                      Adaptive.Report.Backpressure.BlockedAppends, 1)));
-  hr();
-
-  // Escalation soak: a file-backed run whose burst phase holds the lag
-  // over the escalate watermark long enough to walk the whole ladder
-  // (block -> spill -> shed), then a trickle phase lets the checker
-  // drain and the ladder walk back down. The transition accounting in
-  // the final report must show exactly that sequence.
-  {
-    std::printf("\nEscalation soak (burst + drain, file-backed, bound "
-                "512)\n\n");
-    std::string Base = tmpBase() + ".esc";
-    removeChain(Base);
-    unsigned BurstExecs = SoakExecs / 10;
-    VerifierConfig C = baseConfig();
-    C.LogFilePath = Base;
-    C.Telemetry.Enabled = true; // the soak polls the live policy gauge
-    C.Backpressure.Enabled = true;
-    C.Backpressure.MaxPendingRecords = 512;
-    C.Backpressure.SegmentBytes = 1 << 20;
-    C.Backpressure.ReclaimSegments = true;
-    C.Adaptive.Enabled = true;
-    C.Adaptive.EscalatePolicy = true;
-    C.Adaptive.EscalateLagHi = 400; // below the bound: block caps the lag
-    C.Adaptive.DeescalateLagLo = 64;
-    C.Adaptive.EscalateHoldUs = 300;
-    C.Adaptive.DeescalateHoldUs = 1000;
-    ThrottledRegisterSpec Script;
-    Verifier V(std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/2),
-               nullptr, std::move(C));
-    V.start();
-    LogWriter &W = V.log().writer();
-    unsigned SeedEvery = BurstExecs / (SeededViolations + 1);
-    for (unsigned I = 0; I < BurstExecs; ++I) {
-      int64_t K = static_cast<int64_t>(I);
-      W.append(Action::call(1, Script.SetM, {Value(K)}));
-      W.append(Action::commit(1));
-      W.append(Action::ret(1, Script.SetM, Value(true)));
-      W.append(Action::call(1, Script.GetM, {}));
-      W.append(Action::ret(1, Script.GetM, Value(K)));
-      if (SeedEvery && (I + 1) % SeedEvery == 0 &&
-          (I + 1) / SeedEvery <= SeededViolations) {
-        W.append(Action::call(1, Script.SetM, {Value(-1)}));
-        W.append(Action::commit(1));
-        W.append(Action::ret(1, Script.SetM, Value(false)));
-      }
-    }
-    // Trickle: keep the pump observing (it only decides between batches)
-    // while the checker drains the burst backlog; lag falls through the
-    // low watermark and the ladder de-escalates back to block.
-    auto PolicyNow = [&] {
-      return V.telemetry()->snapshot().gauge(Gauge::G_PolicyActive);
-    };
-    double Deadline = wallSeconds() + 120;
-    int64_t K = BurstExecs;
-    while (PolicyNow() !=
-               static_cast<uint64_t>(BackpressurePolicy::BP_Block) &&
-           wallSeconds() < Deadline) {
-      W.append(Action::call(1, Script.GetM, {}));
-      W.append(Action::ret(1, Script.GetM, Value(K - 1)));
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    VerifierReport R = V.finish();
-    removeChain(Base);
-    requireSeededViolations(R, "escalation-soak");
-    require(R.Adaptive.Enabled, "escalation-soak: adaptive summary missing");
-    const std::vector<AdaptiveController::Transition> &T =
-        R.Adaptive.Transitions;
-    std::string Seq;
-    for (size_t I = 0; I < T.size(); ++I)
-      Seq += (I ? "," : "") + T[I].str();
-    std::printf("  transitions: %s\n  final policy: %s\n",
-                Seq.c_str(), R.Adaptive.FinalPolicy.c_str());
-    require(Seq == "block->spill,spill->shed,shed->spill,spill->block",
-            "escalation-soak: expected the exact ladder walk "
-            "block->spill->shed and back");
-    require(R.Adaptive.Escalations == 2 && R.Adaptive.Deescalations == 2,
-            "escalation-soak: escalation counters disagree with the "
-            "transition list");
-    require(R.Adaptive.FinalPolicy == "block",
-            "escalation-soak: did not de-escalate back to the base "
-            "policy after the drain");
-    std::string Extras = "{\"escalations\":" +
-                         std::to_string(R.Adaptive.Escalations) +
-                         ",\"deescalations\":" +
-                         std::to_string(R.Adaptive.Deescalations) +
-                         ",\"sequence\":\"" + Seq + "\",\"final_policy\":\"" +
-                         R.Adaptive.FinalPolicy + "\",\"shed_records\":" +
-                         std::to_string(R.Backpressure.ShedRecords) + "}";
-    BJ.row("escalation-soak", 1, 0.0, 0.0, Extras);
+            R.Report.Backpressure.PendingRecordsHwm));
+    BJ.row("fixed-256", 1, nsPerAppend(R), appendPerSec(R), Buf);
   }
   hr();
   std::printf("\nall bounded-pipeline invariants held\n");

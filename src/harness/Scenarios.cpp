@@ -239,11 +239,6 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
   VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
   VC.LogFilePath = O.LogPath;
   VC.Backpressure = O.Backpressure;
-  VC.Adaptive = O.Adaptive;
-  // Like the pool, adaptation only exists online: there is no live
-  // lag to react to in a synchronous offline replay.
-  if (!VC.Online)
-    VC.Adaptive.Enabled = false;
   VC.Snapshots = O.Snapshots;
   VC.Monitor = O.Monitor;
   VC.ForensicPrefix = O.ForensicPrefix;
@@ -636,11 +631,6 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
     VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
     VC.LogFilePath = O.LogPath;
     VC.Backpressure = O.Backpressure;
-    VC.Adaptive = O.Adaptive;
-    // Like the pool, adaptation only exists online: there is no live
-    // lag to react to in a synchronous offline replay.
-    if (!VC.Online)
-      VC.Adaptive.Enabled = false;
     VC.Snapshots = O.Snapshots;
     VC.Monitor = O.Monitor;
     VC.ForensicPrefix = O.ForensicPrefix;

@@ -145,12 +145,6 @@ struct BufferedLog::Impl {
   std::unique_ptr<LogFileReader> SpillReader;
   uint64_t SpillNextSeq = 0;
   bool SpillFailed = false; // latched on corrupt spilled region
-  /// Seq ranges [first, second) shed from the queue while spill-capable.
-  /// They exist on disk (the file is the complete witness), so the spill
-  /// catch-up reader must skip them or a later escalation into spill would
-  /// resurrect records the shed filter dropped. Pruned as Delivered
-  /// passes. Guarded by QM.
-  std::vector<std::pair<uint64_t, uint64_t>> ShedGaps;
 
   /// Segment telemetry deltas already forwarded (pump thread only).
   uint64_t SegCreatedSeen = 0;
@@ -341,8 +335,7 @@ void BufferedLog::park(Action &&A) {
 bool BufferedLog::spillCapable() const {
   const BackpressureConfig &BP = I->Opts.Backpressure;
   return BP.Enabled && I->HasFile && I->Opts.RetainRecords &&
-         (BP.Policy == BackpressurePolicy::BP_SpillToDisk ||
-          hasDynamicPolicy());
+         BP.Policy == BackpressurePolicy::BP_SpillToDisk;
 }
 
 bool BufferedLog::waitsAtBound(BackpressurePolicy P) const {
@@ -359,15 +352,13 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
     return S;
   }
   Telemetry *T = telemetry();
+  const BackpressurePolicy P = BP.Policy;
   // The queue as it will stand after this round's pushes. The reader can
   // only shrink it before they happen, so the bound holds.
   uint64_t Pending = I->Q.size();
   uint64_t Bytes = I->QBytes;
   for (uint64_t Ti = First; Ti != S; ++Ti) {
     Action &A = I->Reorder[Ti & I->ReorderMask];
-    // The policy is read per record: a dynamic-policy cell (adaptive
-    // escalation) may change it between rounds or within one.
-    BackpressurePolicy P = activePolicy(BP);
     bool Over = Pending >= BP.MaxPendingRecords ||
                 (BP.MaxTailBytes && Bytes >= BP.MaxTailBytes);
     if (Over && (Reader || waitsAtBound(P))) {
@@ -390,27 +381,13 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
         T->record(Histo::H_BlockedNs, Waited);
     }
     bool Admit = true;
-    if (P == BackpressurePolicy::BP_Shed || hasDynamicPolicy()) {
-      // With a dynamic policy the filter is consulted under every rung so
-      // open shed windows close whole: continuation records of a shed
-      // execution drop regardless of the current rung (the filter ignores
-      // OverLimit inside a window).
-      if (I->Shed.shouldShed(A, Over && P == BackpressurePolicy::BP_Shed)) {
-        // Dropped from the queue only; the file (when present) stays
-        // complete for post-mortem re-checking.
-        ++I->Stats.ShedRecords;
-        if (telemetryCompiledIn() && T)
-          T->count(Counter::C_ShedRecords);
-        if (spillCapable()) {
-          // The record is on disk; the catch-up reader must not
-          // resurrect it if we later escalate into spill.
-          if (!I->ShedGaps.empty() && I->ShedGaps.back().second == A.Seq)
-            ++I->ShedGaps.back().second;
-          else
-            I->ShedGaps.emplace_back(A.Seq, A.Seq + 1);
-        }
-        Admit = false;
-      }
+    if (P == BackpressurePolicy::BP_Shed && I->Shed.shouldShed(A, Over)) {
+      // Dropped from the queue only; the file (when present) stays
+      // complete for post-mortem re-checking.
+      ++I->Stats.ShedRecords;
+      if (telemetryCompiledIn() && T)
+        T->count(Counter::C_ShedRecords);
+      Admit = false;
     }
     if (Admit && Over && P == BackpressurePolicy::BP_SpillToDisk) {
       // At the sink by the time the round publishes; the reader re-reads
@@ -460,13 +437,7 @@ size_t BufferedLog::emitReady(bool Reader, bool &Blocked,
                               std::vector<Action> *Out, size_t Max) {
   const uint64_t First = I->SeqNext;
   uint64_t S = First;
-  // An adaptive controller caps the emit quantum through the batch-target
-  // hint (floor 1 so progress never stalls); without one the whole
-  // contiguous run goes out at once.
-  uint64_t Limit = std::min<uint64_t>(
-      I->Reorder.size(),
-      std::max<size_t>(batchTargetHint(I->Reorder.size()), 1));
-  while (S - First < Limit && I->Parked[S & I->ReorderMask])
+  while (S - First < I->Reorder.size() && I->Parked[S & I->ReorderMask])
     ++S;
   bool Direct = false;
   if (S != First && I->Opts.RetainRecords) {
@@ -538,9 +509,8 @@ void BufferedLog::waitForRoom() {
   const BackpressureConfig &BP = I->Opts.Backpressure;
   std::unique_lock Lock(I->QM);
   I->QSpaceCV.wait(Lock, [&] {
-    return (I->Q.size() < BP.MaxPendingRecords &&
-            (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes)) ||
-           !waitsAtBound(activePolicy(BP));
+    return I->Q.size() < BP.MaxPendingRecords &&
+           (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes);
   });
 }
 
@@ -626,9 +596,6 @@ void BufferedLog::popFrontLocked(Action &Out) {
       I->Delivered = Out.Seq + 1;
       if (I->SpillReader)
         I->SpillReader.reset(); // stale: positioned inside a finished gap
-      while (!I->ShedGaps.empty() &&
-             I->ShedGaps.front().second <= I->Delivered)
-        I->ShedGaps.erase(I->ShedGaps.begin());
     }
   }
 }
@@ -653,16 +620,6 @@ bool BufferedLog::spillNextLocked(Action &Out) {
       I->SpillNextSeq = A.Seq + 1;
       if (A.Seq < I->Delivered)
         continue; // opened at a segment boundary before the gap
-      while (!I->ShedGaps.empty() && I->ShedGaps.front().second <= A.Seq)
-        I->ShedGaps.erase(I->ShedGaps.begin());
-      if (!I->ShedGaps.empty() && A.Seq >= I->ShedGaps.front().first) {
-        // Shed while spill-capable: on disk but deliberately dropped from
-        // the online stream. Skip, but advance the frontier past it.
-        I->Delivered = A.Seq + 1;
-        continue;
-      }
-      // On-disk seqs are dense, so every one is either delivered here or
-      // skipped as a shed gap above; the frontier never strands.
       I->Delivered = A.Seq + 1;
       Out = std::move(A);
       return true;
@@ -800,16 +757,6 @@ BackpressureStats BufferedLog::backpressureStats() const {
 void BufferedLog::setShedClassifier(std::function<bool(const Action &)> Fn) {
   std::lock_guard Lock(I->QM);
   I->Shed.setClassifier(std::move(Fn));
-}
-
-void BufferedLog::onPolicyChange() {
-  // A policy transition can strand the flusher waiting on QSpaceCV under
-  // a predicate the new policy would decide differently; wake it to
-  // re-decide. Taking QM orders the wakeup after the cell store.
-  {
-    std::lock_guard Lock(I->QM);
-  }
-  I->QSpaceCV.notify_all();
 }
 
 void BufferedLog::takeSegmentCuts(std::vector<SegmentCut> &Out) {

@@ -123,9 +123,11 @@
 #ifndef VYRD_BUFFEREDLOG_H
 #define VYRD_BUFFEREDLOG_H
 
+#include "vyrd/Backpressure.h"
 #include "vyrd/Log.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <thread>
 
@@ -221,11 +223,27 @@ public:
   bool nextBatch(std::vector<Action> &Out, size_t Max) override;
   uint64_t appendCount() const override;
   uint64_t byteCount() const override;
-  BackpressureStats backpressureStats() const override;
-  void setShedClassifier(std::function<bool(const Action &)> Fn) override;
-  void reclaimCheckedPrefix(uint64_t Watermark) override;
-  void takeSegmentCuts(std::vector<SegmentCut> &Out) override;
-  void onPolicyChange() override;
+
+  /// Admission counters of the bounded reader queue, merged with the
+  /// segment sink's counters. All zero for unbounded configurations.
+  BackpressureStats backpressureStats() const;
+
+  /// Installs the observer classifier the BP_Shed policy consults (see
+  /// ShedFilter::setClassifier). Must be called before producers start;
+  /// without a classifier BP_Shed sheds nothing.
+  void setShedClassifier(std::function<bool(const Action &)> Fn);
+
+  /// Checked-prefix reclamation: every record with Seq < \p Watermark has
+  /// been fully checked and will never be read again. A segmented
+  /// file-backed log deletes covered segment files; otherwise a no-op.
+  /// Called from the verification (pump) thread.
+  void reclaimCheckedPrefix(uint64_t Watermark);
+
+  /// Moves segment rotations performed since the last call into \p Out
+  /// (appended, oldest first) — the cut points the Verifier snapshots
+  /// checker state at (docs/SNAPSHOTS.md). Only a segmented file-backed
+  /// log produces cuts. Called from the verification (pump) thread.
+  void takeSegmentCuts(std::vector<SegmentCut> &Out);
 
   /// Number of shards registered so far: at most the number of producer
   /// threads, fewer when a thread reused an exited thread's id.
@@ -247,10 +265,8 @@ private:
   ThreadLogShard &shardForCurrentThread();
   void flusherMain();
   /// True when the reader must track the delivery frontier and be able to
-  /// re-read over-limit records from the file: the static policy is
-  /// BP_SpillToDisk, or a dynamic-policy cell is installed and could
-  /// escalate into it mid-run (frontier bookkeeping must be on from the
-  /// first record, or an escalation would re-deliver the whole file).
+  /// re-read over-limit records from the file: the policy is
+  /// BP_SpillToDisk on a file-backed log that retains records.
   bool spillCapable() const;
   /// True when \p P makes a record wait at the queue bound: BP_Block, and
   /// BP_SpillToDisk without a file to spill to.
@@ -286,8 +302,7 @@ private:
   /// Pushes the admitted records of [\p First, \p S) into the reader
   /// queue and publishes \p S as the emitted (on-disk) watermark.
   void publishLocked(uint64_t First, uint64_t S);
-  /// Flusher after a blocked round: waits until the queue has room or the
-  /// policy stops waiting at the bound.
+  /// Flusher after a blocked round: waits until the queue has room.
   void waitForRoom();
   /// Reader with nothing queued: runs one round (delivering into \p Out
   /// when given, as mergeRound) and, when it emitted nothing, parks until

@@ -97,40 +97,29 @@ public:
   /// memory) parks the pump until workers drain below the bound, so the
   /// pressure propagates back into the log; BP_Shed drops observer
   /// executions from the batch while over the bound. Admission is sliced
-  /// at the free room, so occupancy never exceeds the bound (the old
-  /// batch-granular path could overshoot by a whole pump batch — with
-  /// adaptive batch sizing, by up to MaxBatch records).
+  /// at the free room, so occupancy never exceeds the bound (a
+  /// batch-granular path would overshoot by up to a whole pump batch).
   void dispatch(ObjectState &O, std::vector<Action> &Batch) {
     std::unique_lock Lock(M);
-    const bool Dynamic = S.Ctl && S.Ctl->dynamicPolicy();
-    auto Active = [&] {
-      return Dynamic ? S.Ctl->policy() : BP.Policy;
-    };
-    if (BP.Enabled) {
-      BackpressurePolicy P = Active();
-      if ((P == BackpressurePolicy::BP_Shed || Dynamic) &&
-          Shed.hasClassifier()) {
-        // With a dynamic policy the filter runs under every rung (new
-        // sheds only while BP_Shed is active and over the bound) so open
-        // shed windows close whole across de-escalations.
-        size_t Kept = 0;
-        for (size_t I = 0; I < Batch.size(); ++I) {
-          bool Over = P == BackpressurePolicy::BP_Shed &&
-                      PendingRecs + Kept >= BP.MaxPendingRecords;
-          if (Shed.shouldShed(Batch[I], Over)) {
-            ++Stats.ShedRecords;
-            continue;
-          }
-          if (Kept != I)
-            Batch[Kept] = std::move(Batch[I]);
-          ++Kept;
+    const bool Shedding =
+        BP.Enabled && BP.Policy == BackpressurePolicy::BP_Shed;
+    if (Shedding && Shed.hasClassifier()) {
+      size_t Kept = 0;
+      for (size_t I = 0; I < Batch.size(); ++I) {
+        bool Over = PendingRecs + Kept >= BP.MaxPendingRecords;
+        if (Shed.shouldShed(Batch[I], Over)) {
+          ++Stats.ShedRecords;
+          continue;
         }
-        if (size_t ShedNow = Batch.size() - Kept; ShedNow && S.Telem)
-          S.Telem->count(Counter::C_ShedRecords, ShedNow);
-        Batch.resize(Kept);
-        if (Batch.empty())
-          return; // whole batch shed; buffer reused as-is next round
+        if (Kept != I)
+          Batch[Kept] = std::move(Batch[I]);
+        ++Kept;
       }
+      if (size_t ShedNow = Batch.size() - Kept; ShedNow && S.Telem)
+        S.Telem->count(Counter::C_ShedRecords, ShedNow);
+      Batch.resize(Kept);
+      if (Batch.empty())
+        return; // whole batch shed; buffer reused as-is next round
     }
     const size_t Total = Batch.size();
     size_t Begin = 0;
@@ -175,13 +164,11 @@ public:
     };
     while (Begin < Total) {
       size_t N = Total - Begin;
-      if (BP.Enabled && Active() != BackpressurePolicy::BP_Shed) {
+      if (BP.Enabled && !Shedding) {
         if (PendingRecs >= BP.MaxPendingRecords) {
           uint64_t T0 = telemetryNowNanos();
-          SpaceCV.wait(Lock, [&] {
-            return PendingRecs < BP.MaxPendingRecords ||
-                   Active() == BackpressurePolicy::BP_Shed;
-          });
+          SpaceCV.wait(Lock,
+                       [&] { return PendingRecs < BP.MaxPendingRecords; });
           uint64_t Waited = telemetryNowNanos() - T0;
           ++Stats.BlockedAppends;
           Stats.BlockedNanos += Waited;
@@ -189,7 +176,7 @@ public:
             S.Telem->count(Counter::C_BlockedAppends);
             S.Telem->cell().record(Histo::H_BlockedNs, Waited);
           }
-          continue; // re-decide: room may be partial, policy may differ
+          continue; // re-decide: room may be partial
         }
         N = std::min<size_t>(N, BP.MaxPendingRecords - PendingRecs);
       }
@@ -202,7 +189,7 @@ public:
 
   /// The sequence number below which every record dispatched to the pool
   /// has been fed to its checker, capped at \p Upper (the pump's routed
-  /// frontier). The pump passes this to Log::reclaimCheckedPrefix.
+  /// frontier). The pump passes this to BufferedLog::reclaimCheckedPrefix.
   uint64_t checkedWatermark(uint64_t Upper) {
     std::lock_guard Lock(M);
     uint64_t W = Upper;
@@ -213,7 +200,7 @@ public:
   }
 
   /// Installs the observer classifier BP_Shed consults (same contract as
-  /// Log::setShedClassifier). Call before the pump dispatches.
+  /// BufferedLog::setShedClassifier). Call before the pump dispatches.
   void setShedClassifier(std::function<bool(const Action &)> Fn) {
     std::lock_guard Lock(M);
     Shed.setClassifier(std::move(Fn));

@@ -29,7 +29,6 @@
 #ifndef VYRD_CHECKERSERVICE_H
 #define VYRD_CHECKERSERVICE_H
 
-#include "vyrd/Adaptive.h"
 #include "vyrd/Backpressure.h"
 #include "vyrd/Checker.h"
 #include "vyrd/Replayer.h"
@@ -77,10 +76,6 @@ public:
   /// the telemetry hub at construction). All may stay null.
   void setTelemetry(Telemetry *T) { Telem = T; }
   void setTracer(TraceRecorder *T) { Tracer = T; }
-  /// The adaptive controller consulted by the pool's admission path for
-  /// the dynamically active policy (may stay null: the static policy
-  /// from Options.Backpressure applies).
-  void setController(AdaptiveController *C) { Ctl = C; }
 
   /// Registers one verified object (see Verifier::registerObject for the
   /// contract; \p R may be null in CM_IORefinement mode). Must precede
@@ -114,7 +109,7 @@ public:
 
   /// The sequence number below which every routed record has been fed to
   /// its checker, capped at \p Upper (the caller's routed frontier).
-  /// Drives Log::reclaimCheckedPrefix.
+  /// Drives BufferedLog::reclaimCheckedPrefix.
   uint64_t checkedWatermark(uint64_t Upper);
 
   /// Waits until every dispatched batch has been fed (no-op without a
@@ -171,7 +166,6 @@ private:
   CheckerServiceOptions Opts;
   Telemetry *Telem = nullptr;
   TraceRecorder *Tracer = nullptr;
-  AdaptiveController *Ctl = nullptr;
   std::vector<std::unique_ptr<ObjectState>> Objects;
   std::unique_ptr<CheckerPool> Pool;
   /// Demux scratch, one slot per object (sized on first routeRange).

@@ -6,6 +6,8 @@
 
 #include "vyrd/Log.h"
 
+#include "vyrd/Backpressure.h"
+
 #include <cstring>
 
 using namespace vyrd;

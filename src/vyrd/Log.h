@@ -19,12 +19,10 @@
 #define VYRD_LOG_H
 
 #include "vyrd/Action.h"
-#include "vyrd/Backpressure.h"
 #include "vyrd/Serialize.h"
 
 #include <atomic>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -96,55 +94,6 @@ public:
     Telem.store(T, std::memory_order_release);
   }
 
-  /// Admission counters of the backend's bounded stage. All zero for
-  /// unbounded configurations (the base default).
-  virtual BackpressureStats backpressureStats() const { return {}; }
-
-  /// Subscribes the bounded stage to a dynamic admission policy: every
-  /// admission decision reads the current BackpressurePolicy ordinal from
-  /// \p Cell instead of the static BackpressureConfig::Policy. The
-  /// AdaptiveController owns the cell (its escalation state); it must
-  /// outlive the log. Install before producers start; null (the default)
-  /// keeps the static policy.
-  void setDynamicPolicy(const std::atomic<uint8_t> *Cell) {
-    DynPolicy.store(Cell, std::memory_order_release);
-  }
-
-  /// Subscribes the backend's drain stage (BufferedLog's merge-round emit
-  /// quantum) to the adaptive batch target. Backends without a drain
-  /// quantum ignore it. Same lifetime rules as setDynamicPolicy.
-  void setBatchTargetHint(const std::atomic<size_t> *Cell) {
-    BatchHint.store(Cell, std::memory_order_release);
-  }
-
-  /// Dynamic-policy nudge: called (from the pump thread) right after the
-  /// installed policy cell changed, so producers parked on a
-  /// policy-specific wait (BP_Block's space CV) re-evaluate under the new
-  /// rung instead of waiting for the next room notification. Default
-  /// no-op.
-  virtual void onPolicyChange() {}
-
-  /// Installs the observer classifier the BP_Shed policy consults (see
-  /// ShedFilter::setClassifier). Must be called before producers start;
-  /// without a classifier BP_Shed sheds nothing. No-op on backends
-  /// without a bounded stage.
-  virtual void setShedClassifier(std::function<bool(const Action &)> Fn) {
-    (void)Fn;
-  }
-
-  /// Checked-prefix reclamation: every record with Seq < \p Watermark has
-  /// been fully checked and will never be read again. Segmented
-  /// file-backed logs delete covered segment files; other backends
-  /// ignore it. Called from the verification (pump) thread.
-  virtual void reclaimCheckedPrefix(uint64_t Watermark) { (void)Watermark; }
-
-  /// Moves segment rotations performed since the last call into \p Out
-  /// (appended, oldest first) — the cut points the Verifier snapshots
-  /// checker state at (docs/SNAPSHOTS.md). Only segmented file-backed
-  /// backends produce cuts; the default leaves \p Out unchanged. Called
-  /// from the verification (pump) thread.
-  virtual void takeSegmentCuts(std::vector<SegmentCut> &Out) { (void)Out; }
-
 protected:
   /// The attached hub, or null. Hot paths should read it once and cache
   /// the per-thread cell.
@@ -152,32 +101,8 @@ protected:
     return Telem.load(std::memory_order_acquire);
   }
 
-  /// The admission policy currently in force: the dynamic cell's value
-  /// when one is installed, the static configuration otherwise.
-  BackpressurePolicy activePolicy(const BackpressureConfig &BP) const {
-    const std::atomic<uint8_t> *C = DynPolicy.load(std::memory_order_acquire);
-    return C ? static_cast<BackpressurePolicy>(
-                   C->load(std::memory_order_relaxed))
-             : BP.Policy;
-  }
-
-  /// Whether a dynamic policy cell is installed (the policy can change
-  /// mid-run; a spill-capable log must then track its delivery frontier
-  /// from the start — see BufferedLog::spillCapable).
-  bool hasDynamicPolicy() const {
-    return DynPolicy.load(std::memory_order_acquire) != nullptr;
-  }
-
-  /// The adaptive drain quantum, or \p Default when none is installed.
-  size_t batchTargetHint(size_t Default) const {
-    const std::atomic<size_t> *C = BatchHint.load(std::memory_order_acquire);
-    return C ? C->load(std::memory_order_relaxed) : Default;
-  }
-
 private:
   std::atomic<Telemetry *> Telem{nullptr};
-  std::atomic<const std::atomic<uint8_t> *> DynPolicy{nullptr};
-  std::atomic<const std::atomic<size_t> *> BatchHint{nullptr};
 };
 
 /// Streaming reader over a log file produced by BufferedLog:

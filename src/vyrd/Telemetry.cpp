@@ -68,10 +68,6 @@ const char *vyrd::counterName(Counter C) {
     return "snapshot_loads";
   case Counter::C_EpochsChecked:
     return "epochs_checked";
-  case Counter::C_PolicyEscalations:
-    return "policy_escalations";
-  case Counter::C_PolicyDeescalations:
-    return "policy_deescalations";
   case Counter::C_GaugeUnderflow:
     return "gauge_underflow";
   case Counter::C_ShipSegments:
@@ -157,10 +153,6 @@ const char *vyrd::gaugeName(Gauge G) {
     return "epochs_in_flight";
   case Gauge::G_RestartLag:
     return "restart_lag";
-  case Gauge::G_PumpBatchTarget:
-    return "pump_batch_target";
-  case Gauge::G_PolicyActive:
-    return "policy_active";
   case Gauge::G_ShipAckedWatermark:
     return "ship_acked_watermark";
   case Gauge::G_ShipUnshippedSegments:

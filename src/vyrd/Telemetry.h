@@ -108,11 +108,6 @@ enum class Counter : uint8_t {
   C_SnapshotLoads,
   /// Epochs fully checked by epochCheck (one per (object, epoch) task).
   C_EpochsChecked,
-  /// Adaptive-pipeline policy transitions (AdaptiveController): rungs
-  /// climbed / descended on the BP_Block -> BP_SpillToDisk -> BP_Shed
-  /// escalation ladder.
-  C_PolicyEscalations,
-  C_PolicyDeescalations,
   /// gaugeSub calls that would have driven a gauge below zero (mismatched
   /// add/sub pair somewhere); the gauge is clamped at 0 instead of
   /// wrapping, and this counter flags the accounting bug.
@@ -180,13 +175,6 @@ enum class Gauge : uint8_t {
   /// at restore time: how much re-checking a cold restart saved relative
   /// to a from-zero replay would be (appendCount - watermark).
   G_RestartLag,
-  /// The adaptive controller's current pump-batch target (records per
-  /// pump loop / merge-round emit quantum). Static pipelines leave it 0.
-  G_PumpBatchTarget,
-  /// The admission policy currently in force, as its BackpressurePolicy
-  /// ordinal (0 = block, 1 = spill, 2 = shed). Written by the pump on
-  /// escalation/de-escalation, read by the monitor sampler.
-  G_PolicyActive,
   /// Remote-checker watermark: every record with Seq below this has been
   /// acked by the checker fleet (drives producer-side reclamation).
   G_ShipAckedWatermark,

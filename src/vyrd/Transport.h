@@ -228,7 +228,7 @@ public:
   virtual bool shipClose(uint64_t FinalSeqExclusive, unsigned TimeoutMs) = 0;
 
   /// The checker-side watermark (exclusive): every record below it has
-  /// been fed remotely. Monotone; drives Log::reclaimCheckedPrefix on
+  /// been fed remotely. Monotone; drives BufferedLog::reclaimCheckedPrefix on
   /// the producer.
   virtual uint64_t ackedWatermark() const = 0;
 

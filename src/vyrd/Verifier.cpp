@@ -5,12 +5,11 @@
 //===----------------------------------------------------------------------===//
 //
 // Since the producer/checker split the Verifier is a thin composition:
-// it owns the capture pipeline (log backend, telemetry, tracer, adaptive
-// controller, monitor) and delegates all checking to a CheckerService
-// (CheckerService.cpp). The pump here either feeds the service directly
-// (the historical in-process pipeline, bit-for-bit) or ships closed
-// segments to a remote service through a SegmentTransport
-// (docs/SHIPPING.md).
+// it owns the capture pipeline (log, telemetry, tracer, monitor) and
+// delegates all checking to a CheckerService (CheckerService.cpp). The
+// pump here either feeds the service directly (the historical in-process
+// pipeline, bit-for-bit) or ships closed segments to a remote service
+// through a SegmentTransport (docs/SHIPPING.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +23,9 @@
 #include <cstdlib>
 
 using namespace vyrd;
+
+/// Records the consumption loops take from the log per batch.
+static constexpr size_t PumpBatch = 256;
 
 //===----------------------------------------------------------------------===//
 // VerifierConfig
@@ -48,32 +50,6 @@ std::string VerifierConfig::validate() const {
       return "Backpressure.Policy = BP_Shed requires Online = true "
              "(offline runs buffer the whole log anyway, so shedding "
              "would lose coverage for no memory benefit)";
-  }
-  if (Adaptive.Enabled) {
-    if (!Online)
-      return "Adaptive.Enabled requires Online = true (the controller "
-             "runs on the consumption thread; an offline pass has no "
-             "live lag to react to)";
-    if (Adaptive.MinBatch == 0)
-      return "Adaptive.MinBatch must be >= 1";
-    if (Adaptive.MaxBatch < Adaptive.MinBatch)
-      return "Adaptive.MaxBatch must be >= Adaptive.MinBatch";
-    if (Adaptive.InitialBatch < Adaptive.MinBatch ||
-        Adaptive.InitialBatch > Adaptive.MaxBatch)
-      return "Adaptive.InitialBatch must lie in [MinBatch, MaxBatch]";
-    if (Adaptive.GrowStep == 0)
-      return "Adaptive.GrowStep must be >= 1 (a zero step never grows)";
-    if (!(Adaptive.ShrinkFactor > 0.0) || Adaptive.ShrinkFactor > 1.0)
-      return "Adaptive.ShrinkFactor must lie in (0, 1]";
-    if (Adaptive.EscalatePolicy) {
-      if (!Backpressure.Enabled)
-        return "Adaptive.EscalatePolicy requires Backpressure.Enabled "
-               "(there is no admission policy to escalate without a "
-               "bounded pipeline)";
-      if (Adaptive.DeescalateLagLo >= Adaptive.EscalateLagHi)
-        return "Adaptive.DeescalateLagLo must be < Adaptive.EscalateLagHi "
-               "(the watermarks need a dead band or the policy flaps)";
-    }
   }
   if (Snapshots) {
     if (!Backpressure.SegmentBytes)
@@ -130,9 +106,6 @@ std::string VerifierConfig::validate() const {
     if (Snapshots)
       return "Shipping excludes Snapshots (no checkers run in this "
              "process, so there is no local state to serialize at cuts)";
-    if (Adaptive.Enabled)
-      return "Shipping excludes Adaptive (the controller reacts to local "
-             "checker lag, which a shipped run does not have)";
     if (Shipping.MaxRetries == 0)
       return "Shipping.MaxRetries must be >= 1";
   }
@@ -180,21 +153,6 @@ std::string VerifierReport::str() const {
              "/reclaimed=" + std::to_string(Backpressure.SegmentsReclaimed) +
              "/live_hwm=" + std::to_string(Backpressure.SegmentsLiveHwm);
     Out += "\n";
-  }
-  if (Adaptive.Enabled) {
-    Out += "adaptive: batch_target=" +
-           std::to_string(Adaptive.BatchTargetFinal) +
-           " batch_target_hwm=" + std::to_string(Adaptive.BatchTargetHwm);
-    if (!Adaptive.FinalPolicy.empty())
-      Out += " policy=" + Adaptive.FinalPolicy;
-    if (Adaptive.Escalations || Adaptive.Deescalations)
-      Out += " escalations=" + std::to_string(Adaptive.Escalations) +
-             " deescalations=" + std::to_string(Adaptive.Deescalations);
-    Out += "\n";
-    for (const AdaptiveController::Transition &T : Adaptive.Transitions)
-      Out += "  transition: " + T.str() + " at seq " +
-             std::to_string(T.Seq) + " (lag " +
-             std::to_string(T.LagRecords) + ")\n";
   }
   if (Shipping.Enabled) {
     Out += "shipping: endpoint=" + Shipping.Endpoint + " stream=" +
@@ -306,31 +264,6 @@ std::string VerifierReport::json() const {
   Out += "]";
   if (Backpressure.any())
     Out += ",\"backpressure\":" + backpressureJson(Backpressure);
-  if (Adaptive.Enabled) {
-    Out += ",\"adaptive\":{";
-    Out += "\"batch_target_final\":" +
-           std::to_string(Adaptive.BatchTargetFinal);
-    Out += ",\"batch_target_hwm\":" +
-           std::to_string(Adaptive.BatchTargetHwm);
-    Out += ",\"final_policy\":\"" + Adaptive.FinalPolicy + "\"";
-    Out += ",\"escalations\":" + std::to_string(Adaptive.Escalations);
-    Out += ",\"deescalations\":" + std::to_string(Adaptive.Deescalations);
-    Out += ",\"transitions\":[";
-    for (size_t I = 0; I < Adaptive.Transitions.size(); ++I) {
-      const AdaptiveController::Transition &T = Adaptive.Transitions[I];
-      if (I)
-        Out += ",";
-      Out += "{\"from\":\"" +
-             std::string(backpressurePolicyName(T.From)) + "\"";
-      Out += ",\"to\":\"" + std::string(backpressurePolicyName(T.To)) +
-             "\"";
-      Out += ",\"seq\":" + std::to_string(T.Seq);
-      Out += ",\"lag\":" + std::to_string(T.LagRecords);
-      Out += ",\"escalation\":" +
-             std::string(T.Escalation ? "true" : "false") + "}";
-    }
-    Out += "]}";
-  }
   if (Shipping.Enabled) {
     Out += ",\"shipping\":{";
     Out += "\"endpoint\":\"" + jsonEscape(Shipping.Endpoint) + "\"";
@@ -414,9 +347,8 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     BO.ShardCapacity = Config.ShardCapacity;
     BO.FilePath = Config.LogFilePath;
     BO.Backpressure = Config.Backpressure;
-    auto BL = std::make_unique<BufferedLog>(std::move(BO));
-    assert(BL->valid() && "cannot open log file");
-    TheLog = std::move(BL);
+    TheLog = std::make_unique<BufferedLog>(std::move(BO));
+    assert(TheLog->valid() && "cannot open log file");
   }
   if (Config.Telemetry.Enabled) {
     Telemetry::Options TO;
@@ -430,25 +362,6 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
   }
   if (!Config.Telemetry.TraceFilePath.empty())
     Tracer = std::make_unique<TraceRecorder>();
-  if (Config.Adaptive.Enabled) {
-    // The spill rung needs somewhere to spill: a log file (the log keeps
-    // its delivery-frontier bookkeeping on from record 0 once the
-    // dynamic-policy cell is installed, so a mid-run escalation into
-    // spill starts from a correct frontier).
-    bool CanSpill = !Config.LogFilePath.empty();
-    Ctl = std::make_unique<AdaptiveController>(
-        Config.Adaptive, Config.Backpressure.Policy, CanSpill);
-    Ctl->setTelemetry(Telem.get());
-    TheLog->setBatchTargetHint(&Ctl->batchCell());
-    if (Ctl->dynamicPolicy())
-      TheLog->setDynamicPolicy(&Ctl->policyCell());
-    if (Telem) {
-      Telem->gaugeSet(Gauge::G_PumpBatchTarget, Ctl->batchTarget());
-      if (Ctl->dynamicPolicy())
-        Telem->gaugeSet(Gauge::G_PolicyActive,
-                        static_cast<uint64_t>(Ctl->policy()));
-    }
-  }
   {
     CheckerServiceOptions SO;
     SO.Backpressure = Config.Backpressure;
@@ -457,7 +370,6 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     Svc = std::make_unique<CheckerService>(std::move(SO));
     Svc->setTelemetry(Telem.get());
     Svc->setTracer(Tracer.get());
-    Svc->setController(Ctl.get());
   }
   if (!Config.Monitor.SocketPath.empty()) {
     MonSource = std::make_unique<MonitorAdapter>(*this);
@@ -514,12 +426,7 @@ Hooks Verifier::hooks() const {
 void Verifier::pump() {
   // Batch consumption amortizes one log wakeup + lock round trip over up
   // to PumpBatch records; each record is then routed to its object's
-  // pipeline (the checkers themselves stay record-at-a-time). With an
-  // adaptive controller the batch target is re-read every loop — it
-  // grows under lag and shrinks when the checkers keep up.
-  constexpr size_t FixedPumpBatch = 256;
-  AdaptiveController *AC = Ctl.get();
-  size_t PumpBatch = AC ? AC->batchTarget() : FixedPumpBatch;
+  // pipeline (the checkers themselves stay record-at-a-time).
   std::vector<Action> Batch;
   Batch.reserve(PumpBatch);
   TelemetryCell *TC =
@@ -577,33 +484,6 @@ void Verifier::pump() {
     // record still pending on any object.
     if (Config.Backpressure.SegmentBytes)
       TheLog->reclaimCheckedPrefix(Svc->checkedWatermark(LastSeq + 1));
-    if (AC) {
-      // One control step per consumed batch: lag is the append frontier
-      // minus the consumed frontier (saturating — shed gaps cannot push
-      // the consumed frontier past the ticket counter, but be safe).
-      uint64_t Appended = TheLog->appendCount();
-      uint64_t Lag = Appended > LastSeq + 1 ? Appended - (LastSeq + 1) : 0;
-      if (AC->observe(Lag, LastSeq, telemetryNowNanos())) {
-        AdaptiveController::Transition T = AC->lastTransition();
-        if (Tracer)
-          Tracer->noteVerifierInstant(
-              LastSeq, std::string("policy ") +
-                           (T.Escalation ? "escalated" : "de-escalated") +
-                           ": " + T.str() + " (lag " +
-                           std::to_string(T.LagRecords) + ")");
-        // Wake anyone parked under the old policy's wait predicate so
-        // the new rung takes effect without waiting for organic churn.
-        TheLog->onPolicyChange();
-      }
-      PumpBatch = AC->batchTarget();
-      if (Tracer && Telem) {
-        Tracer->noteGauge(LastSeq, "pump_batch_target",
-                          Telem->gauge(Gauge::G_PumpBatchTarget));
-        if (AC->dynamicPolicy())
-          Tracer->noteGauge(LastSeq, "policy_active",
-                            Telem->gauge(Gauge::G_PolicyActive));
-      }
-    }
     if (Tracer && Telem && Config.Backpressure.Enabled) {
       Tracer->noteGauge(LastSeq, "pending_records",
                         Telem->gauge(Gauge::G_PendingRecords));
@@ -628,7 +508,6 @@ void Verifier::shipPump() {
   // as the remote checker's watermark advances. Memory stays bounded on
   // both sides: here by SegmentBytes x live segments, there by the
   // receiver's feed.
-  constexpr size_t PumpBatch = 256;
   std::vector<Action> Batch;
   Batch.reserve(PumpBatch);
   std::vector<SegmentCut> Cuts;
@@ -664,12 +543,10 @@ void Verifier::start() {
   // the registered specs are the authority. Installed before any
   // producer appends (the classifier runs under the log's admission
   // lock, concurrently with checker-side isObserver calls — specs
-  // answer it as a pure const query). A dynamic policy that can
-  // escalate into BP_Shed needs the classifier armed up front too.
+  // answer it as a pure const query).
   const bool NeedClassifier =
       Config.Backpressure.Enabled &&
-      (Config.Backpressure.Policy == BackpressurePolicy::BP_Shed ||
-       (Ctl && Ctl->canReachShed()));
+      Config.Backpressure.Policy == BackpressurePolicy::BP_Shed;
   if (Config.Shipping.enabled()) {
     Transport =
         std::make_unique<SocketTransport>(Config.Shipping, Telem.get());
@@ -790,15 +667,6 @@ VerifierReport Verifier::finish() {
   R.LogBytes = TheLog->byteCount();
   R.Backpressure = TheLog->backpressureStats();
   Svc->mergePoolStats(R.Backpressure);
-  if (Ctl) {
-    R.Adaptive.Enabled = true;
-    R.Adaptive.Escalations = Ctl->escalations();
-    R.Adaptive.Deescalations = Ctl->deescalations();
-    R.Adaptive.BatchTargetFinal = Ctl->batchTarget();
-    R.Adaptive.BatchTargetHwm = Ctl->batchTargetHwm();
-    R.Adaptive.FinalPolicy = backpressurePolicyName(Ctl->policy());
-    R.Adaptive.Transitions = Ctl->transitions();
-  }
   if (R.Backpressure.ShedRecords) {
     // Coverage degradation is a note, not a violation: the records that
     // were checked got sound verdicts, the shed observers simply were

@@ -35,7 +35,6 @@
 #ifndef VYRD_VERIFIER_H
 #define VYRD_VERIFIER_H
 
-#include "vyrd/Adaptive.h"
 #include "vyrd/BufferedLog.h"
 #include "vyrd/Checker.h"
 #include "vyrd/CheckerService.h"
@@ -103,16 +102,6 @@ struct VerifierConfig {
   /// SegmentBytes > 0 additionally rotates the log file into a segment
   /// chain that is trimmed as checkers advance.
   BackpressureConfig Backpressure;
-  /// Self-tuning pipeline (docs/ARCHITECTURE.md, "Self-tuning pipeline"):
-  /// when Adaptive.Enabled, an AIMD controller on the pump thread drives
-  /// the batch target off live checker lag, and — with
-  /// Adaptive.EscalatePolicy — walks the active admission policy up and
-  /// down the Block → Spill → Shed ladder under sustained pressure.
-  /// Requires Online; escalation additionally requires
-  /// Backpressure.Enabled. Off by default: the pipeline then behaves
-  /// bit-identically to previous releases (fixed 256-record batches,
-  /// static policy).
-  AdaptiveConfig Adaptive;
   /// Write spec-state snapshot sidecars at segment cuts (docs/SNAPSHOTS.md):
   /// whenever the segmented log rotates, the pump aligns every object's
   /// checker exactly on the cut, serializes the checkers' resumable state
@@ -216,21 +205,6 @@ struct VerifierReport {
   /// Forensic bundles written during the run (VerifierConfig::
   /// ForensicPrefix), in the order they were flushed.
   std::vector<std::string> ForensicFiles;
-  /// Self-tuning pipeline summary (all zeros / empty when
-  /// VerifierConfig::Adaptive was off).
-  struct AdaptiveSummary {
-    bool Enabled = false;
-    uint64_t Escalations = 0;
-    uint64_t Deescalations = 0;
-    /// Batch target when the run ended / the largest ever published.
-    size_t BatchTargetFinal = 0;
-    size_t BatchTargetHwm = 0;
-    /// Policy active at the end ("block"/"spill"/"shed").
-    std::string FinalPolicy;
-    /// Every policy transition, oldest first.
-    std::vector<AdaptiveController::Transition> Transitions;
-  };
-  AdaptiveSummary Adaptive;
   /// Remote-checking summary (all zeros / empty when
   /// VerifierConfig::Shipping was off). A shipped run's verdict lives in
   /// the remote service's session report; ok() here only covers what was
@@ -350,11 +324,7 @@ private:
   bool degradeShipping(VerifierReport &R, uint64_t FinalSeqExclusive);
 
   VerifierConfig Config;
-  /// Declared before TheLog: the log holds raw pointers to the
-  /// controller's policy/batch-target cells, so the controller must
-  /// outlive them (members are destroyed in reverse declaration order).
-  std::unique_ptr<AdaptiveController> Ctl;
-  std::unique_ptr<Log> TheLog;
+  std::unique_ptr<BufferedLog> TheLog;
   /// Declared after TheLog: the sampler (which probes the log's append
   /// count) is joined before the log is destroyed.
   std::unique_ptr<Telemetry> Telem;

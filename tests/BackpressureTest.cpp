@@ -8,10 +8,11 @@
 /// Exercises the bounded pipeline end to end: config validation, the
 /// three admission policies (BP_Block / BP_SpillToDisk / BP_Shed) at the
 /// log, without (MemoryLogBackpressureTest) and with
-/// (FileLogBackpressureTest) a file sink, and through a full Verifier with
-/// a throttled checker, and the memory bound itself via a global
-/// operator-new hook — the peak live heap of a bounded run must stay
-/// orders of magnitude under what the unbounded queue would pin.
+/// (FileLogBackpressureTest) a file sink, through a full Verifier with a
+/// throttled checker and with concurrent producers (the TSan suite), and
+/// the memory bound itself via a global operator-new hook — the peak live
+/// heap of a bounded run must stay orders of magnitude under what the
+/// unbounded queue would pin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -452,10 +453,30 @@ TEST(VerifierBackpressureTest, BlockBoundsThePoolToo) {
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
   EXPECT_TRUE(R.ok()) << R.str();
   EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
-  // Pool admission slices batches at the free room, so the bound holds
-  // exactly (it used to be batch-granular, overshooting by up to one
+  // The pump hands the pool 256-record batches, four times the bound.
+  // Admission slices each batch at the free room, so the bound holds
+  // exactly (a batch-granular admission would overshoot by up to a whole
   // pump batch).
-  EXPECT_LE(R.Backpressure.PendingRecordsHwm, 64u);
+  EXPECT_LE(R.Backpressure.PendingRecordsHwm, 64u)
+      << "the bound must hold exactly, not modulo one batch";
+}
+
+TEST(AdaptiveVerifierTest, PoolAdmissionNeverOvershootsTheBound) {
+  // Regression: pool admission used to be batch-granular (wait for room,
+  // then add the whole batch), overshooting MaxPendingRecords by up to a
+  // pump batch. The suite name is kept from the self-tuning pump whose
+  // oversized batches first exposed it. Here four workers contend for
+  // admission slices of 256-record batches, eight times the bound.
+  VerifierConfig C;
+  C.Checker.Mode = CheckMode::CM_IORefinement;
+  C.CheckerThreads = 4;
+  C.Backpressure.Enabled = true;
+  C.Backpressure.MaxPendingRecords = 32;
+  VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
+  EXPECT_LE(R.Backpressure.PendingRecordsHwm, 32u)
+      << "the bound must hold exactly, not modulo one batch";
 }
 
 TEST(VerifierBackpressureTest, ShedReportsExactCountsAndKeepsViolations) {
@@ -523,6 +544,82 @@ TEST(VerifierBackpressureTest, VerdictsMatchTheUnboundedRun) {
   EXPECT_EQ(A.Stats.CommitsProcessed, B.Stats.CommitsProcessed);
   EXPECT_EQ(A.Stats.ObserversChecked, B.Stats.ObserversChecked);
   EXPECT_EQ(A.LogRecords, B.LogRecords);
+}
+
+//===----------------------------------------------------------------------===//
+// Concurrent producers (TSan suite)
+//===----------------------------------------------------------------------===//
+
+TEST(BackpressureStressTest, SpillReadsNeverDuplicateRecords) {
+  // Under BP_SpillToDisk the reader fills queue gaps from the file, so
+  // records reach it through disk catch-up reads interleaved with queue
+  // pops. Two producers and an unthrottled checker drive that
+  // interleaving; a delivery frontier that rewinds or strands would
+  // deliver a record twice (duplicate commits, bracket-state violations)
+  // or never.
+  ThrottledRegisterSpec Script;
+  std::string Path = tempPath("spill-dup");
+  removeChain(Path);
+  VerifierConfig C;
+  C.Checker.Mode = CheckMode::CM_IORefinement;
+  C.LogFilePath = Path;
+  C.Backpressure.Enabled = true;
+  C.Backpressure.MaxPendingRecords = 128;
+  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
+  Verifier V(std::make_unique<ThrottledRegisterSpec>(), nullptr,
+             std::move(C));
+  V.start();
+  appendSet(V.log().writer(), Script, 7, /*Tid=*/9);
+  constexpr int PerThread = 3000;
+  std::vector<std::thread> Producers;
+  for (int T = 0; T < 2; ++T)
+    Producers.emplace_back([&, T] {
+      LogWriter &W = V.log().writer();
+      for (int I = 0; I < PerThread; ++I)
+        appendGet(W, Script, 7, static_cast<ThreadId>(T + 1));
+    });
+  for (std::thread &P : Producers)
+    P.join();
+  VerifierReport R = V.finish();
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(R.Stats.ObserversChecked, 2u * PerThread) << R.str();
+  EXPECT_EQ(R.Stats.MethodsChecked, 2u * PerThread + 1) << R.str();
+  EXPECT_EQ(R.Backpressure.ShedRecords, 0u);
+  removeChain(Path);
+}
+
+TEST(BackpressureStressTest, ShedAccountsForEveryObserverExecution) {
+  // Four producers through the shard rings into a BP_Shed queue in front
+  // of a throttled checker. One Set(7) first, then concurrent Get() == 7
+  // observers, correct under any interleaving: every observer execution
+  // is either checked or shed as a whole two-record window.
+  ThrottledRegisterSpec Script;
+  VerifierConfig C;
+  C.Checker.Mode = CheckMode::CM_IORefinement;
+  C.ShardCapacity = 256;
+  C.Backpressure.Enabled = true;
+  C.Backpressure.MaxPendingRecords = 512;
+  C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
+  Verifier V(std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/1),
+             nullptr, std::move(C));
+  V.start();
+  appendSet(V.log().writer(), Script, 7, /*Tid=*/9);
+  constexpr int PerThread = 2000;
+  std::vector<std::thread> Producers;
+  for (int T = 0; T < 4; ++T)
+    Producers.emplace_back([&, T] {
+      LogWriter &W = V.log().writer();
+      for (int I = 0; I < PerThread; ++I)
+        appendGet(W, Script, 7, static_cast<ThreadId>(T + 1));
+    });
+  for (std::thread &P : Producers)
+    P.join();
+  VerifierReport R = V.finish();
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(R.Backpressure.ShedRecords % 2, 0u);
+  EXPECT_EQ(R.Stats.ObserversChecked + R.Backpressure.ShedRecords / 2,
+            4u * PerThread)
+      << R.str();
 }
 
 //===----------------------------------------------------------------------===//

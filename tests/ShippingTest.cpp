@@ -397,9 +397,6 @@ TEST(ShippingTest, ConfigValidationGatesShipping) {
   VC.Snapshots = true;
   EXPECT_FALSE(VC.validate().empty());
   VC = Good;
-  VC.Adaptive.Enabled = true;
-  EXPECT_FALSE(VC.validate().empty());
-  VC = Good;
   VC.Shipping.MaxRetries = 0;
   EXPECT_FALSE(VC.validate().empty());
   VC = Good;

@@ -236,46 +236,44 @@ TEST(TelemetryTest, MetricNamesAreDefined) {
 }
 
 TEST(TelemetryTest, GaugeSetOverwritesAndKeepsHwm) {
-  // The adaptive controller publishes its decisions with gaugeSet (plain
-  // relaxed stores): the value is a point-in-time truth, the HWM keeps
-  // the largest target ever published.
+  // gaugeSet is a plain relaxed store: the value is a point-in-time truth
+  // (a restored run's restart lag, the live segment count), the HWM keeps
+  // the largest value ever published.
   Telemetry T;
-  T.gaugeSet(Gauge::G_PumpBatchTarget, 512);
-  T.gaugeSet(Gauge::G_PumpBatchTarget, 2048);
-  T.gaugeSet(Gauge::G_PumpBatchTarget, 128);
-  T.gaugeSet(Gauge::G_PolicyActive,
-             static_cast<uint64_t>(BackpressurePolicy::BP_SpillToDisk));
+  T.gaugeSet(Gauge::G_RestartLag, 512);
+  T.gaugeSet(Gauge::G_RestartLag, 2048);
+  T.gaugeSet(Gauge::G_RestartLag, 128);
+  T.gaugeSet(Gauge::G_SegmentsLive, 2);
   TelemetrySnapshot S = T.snapshot();
-  EXPECT_EQ(S.gauge(Gauge::G_PumpBatchTarget), 128u);
-  EXPECT_EQ(S.gaugeHwm(Gauge::G_PumpBatchTarget), 2048u);
-  EXPECT_EQ(S.gauge(Gauge::G_PolicyActive),
-            static_cast<uint64_t>(BackpressurePolicy::BP_SpillToDisk));
+  EXPECT_EQ(S.gauge(Gauge::G_RestartLag), 128u);
+  EXPECT_EQ(S.gaugeHwm(Gauge::G_RestartLag), 2048u);
+  EXPECT_EQ(S.gauge(Gauge::G_SegmentsLive), 2u);
   std::string J = S.json();
-  EXPECT_NE(J.find("\"pump_batch_target\""), std::string::npos) << J;
-  EXPECT_NE(J.find("\"policy_active\""), std::string::npos) << J;
+  EXPECT_NE(J.find("\"restart_lag\""), std::string::npos) << J;
+  EXPECT_NE(J.find("\"segments_live\""), std::string::npos) << J;
 }
 
 TEST(TelemetryTest, ControlGaugesAreSafeUnderConcurrentSnapshots) {
-  // One writer hammering the control-loop gauges (as the pump thread
-  // does) while another thread snapshots: relaxed atomics, no torn or
-  // out-of-range values ever observed.
+  // One writer hammering gaugeSet (as the pump thread does for the live
+  // segment count) while another thread snapshots: relaxed atomics, no
+  // torn or out-of-range values ever observed.
   Telemetry T;
   std::atomic<bool> Stop{false};
   std::thread Writer([&] {
     for (uint64_t I = 1; !Stop.load(std::memory_order_relaxed); ++I) {
-      T.gaugeSet(Gauge::G_PumpBatchTarget, 64 + (I % 8192));
-      T.gaugeSet(Gauge::G_PolicyActive, I % 3);
+      T.gaugeSet(Gauge::G_RestartLag, 64 + (I % 8192));
+      T.gaugeSet(Gauge::G_SegmentsLive, I % 3);
     }
   });
   for (int I = 0; I < 200; ++I) {
     TelemetrySnapshot S = T.snapshot();
-    uint64_t Target = S.gauge(Gauge::G_PumpBatchTarget);
-    if (Target) {
-      EXPECT_GE(Target, 64u);
-      EXPECT_LT(Target, 64u + 8192u);
-      EXPECT_LE(Target, S.gaugeHwm(Gauge::G_PumpBatchTarget));
+    uint64_t Lag = S.gauge(Gauge::G_RestartLag);
+    if (Lag) {
+      EXPECT_GE(Lag, 64u);
+      EXPECT_LT(Lag, 64u + 8192u);
+      EXPECT_LE(Lag, S.gaugeHwm(Gauge::G_RestartLag));
     }
-    EXPECT_LT(S.gauge(Gauge::G_PolicyActive), 3u);
+    EXPECT_LT(S.gauge(Gauge::G_SegmentsLive), 3u);
   }
   Stop.store(true, std::memory_order_relaxed);
   Writer.join();

@@ -46,24 +46,21 @@ def load_metrics(log_backends_path, hotpath_path, backpressure_path=None,
                 }
     if backpressure_path:
         # Only the steady policies are baselined: shed rates depend on
-        # how far the host's producer outruns the throttled checker, and
-        # the escalation soak is a correctness gate (the bench itself
-        # fails on a wrong transition sequence), not a perf metric.
+        # how far the host's producer outruns the throttled checker.
         with open(backpressure_path) as f:
             for row in json.load(f):
                 if row["config"] not in ("unbounded", "block", "spill",
-                                         "fixed-256", "adaptive-on"):
+                                         "fixed-256"):
                     continue
                 key = "backpressure/%s/append_per_s" % row["config"]
                 metrics[key] = {
                     "kind": "throughput",
                     "value": row["throughput"],
                 }
-                if row["config"] in ("fixed-256", "adaptive-on"):
-                    # The self-tuning pipeline's robust win on any host:
-                    # draining whole queues per sync makes the producer
-                    # block far less often. Gated as a latency-kind
-                    # metric (above baseline * factor fails).
+                if row["config"] == "fixed-256":
+                    # The producer's p99 append under the bounded-block
+                    # soak. Gated as a latency-kind metric (above
+                    # baseline * factor fails).
                     metrics["backpressure/%s/blocked_p99_ns" %
                             row["config"]] = {
                         "kind": "latency",
