@@ -16,9 +16,6 @@
 //  * BP_SpillToDisk soak over a segmented file log: spill volume, and the
 //    hard invariant that checked-prefix reclamation keeps at most two
 //    segments live at the end of the run;
-//  * BP_Shed curve: shed rate as the checker gets 1x/2x/4x slower, with
-//    exact record accounting and the promise that seeded violations are
-//    still flagged (mutators are never shed).
 //  * fixed-256: the bounded-block soak at the pump's fixed 256-record
 //    batch, with how often the producer blocked and its p99 append.
 //
@@ -47,7 +44,6 @@ namespace {
 
 unsigned SoakExecs = 2000000;   // 5 records each: the >= 10M-record soak
 unsigned CompareExecs = 100000; // unbounded-vs-bounded verdict comparison
-unsigned ShedExecs = 200000;    // per point of the shed curve
 constexpr unsigned SeededViolations = 3;
 constexpr uint64_t PendingBound = 1024;
 
@@ -212,7 +208,6 @@ int main(int Argc, char **Argv) {
   if (Args.Quick) {
     SoakExecs = 30000;
     CompareExecs = 10000;
-    ShedExecs = 10000;
   }
   BenchJson BJ("backpressure", Args.JsonPath);
   char Extra[160];
@@ -326,49 +321,6 @@ int main(int Argc, char **Argv) {
     require(R.Report.LogRecords == Unbounded.Report.LogRecords,
             "block: record count diverged from the unbounded run");
   }
-
-  // BP_Shed curve: shed rate versus checker slowdown. Mutators are never
-  // shed, so the seeded violations must survive every point, and
-  // MethodsChecked + shed windows must account for every execution.
-  std::printf("\nBP_Shed: shed rate vs checker slowdown (%u execs, bound "
-              "%u records)\n\n",
-              ShedExecs, 64u);
-  std::printf("%-12s %12s %12s %14s\n", "throttle", "shed rate", "shed recs",
-              "methods checked");
-  hr();
-  for (unsigned Throttle : {1u, 2u, 4u}) {
-    VerifierConfig C = baseConfig();
-    C.Backpressure.Enabled = true;
-    C.Backpressure.MaxPendingRecords = 64;
-    C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-    RunResult R = run(std::move(C), Throttle, ShedExecs);
-    requireSeededViolations(R.Report, "shed");
-    require(R.Report.Backpressure.ShedRecords % 2 == 0,
-            "shed: observer executions are two records; sheds must come "
-            "in whole windows");
-    require(R.Report.Stats.MethodsChecked +
-                    R.Report.Backpressure.ShedRecords / 2 ==
-                2 * uint64_t(ShedExecs) + SeededViolations,
-            "shed: checked + shed executions do not account for every "
-            "appended execution");
-    double Rate = double(R.Report.Backpressure.ShedRecords) /
-                  double(R.Records ? R.Records : 1);
-    char Label[16];
-    std::snprintf(Label, sizeof(Label), "x%u", Throttle);
-    std::printf("%-12s %12.4f %12llu %14llu\n", Label, Rate,
-                static_cast<unsigned long long>(
-                    R.Report.Backpressure.ShedRecords),
-                static_cast<unsigned long long>(
-                    R.Report.Stats.MethodsChecked));
-    char Config[32];
-    std::snprintf(Config, sizeof(Config), "shed-x%u", Throttle);
-    std::snprintf(
-        Extra, sizeof(Extra), "{\"shed_rate\":%.6f,\"shed_records\":%llu}",
-        Rate,
-        static_cast<unsigned long long>(R.Report.Backpressure.ShedRecords));
-    BJ.row(Config, 1, nsPerAppend(R), appendPerSec(R), Extra);
-  }
-  hr();
 
   // The fixed 256-record pump batch under the bounded-block soak, at the
   // checker's pace: the producer's sync cost (how often it blocks and how

@@ -18,8 +18,6 @@ const char *vyrd::backpressurePolicyName(BackpressurePolicy P) {
     return "block";
   case BackpressurePolicy::BP_SpillToDisk:
     return "spill";
-  case BackpressurePolicy::BP_Shed:
-    return "shed";
   }
   return "?";
 }
@@ -27,7 +25,6 @@ const char *vyrd::backpressurePolicyName(BackpressurePolicy P) {
 void BackpressureStats::merge(const BackpressureStats &O) {
   BlockedAppends += O.BlockedAppends;
   BlockedNanos += O.BlockedNanos;
-  ShedRecords += O.ShedRecords;
   SpilledRecords += O.SpilledRecords;
   PendingRecordsHwm = std::max(PendingRecordsHwm, O.PendingRecordsHwm);
   TailBytesHwm = std::max(TailBytesHwm, O.TailBytesHwm);
@@ -37,8 +34,8 @@ void BackpressureStats::merge(const BackpressureStats &O) {
 }
 
 bool BackpressureStats::any() const {
-  return BlockedAppends || ShedRecords || SpilledRecords ||
-         PendingRecordsHwm || SegmentsCreated;
+  return BlockedAppends || SpilledRecords || PendingRecordsHwm ||
+         SegmentsCreated;
 }
 
 /// Heap bytes a Value pins beyond its inline storage. Strings inside the
@@ -61,28 +58,6 @@ size_t vyrd::actionFootprintBytes(const Action &A) {
     B += valueHeapBytes(V);
   B += valueHeapBytes(A.Ret);
   return B;
-}
-
-//===----------------------------------------------------------------------===//
-// ShedFilter
-//===----------------------------------------------------------------------===//
-
-bool ShedFilter::shouldShed(const Action &A, bool OverLimit) {
-  uint64_t Key = (static_cast<uint64_t>(A.Obj) << 32) | A.Tid;
-  auto It = OpenWindows.find(Key);
-  if (It != OpenWindows.end()) {
-    // Inside a shed execution: everything this (object, thread) emits up
-    // to the matching return goes down with the call.
-    if (A.Kind == ActionKind::AK_Return)
-      OpenWindows.erase(It);
-    return true;
-  }
-  if (!OverLimit || A.Kind != ActionKind::AK_Call)
-    return false;
-  if (!Classifier || !Classifier(A))
-    return false;
-  OpenWindows.insert(Key);
-  return true;
 }
 
 //===----------------------------------------------------------------------===//

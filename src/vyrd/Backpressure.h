@@ -20,12 +20,8 @@
 ///                     and the reader re-reads the spilled region through
 ///                     LogFileReader when it catches up. Producers never
 ///                     block. Requires a file-backed log.
-///  * BP_Shed        — observer-only executions are dropped, with exact
-///                     accounting (BackpressureStats::ShedRecords, surfaced
-///                     as a VK_Degraded note in the report). Mutator,
-///                     commit and write records are never dropped, so
-///                     verdicts on the records that are checked stay sound;
-///                     coverage, not correctness, degrades.
+///
+/// Neither policy drops a record: every appended record is checked.
 ///
 /// SegmentSink implements the disk half of the ceiling: instead of one
 /// file that accretes forever, output rotates into numbered segment files
@@ -44,10 +40,8 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 namespace vyrd {
@@ -56,10 +50,9 @@ namespace vyrd {
 enum class BackpressurePolicy : uint8_t {
   BP_Block,       ///< bounded blocking append (safe default)
   BP_SpillToDisk, ///< demote overflow to the log file, re-read on catch-up
-  BP_Shed,        ///< drop observer-only executions, with accounting
 };
 
-/// Short printable name ("block", "spill", "shed").
+/// Short printable name ("block", "spill").
 const char *backpressurePolicyName(BackpressurePolicy P);
 
 /// The pipeline-wide bound and admission policy, enforced uniformly by
@@ -94,8 +87,6 @@ struct BackpressureStats {
   /// they spent waiting.
   uint64_t BlockedAppends = 0;
   uint64_t BlockedNanos = 0;
-  /// Records dropped by BP_Shed (whole observer executions).
-  uint64_t ShedRecords = 0;
   /// Records that bypassed the in-memory queue and were re-read from
   /// disk (BP_SpillToDisk).
   uint64_t SpilledRecords = 0;
@@ -118,37 +109,6 @@ struct BackpressureStats {
 /// MaxTailBytes ceiling and the G_TailBytes gauge; an estimate — small
 /// allocator overhead is not modeled.
 size_t actionFootprintBytes(const Action &A);
-
-/// The BP_Shed decision procedure. Sheds *whole observer executions*:
-/// when the queue is over its limit and an AK_Call starts an execution
-/// the classifier marks observer-only, the call and everything the same
-/// (object, thread) emits up to and including the matching AK_Return are
-/// dropped together — a return whose call was admitted is never dropped,
-/// and no execution is ever delivered half. Not thread-safe; each stage
-/// owns one instance and calls it under its admission lock, in admission
-/// order.
-class ShedFilter {
-public:
-  /// \p Fn returns true when \p A (an AK_Call) starts an observer-only
-  /// execution — one that emits no commit/write/replay records, so
-  /// dropping it wholesale cannot perturb the shadow state or any other
-  /// execution's verdict. Installed by the Verifier at start() (the
-  /// classifier consults the registered Spec::isObserver).
-  void setClassifier(std::function<bool(const Action &)> Fn) {
-    Classifier = std::move(Fn);
-  }
-  bool hasClassifier() const { return static_cast<bool>(Classifier); }
-
-  /// Decides \p A's fate. \p OverLimit: is the stage's queue at/over its
-  /// ceiling right now. \returns true when \p A must be dropped.
-  bool shouldShed(const Action &A, bool OverLimit);
-
-private:
-  std::function<bool(const Action &)> Classifier;
-  /// Open shed windows, keyed ObjectId << 32 | Tid: executions whose
-  /// call was dropped and whose return has not arrived yet.
-  std::unordered_set<uint64_t> OpenWindows;
-};
 
 /// One segment rotation, as observed by the snapshot machinery: the chain
 /// grew a new segment \p Index whose first record is \p FirstSeq, i.e.

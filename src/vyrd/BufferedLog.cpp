@@ -47,7 +47,7 @@ constexpr size_t ShardCacheWays = 4;
 thread_local ShardCacheEntry ShardCache[ShardCacheWays];
 
 /// Reorder-ring slot states. A merge round marks each record of the run it
-/// emits admitted or dropped (shed or spilled: on disk only) under the
+/// emits admitted or dropped (spilled: on disk only) under the
 /// queue mutex, writes the run to the sink, then pushes the admitted ones.
 enum SlotState : uint8_t { SlotEmpty, SlotParked, SlotAdmit, SlotDrop };
 
@@ -130,7 +130,6 @@ struct BufferedLog::Impl {
 
   /// Backpressure state, guarded by QM (admission happens where a merge
   /// round pushes into Q; the shard rings have their own bound).
-  ShedFilter Shed;
   BackpressureStats Stats;
   /// When the record now first in line met the bound under BP_Block (0:
   /// none waiting). One wait counts once, whichever round meets it.
@@ -358,7 +357,7 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
   uint64_t Pending = I->Q.size();
   uint64_t Bytes = I->QBytes;
   for (uint64_t Ti = First; Ti != S; ++Ti) {
-    Action &A = I->Reorder[Ti & I->ReorderMask];
+    const Action &A = I->Reorder[Ti & I->ReorderMask];
     bool Over = Pending >= BP.MaxPendingRecords ||
                 (BP.MaxTailBytes && Bytes >= BP.MaxTailBytes);
     if (Over && (Reader || waitsAtBound(P))) {
@@ -380,28 +379,18 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
       if (telemetryCompiledIn() && T)
         T->record(Histo::H_BlockedNs, Waited);
     }
-    bool Admit = true;
-    if (P == BackpressurePolicy::BP_Shed && I->Shed.shouldShed(A, Over)) {
-      // Dropped from the queue only; the file (when present) stays
-      // complete for post-mortem re-checking.
-      ++I->Stats.ShedRecords;
-      if (telemetryCompiledIn() && T)
-        T->count(Counter::C_ShedRecords);
-      Admit = false;
-    }
-    if (Admit && Over && P == BackpressurePolicy::BP_SpillToDisk) {
+    if (Over && P == BackpressurePolicy::BP_SpillToDisk) {
       // At the sink by the time the round publishes; the reader re-reads
       // the gap from disk.
       ++I->Stats.SpilledRecords;
       if (telemetryCompiledIn() && T)
         T->count(Counter::C_SpilledRecords);
-      Admit = false;
+      I->Parked[Ti & I->ReorderMask] = SlotDrop;
+      continue;
     }
-    I->Parked[Ti & I->ReorderMask] = Admit ? SlotAdmit : SlotDrop;
-    if (Admit) {
-      ++Pending;
-      Bytes += actionFootprintBytes(A);
-    }
+    I->Parked[Ti & I->ReorderMask] = SlotAdmit;
+    ++Pending;
+    Bytes += actionFootprintBytes(A);
   }
   return S;
 }
@@ -455,7 +444,7 @@ size_t BufferedLog::emitReady(bool Reader, bool &Blocked,
     return 0;
   if (I->HasFile) {
     // All records reach the disk log, including ones the admission above
-    // shed or spilled (the file is the complete witness). A rotation
+    // spilled (the file is the complete witness). A rotation
     // records its cut here, before any record past it is handed out.
     for (uint64_t T = First; T != S; ++T)
       I->Sink.write(I->Reorder[T & I->ReorderMask]);
@@ -752,11 +741,6 @@ BackpressureStats BufferedLog::backpressureStats() const {
   if (I->HasFile)
     S.merge(I->Sink.stats());
   return S;
-}
-
-void BufferedLog::setShedClassifier(std::function<bool(const Action &)> Fn) {
-  std::lock_guard Lock(I->QM);
-  I->Shed.setClassifier(std::move(Fn));
 }
 
 void BufferedLog::takeSegmentCuts(std::vector<SegmentCut> &Out) {

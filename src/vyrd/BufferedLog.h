@@ -127,7 +127,6 @@
 #include "vyrd/Log.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <thread>
 
@@ -197,9 +196,7 @@ public:
     /// bound and parks the *flusher* until the reader makes room (shards
     /// then fill and producers hit the ring-full backoff, so the
     /// pressure propagates); BP_SpillToDisk needs FilePath and lets the
-    /// reader re-read over-limit records from disk; BP_Shed drops
-    /// observer executions from the queue only (the file, when present,
-    /// stays complete).
+    /// reader re-read over-limit records from disk.
     BackpressureConfig Backpressure;
   };
 
@@ -227,11 +224,6 @@ public:
   /// Admission counters of the bounded reader queue, merged with the
   /// segment sink's counters. All zero for unbounded configurations.
   BackpressureStats backpressureStats() const;
-
-  /// Installs the observer classifier the BP_Shed policy consults (see
-  /// ShedFilter::setClassifier). Must be called before producers start;
-  /// without a classifier BP_Shed sheds nothing.
-  void setShedClassifier(std::function<bool(const Action &)> Fn);
 
   /// Checked-prefix reclamation: every record with Seq < \p Watermark has
   /// been fully checked and will never be read again. A segmented
@@ -290,7 +282,7 @@ private:
   size_t emitReady(bool Reader, bool &Blocked, std::vector<Action> *Out,
                    size_t Max);
   /// Decides queue admission for the run [\p First, \p S) in ticket
-  /// order and marks each slot admitted or dropped (shed or spilled).
+  /// order and marks each slot admitted or dropped (spilled).
   /// \returns the end of the decided prefix: \p S, or the first record
   /// that met a full queue where it has to wait, which is under any
   /// policy in a reader-side round and under waitsAtBound otherwise (and

@@ -95,32 +95,11 @@ public:
   /// are bounded by MaxPendingRecords: BP_Block (and BP_SpillToDisk,
   /// which has nothing left to spill here — the records are already in
   /// memory) parks the pump until workers drain below the bound, so the
-  /// pressure propagates back into the log; BP_Shed drops observer
-  /// executions from the batch while over the bound. Admission is sliced
+  /// pressure propagates back into the log. Admission is sliced
   /// at the free room, so occupancy never exceeds the bound (a
   /// batch-granular path would overshoot by up to a whole pump batch).
   void dispatch(ObjectState &O, std::vector<Action> &Batch) {
     std::unique_lock Lock(M);
-    const bool Shedding =
-        BP.Enabled && BP.Policy == BackpressurePolicy::BP_Shed;
-    if (Shedding && Shed.hasClassifier()) {
-      size_t Kept = 0;
-      for (size_t I = 0; I < Batch.size(); ++I) {
-        bool Over = PendingRecs + Kept >= BP.MaxPendingRecords;
-        if (Shed.shouldShed(Batch[I], Over)) {
-          ++Stats.ShedRecords;
-          continue;
-        }
-        if (Kept != I)
-          Batch[Kept] = std::move(Batch[I]);
-        ++Kept;
-      }
-      if (size_t ShedNow = Batch.size() - Kept; ShedNow && S.Telem)
-        S.Telem->count(Counter::C_ShedRecords, ShedNow);
-      Batch.resize(Kept);
-      if (Batch.empty())
-        return; // whole batch shed; buffer reused as-is next round
-    }
     const size_t Total = Batch.size();
     size_t Begin = 0;
     bool MovedWhole = false;
@@ -164,7 +143,7 @@ public:
     };
     while (Begin < Total) {
       size_t N = Total - Begin;
-      if (BP.Enabled && !Shedding) {
+      if (BP.Enabled) {
         if (PendingRecs >= BP.MaxPendingRecords) {
           uint64_t T0 = telemetryNowNanos();
           SpaceCV.wait(Lock,
@@ -197,13 +176,6 @@ public:
       if (O->PendingRecs)
         W = std::min(W, O->FedExclusive);
     return W;
-  }
-
-  /// Installs the observer classifier BP_Shed consults (same contract as
-  /// BufferedLog::setShedClassifier). Call before the pump dispatches.
-  void setShedClassifier(std::function<bool(const Action &)> Fn) {
-    std::lock_guard Lock(M);
-    Shed.setClassifier(std::move(Fn));
   }
 
   BackpressureStats stats() const {
@@ -294,7 +266,6 @@ private:
   std::condition_variable WorkCV; ///< workers wait for runnable objects
   std::condition_variable IdleCV; ///< drainAndJoin waits for quiescence
   std::condition_variable SpaceCV; ///< BP_Block: pump waits for room
-  ShedFilter Shed;                 ///< BP_Shed windows (guarded by M)
   BackpressureStats Stats;         ///< admission accounting (guarded by M)
   /// Records pending across all objects (dispatched, not yet fed).
   uint64_t PendingRecs = 0;
@@ -353,19 +324,9 @@ CheckMode CheckerService::objectMode(ObjectId Id) const {
   return Objects[Id]->CheckerCfg.Mode;
 }
 
-bool CheckerService::isObserverCall(const Action &A) const {
-  return A.Obj < Objects.size() && Objects[A.Obj]->S->isObserver(A.Method);
-}
-
 void CheckerService::startPool(unsigned NumWorkers) {
   assert(!Pool && "startPool called twice");
   Pool = std::make_unique<CheckerPool>(*this, NumWorkers);
-}
-
-void CheckerService::setShedClassifier(
-    std::function<bool(const Action &)> Fn) {
-  if (Pool)
-    Pool->setShedClassifier(std::move(Fn));
 }
 
 void CheckerService::feedObject(ObjectState &O,
@@ -603,9 +564,4 @@ std::vector<Violation> CheckerService::liveViolations() const {
 std::vector<std::string> CheckerService::forensicFiles() const {
   std::lock_guard Lock(Live.M);
   return Live.ForensicFiles;
-}
-
-void CheckerService::addForensicFile(std::string Path) {
-  std::lock_guard Lock(Live.M);
-  Live.ForensicFiles.push_back(std::move(Path));
 }

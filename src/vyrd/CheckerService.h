@@ -38,7 +38,6 @@
 #include "vyrd/Trace.h"
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -87,18 +86,11 @@ public:
   /// The check mode object \p Id was registered with (selects the hook
   /// logging level on the producer side).
   CheckMode objectMode(ObjectId Id) const;
-  /// Does \p A start an observer-only execution on its object? (The
-  /// BP_Shed classifier; unrouteable records answer false.) Pure const
-  /// query, callable concurrently with checking.
-  bool isObserverCall(const Action &A) const;
 
   /// Starts \p NumWorkers checker pool workers. Without this call every
   /// batch is fed inline on the routing thread (the historical
   /// CheckerThreads = 1 behavior).
   void startPool(unsigned NumWorkers);
-  /// Installs the observer classifier BP_Shed consults on the pool (no-op
-  /// without a pool; the log-side classifier is the producer's business).
-  void setShedClassifier(std::function<bool(const Action &)> Fn);
 
   /// Demuxes Batch[Begin, End) per object and dispatches/feeds each
   /// object's slice. Records whose ObjectId matches no registered object
@@ -149,9 +141,6 @@ public:
   /// Copies of the live (monitor-served) state. Safe from any thread.
   std::vector<Violation> liveViolations() const;
   std::vector<std::string> forensicFiles() const;
-  /// Appends an externally written bundle (the degraded-run bundle) to
-  /// the live forensic list.
-  void addForensicFile(std::string Path);
 
 private:
   struct ObjectState;

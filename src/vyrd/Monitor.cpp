@@ -113,8 +113,6 @@ const char *monitor::healthVerdict(const TelemetrySnapshot &S,
     return "violating";
   if (S.Stalled)
     return "stalled";
-  if (S.counter(Counter::C_ShedRecords))
-    return "degraded";
   return "ok";
 }
 
@@ -173,9 +171,8 @@ std::string monitor::healthJson(const TelemetrySnapshot &S,
   Out += healthVerdict(S, V.size());
   std::snprintf(Buf, sizeof(Buf),
                 "\",\"violations\":%zu,\"checker_lag\":%" PRIu64
-                ",\"stalled\":%s,\"shed_records\":%" PRIu64 "}",
-                V.size(), S.CheckerLag, S.Stalled ? "true" : "false",
-                S.counter(Counter::C_ShedRecords));
+                ",\"stalled\":%s}",
+                V.size(), S.CheckerLag, S.Stalled ? "true" : "false");
   Out += Buf;
   return Out;
 }

@@ -16,8 +16,8 @@
 ///                  gauges + HWMs, histograms, per-object rows, checker
 ///                  lag, stall flag) plus live violation/forensic counts
 ///   violations  -> one JSON line: every violation published so far
-///   health      -> one JSON line: {"health":"ok|degraded|stalled|
-///                  violating", ...} for scripts
+///   health      -> one JSON line: {"health":"ok|stalled|violating",
+///                  ...} for scripts
 ///   watch N     -> a `stats` line every N milliseconds until the client
 ///                  disconnects (N in [10, 60000], default 1000)
 ///   prom        -> Prometheus text exposition of the snapshot, a
@@ -103,8 +103,8 @@ std::string statsJson(const TelemetrySnapshot &S,
 std::string violationsJson(const std::vector<Violation> &V);
 std::string healthJson(const TelemetrySnapshot &S,
                        const std::vector<Violation> &V);
-/// Verdict only: "ok", "degraded" (records shed), "stalled" (watchdog),
-/// or "violating" — worst wins.
+/// Verdict only: "ok", "stalled" (watchdog), or "violating" — worst
+/// wins.
 const char *healthVerdict(const TelemetrySnapshot &S, size_t Violations);
 std::string promText(const TelemetrySnapshot &S, size_t Violations);
 std::string topText(const TelemetrySnapshot &S,

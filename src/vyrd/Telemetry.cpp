@@ -50,8 +50,6 @@ const char *vyrd::counterName(Counter C) {
     return "obs_memo_hits";
   case Counter::C_ObsMemoMisses:
     return "obs_memo_misses";
-  case Counter::C_ShedRecords:
-    return "shed_records";
   case Counter::C_SpilledRecords:
     return "spilled_records";
   case Counter::C_BlockedAppends:

@@ -87,9 +87,6 @@ enum class Counter : uint8_t {
   /// call. Flushed once per checker at finish().
   C_ObsMemoHits,
   C_ObsMemoMisses,
-  /// Records dropped by the BP_Shed backpressure policy (whole observer
-  /// executions; see docs/ARCHITECTURE.md, "Bounded pipeline").
-  C_ShedRecords,
   /// Records that bypassed an over-limit in-memory queue and were
   /// re-read from disk (BP_SpillToDisk).
   C_SpilledRecords,

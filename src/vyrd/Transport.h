@@ -61,9 +61,8 @@ enum class ShipDegrade : uint8_t {
   /// full chain (nothing was reclaimed before the fleet died — acks
   /// drive reclamation, so a fleet that never acked never reclaimed).
   SD_LocalCheck,
-  /// Account the unshipped suffix as a VK_Degraded note (like BP_Shed's
-  /// coverage accounting): verdicts on acked records stand, the rest is
-  /// reported unverified. For deployments where producer-side checking
+  /// Account the unshipped suffix as a VK_Degraded note: verdicts on
+  /// acked records stand, the rest is reported unverified. For deployments where producer-side checking
   /// is too expensive to ever run inline.
   SD_Shed,
 };

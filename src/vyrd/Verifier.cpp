@@ -46,10 +46,6 @@ std::string VerifierConfig::validate() const {
       return "Backpressure.Policy = BP_Block requires Online = true "
              "(offline runs have no concurrent reader to make room; a "
              "blocked producer would deadlock)";
-    if (!Online && Backpressure.Policy == BackpressurePolicy::BP_Shed)
-      return "Backpressure.Policy = BP_Shed requires Online = true "
-             "(offline runs buffer the whole log anyway, so shedding "
-             "would lose coverage for no memory benefit)";
   }
   if (Snapshots) {
     if (!Backpressure.SegmentBytes)
@@ -140,8 +136,6 @@ std::string VerifierReport::str() const {
       Out += " blocked_appends=" + std::to_string(Backpressure.BlockedAppends) +
              " blocked_ms=" +
              std::to_string(Backpressure.BlockedNanos / 1000000);
-    if (Backpressure.ShedRecords)
-      Out += " shed_records=" + std::to_string(Backpressure.ShedRecords);
     if (Backpressure.SpilledRecords)
       Out += " spilled_records=" + std::to_string(Backpressure.SpilledRecords);
     if (Backpressure.PendingRecordsHwm)
@@ -214,7 +208,6 @@ static std::string backpressureJson(const BackpressureStats &S) {
   std::string Out = "{";
   Out += "\"blocked_appends\":" + std::to_string(S.BlockedAppends);
   Out += ",\"blocked_ns\":" + std::to_string(S.BlockedNanos);
-  Out += ",\"shed_records\":" + std::to_string(S.ShedRecords);
   Out += ",\"spilled_records\":" + std::to_string(S.SpilledRecords);
   Out += ",\"pending_records_hwm\":" + std::to_string(S.PendingRecordsHwm);
   Out += ",\"tail_bytes_hwm\":" + std::to_string(S.TailBytesHwm);
@@ -459,7 +452,6 @@ void Verifier::pump() {
             Telem->count(Counter::C_SnapshotSkips);
           continue;
         }
-        // lower_bound, not index arithmetic: BP_Shed leaves Seq gaps.
         size_t Split = static_cast<size_t>(
             std::lower_bound(Batch.begin() + Begin, Batch.end(),
                              Cut.FirstSeq,
@@ -539,35 +531,17 @@ void Verifier::start() {
   Started = true;
   if (!Config.Online)
     return;
-  // BP_Shed needs to know which calls start observer-only executions;
-  // the registered specs are the authority. Installed before any
-  // producer appends (the classifier runs under the log's admission
-  // lock, concurrently with checker-side isObserver calls — specs
-  // answer it as a pure const query).
-  const bool NeedClassifier =
-      Config.Backpressure.Enabled &&
-      Config.Backpressure.Policy == BackpressurePolicy::BP_Shed;
   if (Config.Shipping.enabled()) {
     Transport =
         std::make_unique<SocketTransport>(Config.Shipping, Telem.get());
     Shipper = std::make_unique<SegmentShipper>(*Transport,
                                                Config.LogFilePath,
                                                Telem.get());
-    if (NeedClassifier)
-      TheLog->setShedClassifier(
-          [this](const Action &A) { return Svc->isObserverCall(A); });
     VerifyThread = std::thread([this] { shipPump(); });
     return;
   }
   if (Config.CheckerThreads > 1)
     Svc->startPool(Config.CheckerThreads);
-  if (NeedClassifier) {
-    auto Classifier = [this](const Action &A) {
-      return Svc->isObserverCall(A);
-    };
-    TheLog->setShedClassifier(Classifier);
-    Svc->setShedClassifier(Classifier);
-  }
   VerifyThread = std::thread([this] { pump(); });
 }
 
@@ -667,36 +641,6 @@ VerifierReport Verifier::finish() {
   R.LogBytes = TheLog->byteCount();
   R.Backpressure = TheLog->backpressureStats();
   Svc->mergePoolStats(R.Backpressure);
-  if (R.Backpressure.ShedRecords) {
-    // Coverage degradation is a note, not a violation: the records that
-    // were checked got sound verdicts, the shed observers simply were
-    // not checked (docs/ARCHITECTURE.md, "Bounded pipeline").
-    R.Notes.push_back(
-        std::string(violationKindName(ViolationKind::VK_Degraded)) + ": " +
-        std::to_string(R.Backpressure.ShedRecords) +
-        " observer record(s) shed under backpressure (BP_Shed); "
-        "coverage reduced, verdicts on checked records unaffected");
-    if (!Config.ForensicPrefix.empty()) {
-      // The degraded verdict gets its own bundle: what was dropped and
-      // how hard the pipeline was pushed when it happened.
-      std::string Path = Config.ForensicPrefix + ".degraded.forensic.json";
-      std::string Doc =
-          "{\"schema\":\"vyrd-forensic-v1\",\"degraded\":{"
-          "\"shed_records\":" +
-          std::to_string(R.Backpressure.ShedRecords) +
-          ",\"pending_records_hwm\":" +
-          std::to_string(R.Backpressure.PendingRecordsHwm) +
-          ",\"note\":\"" + jsonEscape(R.Notes.back()) + "\"}}\n";
-      if (FILE *F = std::fopen(Path.c_str(), "wb")) {
-        std::fwrite(Doc.data(), 1, Doc.size(), F);
-        std::fclose(F);
-        Svc->addForensicFile(std::move(Path));
-      } else {
-        std::fprintf(stderr, "vyrd: cannot write forensic bundle %s\n",
-                     Path.c_str());
-      }
-    }
-  }
   R.ForensicFiles = Svc->forensicFiles();
   if (Telem) {
     Telem->stopSampler();

@@ -135,10 +135,8 @@ struct VerifierConfig {
   /// when non-empty, every object's checker runs a flight recorder
   /// (FlightRecorderDepth defaults to 64 unless the checker config sets
   /// its own) and the first violation per object is flushed immediately
-  /// as `<ForensicPrefix>.<object>.forensic.json`; a BP_Shed-degraded run
-  /// additionally writes `<ForensicPrefix>.degraded.forensic.json` at
-  /// finish(). Paths land in VerifierReport::ForensicFiles and are served
-  /// by the monitor.
+  /// as `<ForensicPrefix>.<object>.forensic.json`. Paths land in
+  /// VerifierReport::ForensicFiles and are served by the monitor.
   std::string ForensicPrefix;
   /// Remote checking (docs/SHIPPING.md): when Shipping.Endpoint is set,
   /// no checkers run in this process — the pump ships every closed log
@@ -192,9 +190,9 @@ struct VerifierReport {
   /// pool), all zero when backpressure never engaged. Exact counts,
   /// independent of telemetry.
   BackpressureStats Backpressure;
-  /// Degradation notes (e.g. the VK_Degraded shed summary when BP_Shed
-  /// dropped observer records). Notes are advisories — they do not
-  /// affect ok().
+  /// Degradation notes (e.g. the VK_Degraded summary when shipping shed
+  /// an unverified suffix under SD_Shed). Notes are advisories — they do
+  /// not affect ok().
   std::vector<std::string> Notes;
   /// Final metric snapshot; all zeros unless TelemetryEnabled.
   TelemetrySnapshot Telemetry;

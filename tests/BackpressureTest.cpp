@@ -6,8 +6,8 @@
 ///
 /// \file
 /// Exercises the bounded pipeline end to end: config validation, the
-/// three admission policies (BP_Block / BP_SpillToDisk / BP_Shed) at the
-/// log, without (MemoryLogBackpressureTest) and with
+/// two admission policies (BP_Block / BP_SpillToDisk) at the log,
+/// without (MemoryLogBackpressureTest) and with
 /// (FileLogBackpressureTest) a file sink, through a full Verifier with a
 /// throttled checker and with concurrent producers (the TSan suite), and
 /// the memory bound itself via a global operator-new hook — the peak live
@@ -197,8 +197,6 @@ TEST(BackpressureConfigTest, ValidateRejectsOfflineBlockAndShed) {
   C.Backpressure.Policy = BackpressurePolicy::BP_Block;
   EXPECT_NE(C.validate(), "")
       << "offline has no concurrent reader: a blocked producer deadlocks";
-  C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-  EXPECT_NE(C.validate(), "");
   C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   C.LogFilePath = "/tmp/x.bin";
   EXPECT_EQ(C.validate(), "")
@@ -264,36 +262,6 @@ TEST(MemoryLogBackpressureTest, ByteCeilingAloneTriggersThePolicy) {
   EXPECT_LE(S.TailBytesHwm, BP.MaxTailBytes + actionFootprintBytes(
                                 Action::call(1, M, {Value(Fat)})))
       << "occupancy may overshoot by at most the admitted record";
-}
-
-TEST(MemoryLogBackpressureTest, ShedDropsWholeObserverExecutions) {
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 2;
-  BP.Policy = BackpressurePolicy::BP_Shed;
-  BufferedLog L(bounded(BP));
-  Name Obs = internName("bp.obs");
-  Name Mut = internName("bp.mut");
-  L.setShedClassifier(
-      [Obs](const Action &A) { return A.Method == Obs; });
-  // No reader: the queue fills and stays over its bound.
-  L.append(Action::call(1, Obs, {}));           // seq 0, under limit
-  L.append(Action::ret(1, Obs, Value(1)));      // seq 1
-  L.append(Action::call(1, Mut, {Value(2)}));   // seq 2: never shed
-  L.append(Action::commit(1));                  // seq 3
-  L.append(Action::ret(1, Mut, Value(true)));   // seq 4
-  L.append(Action::call(1, Obs, {}));           // seq 5: over limit, shed
-  L.append(Action::ret(1, Obs, Value(2)));      // seq 6: same window, shed
-  L.append(Action::commit(1));                  // seq 7: commit, never shed
-  L.close();
-  EXPECT_EQ(L.appendCount(), 8u) << "shed records still consume seqs";
-  std::vector<uint64_t> Seqs;
-  Action A;
-  while (L.next(A))
-    Seqs.push_back(A.Seq);
-  EXPECT_EQ(Seqs, (std::vector<uint64_t>{0, 1, 2, 3, 4, 7}));
-  BackpressureStats S = L.backpressureStats();
-  EXPECT_EQ(S.ShedRecords, 2u) << "exact accounting of the shed window";
 }
 
 TEST(FileLogBackpressureTest, SpillDeliversEverythingInOrder) {
@@ -428,15 +396,33 @@ VerifierReport runThrottled(VerifierConfig C, unsigned ThrottleUs,
   return V.finish();
 }
 
+/// The admission telemetry a bounded run publishes must agree with the
+/// exact BackpressureStats in its report (log and pool together).
+void expectAdmissionTelemetryMatches(const VerifierReport &R) {
+  if (!telemetryCompiledIn())
+    return;
+  ASSERT_TRUE(R.TelemetryEnabled);
+  const TelemetrySnapshot &S = R.Telemetry;
+  EXPECT_EQ(S.counter(Counter::C_BlockedAppends),
+            R.Backpressure.BlockedAppends);
+  EXPECT_EQ(S.histo(Histo::H_BlockedNs).Count, R.Backpressure.BlockedAppends)
+      << "every counted wait must close with its length";
+  EXPECT_EQ(S.histo(Histo::H_BlockedNs).Sum, R.Backpressure.BlockedNanos);
+  EXPECT_EQ(S.counter(Counter::C_SpilledRecords),
+            R.Backpressure.SpilledRecords);
+}
+
 } // namespace
 
 TEST(VerifierBackpressureTest, BlockKeepsPendingUnderBoundInline) {
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
+  C.Telemetry.Enabled = true;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 64;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
   EXPECT_TRUE(R.ok()) << R.str();
+  expectAdmissionTelemetryMatches(R);
   EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
   EXPECT_LE(R.Backpressure.PendingRecordsHwm, 64u);
   EXPECT_GT(R.Backpressure.BlockedAppends, 0u)
@@ -448,10 +434,12 @@ TEST(VerifierBackpressureTest, BlockBoundsThePoolToo) {
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
   C.CheckerThreads = 2;
+  C.Telemetry.Enabled = true;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 64;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
   EXPECT_TRUE(R.ok()) << R.str();
+  expectAdmissionTelemetryMatches(R);
   EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
   // The pump hands the pool 256-record batches, four times the bound.
   // Admission slices each batch at the free room, so the bound holds
@@ -479,43 +467,20 @@ TEST(AdaptiveVerifierTest, PoolAdmissionNeverOvershootsTheBound) {
       << "the bound must hold exactly, not modulo one batch";
 }
 
-TEST(VerifierBackpressureTest, ShedReportsExactCountsAndKeepsViolations) {
-  VerifierConfig C;
-  C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.Backpressure.Enabled = true;
-  C.Backpressure.MaxPendingRecords = 16;
-  C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-  VerifierReport R = runThrottled(C, /*ThrottleUs=*/2, /*Execs=*/3000,
-                                  /*SeedViolation=*/true);
-  ASSERT_EQ(R.Violations.size(), 1u)
-      << "the seeded mutator violation must survive shedding: " << R.str();
-  EXPECT_EQ(R.Violations[0].Kind, ViolationKind::VK_MutatorMismatch);
-  EXPECT_GT(R.Backpressure.ShedRecords, 0u);
-  EXPECT_EQ(R.Backpressure.ShedRecords % 2, 0u)
-      << "observer executions are two records; sheds come in whole "
-         "windows";
-  ASSERT_EQ(R.Notes.size(), 1u);
-  EXPECT_NE(R.Notes[0].find("degraded"), std::string::npos) << R.Notes[0];
-  EXPECT_NE(R.str().find("note: degraded"), std::string::npos);
-  EXPECT_TRUE(jsonValid(R.json())) << R.json();
-  EXPECT_NE(R.json().find("\"notes\""), std::string::npos);
-  // MethodsChecked + shed windows account for every appended execution.
-  uint64_t ShedExecs = R.Backpressure.ShedRecords / 2;
-  EXPECT_EQ(R.Stats.MethodsChecked + ShedExecs, 6001u);
-}
-
 TEST(VerifierBackpressureTest, SpillWithSegmentsReclaimsCheckedPrefix) {
   std::string Path = tempPath("e2espill");
   removeChain(Path);
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
   C.LogFilePath = Path;
+  C.Telemetry.Enabled = true;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 32;
   C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   C.Backpressure.SegmentBytes = 4096;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/0, /*Execs=*/4000);
   EXPECT_TRUE(R.ok()) << R.str();
+  expectAdmissionTelemetryMatches(R);
   EXPECT_EQ(R.Stats.MethodsChecked, 8000u);
   EXPECT_LE(R.Backpressure.PendingRecordsHwm, 32u);
   EXPECT_GT(R.Backpressure.SegmentsCreated, 2u);
@@ -528,18 +493,21 @@ TEST(VerifierBackpressureTest, SpillWithSegmentsReclaimsCheckedPrefix) {
 
 TEST(VerifierBackpressureTest, VerdictsMatchTheUnboundedRun) {
   // Same workload, bounded (block) vs historical unbounded: identical
-  // check coverage and verdicts.
+  // check coverage and verdicts, including the seeded mutator violation.
   VerifierConfig Unbounded;
   Unbounded.Checker.Mode = CheckMode::CM_IORefinement;
   VerifierReport A = runThrottled(Unbounded, /*ThrottleUs=*/0,
-                                  /*Execs=*/2000);
+                                  /*Execs=*/2000, /*SeedViolation=*/true);
   VerifierConfig Bounded;
   Bounded.Checker.Mode = CheckMode::CM_IORefinement;
   Bounded.Backpressure.Enabled = true;
   Bounded.Backpressure.MaxPendingRecords = 32;
   VerifierReport B = runThrottled(Bounded, /*ThrottleUs=*/0,
-                                  /*Execs=*/2000);
-  EXPECT_EQ(A.ok(), B.ok());
+                                  /*Execs=*/2000, /*SeedViolation=*/true);
+  ASSERT_EQ(B.Violations.size(), 1u) << B.str();
+  EXPECT_EQ(B.Violations[0].Kind, ViolationKind::VK_MutatorMismatch);
+  ASSERT_EQ(A.Violations.size(), 1u) << A.str();
+  EXPECT_EQ(A.Violations[0].Seq, B.Violations[0].Seq);
   EXPECT_EQ(A.Stats.MethodsChecked, B.Stats.MethodsChecked);
   EXPECT_EQ(A.Stats.CommitsProcessed, B.Stats.CommitsProcessed);
   EXPECT_EQ(A.Stats.ObserversChecked, B.Stats.ObserversChecked);
@@ -584,42 +552,7 @@ TEST(BackpressureStressTest, SpillReadsNeverDuplicateRecords) {
   EXPECT_TRUE(R.ok()) << R.str();
   EXPECT_EQ(R.Stats.ObserversChecked, 2u * PerThread) << R.str();
   EXPECT_EQ(R.Stats.MethodsChecked, 2u * PerThread + 1) << R.str();
-  EXPECT_EQ(R.Backpressure.ShedRecords, 0u);
   removeChain(Path);
-}
-
-TEST(BackpressureStressTest, ShedAccountsForEveryObserverExecution) {
-  // Four producers through the shard rings into a BP_Shed queue in front
-  // of a throttled checker. One Set(7) first, then concurrent Get() == 7
-  // observers, correct under any interleaving: every observer execution
-  // is either checked or shed as a whole two-record window.
-  ThrottledRegisterSpec Script;
-  VerifierConfig C;
-  C.Checker.Mode = CheckMode::CM_IORefinement;
-  C.ShardCapacity = 256;
-  C.Backpressure.Enabled = true;
-  C.Backpressure.MaxPendingRecords = 512;
-  C.Backpressure.Policy = BackpressurePolicy::BP_Shed;
-  Verifier V(std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/1),
-             nullptr, std::move(C));
-  V.start();
-  appendSet(V.log().writer(), Script, 7, /*Tid=*/9);
-  constexpr int PerThread = 2000;
-  std::vector<std::thread> Producers;
-  for (int T = 0; T < 4; ++T)
-    Producers.emplace_back([&, T] {
-      LogWriter &W = V.log().writer();
-      for (int I = 0; I < PerThread; ++I)
-        appendGet(W, Script, 7, static_cast<ThreadId>(T + 1));
-    });
-  for (std::thread &P : Producers)
-    P.join();
-  VerifierReport R = V.finish();
-  EXPECT_TRUE(R.ok()) << R.str();
-  EXPECT_EQ(R.Backpressure.ShedRecords % 2, 0u);
-  EXPECT_EQ(R.Stats.ObserversChecked + R.Backpressure.ShedRecords / 2,
-            4u * PerThread)
-      << R.str();
 }
 
 //===----------------------------------------------------------------------===//
@@ -644,9 +577,6 @@ int64_t peakHeapDelta(const std::function<void()> &Body) {
 void pumpRecords(const BackpressureConfig &BP, int N) {
   BufferedLog L(bounded(BP));
   Name Obs = internName("bp.rss.obs");
-  if (BP.Policy == BackpressurePolicy::BP_Shed)
-    L.setShedClassifier(
-        [Obs](const Action &A) { return A.Method == Obs; });
   std::string Payload(48, 'p'); // defeats small-string storage
   std::thread Producer([&] {
     for (int I = 0; I < N; I += 2) {
@@ -670,16 +600,13 @@ void pumpRecords(const BackpressureConfig &BP, int N) {
 TEST(BackpressureHeapTest, PeakHeapStaysBoundedUnderEveryPolicy) {
   constexpr int N = 200000; // ~40 MB if the queue were unbounded
   constexpr int64_t Budget = 8 << 20;
-  for (BackpressurePolicy P :
-       {BackpressurePolicy::BP_Block, BackpressurePolicy::BP_Shed}) {
+  {
     BackpressureConfig BP;
     BP.Enabled = true;
     BP.MaxPendingRecords = 256;
-    BP.Policy = P;
     int64_t Peak = peakHeapDelta([&] { pumpRecords(BP, N); });
     EXPECT_LT(Peak, Budget)
-        << backpressurePolicyName(P)
-        << ": peak live heap must stay orders of magnitude under the "
+        << "block: peak live heap must stay orders of magnitude under the "
            "~40 MB an unbounded queue would pin";
   }
   // Spill needs a file-backed log; same bound, same assertion.

@@ -408,20 +408,20 @@ TEST(BufferedLogTest, QueueGaugesBalanceAfterDrain) {
   L.setTelemetry(nullptr);
 }
 
-TEST(BufferedLogTest, ShedExecutionsNeverReachTheReader) {
-  // Flusher rounds shed observer executions at the bound; the reader's own
-  // rounds must drop the rest of any execution whose call was shed, also
-  // when they hand the run straight to its batch. What arrives is whole
-  // executions, mutators all of them, and ShedRecords counts the rest.
+TEST(BufferedLogTest, BoundedRoundsDeliverEveryRecordToASleepingReader) {
+  // Four producers press on a 4-record BP_Block bound while the reader
+  // sleeps at random between batches: flusher rounds meet the bound and
+  // wait, and the reader's own rounds hand runs straight to its batch.
+  // Every record must arrive exactly once, in ticket order and in its
+  // thread's program order.
   constexpr unsigned NumThreads = 4, Execs = 3000;
   BufferedLog::Options O;
   O.ShardCapacity = 32;
   O.Backpressure.Enabled = true;
-  O.Backpressure.Policy = BackpressurePolicy::BP_Shed;
+  O.Backpressure.Policy = BackpressurePolicy::BP_Block;
   O.Backpressure.MaxPendingRecords = 4;
   BufferedLog L(O);
   Name Obs = internName("obs"), Mut = internName("mut");
-  L.setShedClassifier([Obs](const Action &A) { return A.Method == Obs; });
   std::vector<Action> Got;
   std::thread Reader([&] {
     std::vector<Action> Batch;
@@ -444,8 +444,8 @@ TEST(BufferedLogTest, ShedExecutionsNeverReachTheReader) {
         if (M == Mut)
           W.append(Action::commit(T));
         else if (I % 16 == 1)
-          // Let a round end between call and return, so a window a
-          // flusher round opened is closed by a reader round.
+          // Let a round end between call and return, so an execution a
+          // flusher round started is finished by a reader round.
           std::this_thread::sleep_for(std::chrono::microseconds(20));
         W.append(Action::ret(T, M, Id));
       }
@@ -455,35 +455,39 @@ TEST(BufferedLogTest, ShedExecutionsNeverReachTheReader) {
   L.close();
   Reader.join();
 
-  // Per thread: every execution arrives whole or not at all, and only
-  // observer executions go missing.
+  ASSERT_EQ(Got.size(), NumThreads * (Execs / 2) * 5);
   std::map<ThreadId, std::vector<const Action *>> PerThread;
-  for (const Action &A : Got)
-    PerThread[A.Tid].push_back(&A);
-  uint64_t Appended = 0, Lost = 0;
+  for (size_t I = 0; I < Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Seq, I) << "global order must be seq-dense";
+    PerThread[Got[I].Tid].push_back(&Got[I]);
+  }
+  // Per thread: exactly the records it appended, in its program order.
   for (unsigned T = 0; T < NumThreads; ++T) {
     const std::vector<const Action *> &Rs = PerThread[T];
     size_t K = 0;
-    for (unsigned I = 0; I < Execs; ++I) {
-      bool IsObs = I % 2;
-      unsigned Len = IsObs ? 2 : 3;
-      Appended += Len;
-      if (K < Rs.size() && Rs[K]->Kind == ActionKind::AK_Call &&
-          Rs[K]->Args[0] == Value(static_cast<int64_t>(I))) {
-        ASSERT_LE(K + Len, Rs.size()) << "thread " << T << " exec " << I;
-        EXPECT_EQ(Rs[K + Len - 1]->Kind, ActionKind::AK_Return)
-            << "thread " << T << " exec " << I << " arrived torn";
-        K += Len;
-      } else {
-        EXPECT_TRUE(IsObs) << "thread " << T << " lost mutator exec " << I;
-        Lost += Len;
-      }
+    auto Expect = [&](ActionKind Kind, unsigned I) {
+      ASSERT_LT(K, Rs.size()) << "thread " << T << " lost exec " << I;
+      const Action &A = *Rs[K++];
+      ASSERT_EQ(A.Kind, Kind) << "thread " << T << " exec " << I;
+      Value Id(static_cast<int64_t>(I));
+      if (Kind == ActionKind::AK_Call)
+        EXPECT_EQ(A.Args[0], Id) << "thread " << T << " exec " << I;
+      else if (Kind == ActionKind::AK_Return)
+        EXPECT_EQ(A.Ret, Id) << "thread " << T << " exec " << I;
+    };
+    for (unsigned I = 0; I < Execs && !HasFailure(); ++I) {
+      Expect(ActionKind::AK_Call, I);
+      if (I % 2 == 0)
+        Expect(ActionKind::AK_Commit, I);
+      Expect(ActionKind::AK_Return, I);
     }
     EXPECT_EQ(K, Rs.size()) << "thread " << T << ": stray records";
   }
-  EXPECT_EQ(Got.size() + Lost, Appended);
-  EXPECT_EQ(L.backpressureStats().ShedRecords, Lost);
-  EXPECT_GT(Lost, 0u) << "nothing was shed: the test did not run its path";
+  EXPECT_EQ(PerThread.size(), NumThreads) << "records from a stray thread";
+  BackpressureStats S = L.backpressureStats();
+  EXPECT_LE(S.PendingRecordsHwm, 4u);
+  EXPECT_GT(S.BlockedAppends, 0u)
+      << "the bound never engaged: the test did not run its path";
 }
 
 TEST(BufferedLogTest, IdleOpenLogUsesNoCpu) {

@@ -9,7 +9,7 @@
 /// bundle (captured the moment a violation is raised: last-N retired
 /// actions, the open-execution table, the spec-state digest) and the
 /// verifier's on-disk `*.forensic.json` files (written for the first
-/// violation and for degraded verdicts, surfaced through the report).
+/// violation per object, surfaced through the report).
 ///
 //===----------------------------------------------------------------------===//
 

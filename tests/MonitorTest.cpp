@@ -146,10 +146,9 @@ TEST(MonitorTest, HealthVerdictPriorities) {
   TelemetrySnapshot S = T.snapshot();
   EXPECT_STREQ(monitor::healthVerdict(S, 0), "ok");
   EXPECT_STREQ(monitor::healthVerdict(S, 1), "violating");
-  T.count(Counter::C_ShedRecords, 5);
-  S = T.snapshot();
-  EXPECT_STREQ(monitor::healthVerdict(S, 0), "degraded");
-  // Violations outrank a degraded pipeline.
+  S.Stalled = true;
+  EXPECT_STREQ(monitor::healthVerdict(S, 0), "stalled");
+  // Violations outrank a stalled pipeline.
   EXPECT_STREQ(monitor::healthVerdict(S, 2), "violating");
 }
 

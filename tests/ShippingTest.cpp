@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TestUtil.h"
 #include "harness/Scenarios.h"
 #include "harness/Workload.h"
 #include "vyrd/Backpressure.h"
@@ -787,6 +788,9 @@ TEST(ShippingTest, ShedDegradeAccountsUnverifiedSuffix) {
     Noted |= N.find("unverified") != std::string::npos;
   EXPECT_TRUE(Noted) << "the shed note must name the unverified records";
   EXPECT_TRUE(R.ok()) << "notes are advisories, not violations";
+  EXPECT_NE(R.str().find("note: degraded"), std::string::npos) << R.str();
+  EXPECT_TRUE(test::jsonValid(R.json())) << R.json();
+  EXPECT_NE(R.json().find("\"notes\""), std::string::npos);
   removeChainAll(Base);
 }
 

@@ -155,12 +155,18 @@ TEST(ToolsTest, CheckIOModeWorks) {
 }
 
 TEST(ToolsTest, CheckRejectsBadUsage) {
-  std::string Out;
-  EXPECT_EQ(runTool(std::string(VYRD_CHECK_PATH) + " /tmp/x.bin "
-                    "--program not-a-program",
-                    Out),
-            2);
-  EXPECT_NE(Out.find("usage"), std::string::npos) << Out;
+  // A negative --audit would wrap to "audit every 4e9 commits" (off) and
+  // a negative --context to a ring that keeps every record.
+  for (const char *Args : {"--program not-a-program",
+                           "--program multiset --audit -1",
+                           "--program multiset --context -1"}) {
+    std::string Out;
+    EXPECT_EQ(runTool(std::string(VYRD_CHECK_PATH) + " /tmp/x.bin " + Args,
+                      Out),
+              2)
+        << Args;
+    EXPECT_NE(Out.find("usage"), std::string::npos) << Args << ": " << Out;
+  }
 }
 
 TEST(ToolsTest, LogdumpStatsAsJson) {

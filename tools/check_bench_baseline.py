@@ -45,8 +45,9 @@ def load_metrics(log_backends_path, hotpath_path, backpressure_path=None,
                     "value": row["extra"]["allocs_per_record"],
                 }
     if backpressure_path:
-        # Only the steady policies are baselined: shed rates depend on
-        # how far the host's producer outruns the throttled checker.
+        # Every row bench_backpressure emits, named explicitly: a row the
+        # bench gains later is gated (and recorded by --write) only once
+        # it is added here.
         with open(backpressure_path) as f:
             for row in json.load(f):
                 if row["config"] not in ("unbounded", "block", "spill",

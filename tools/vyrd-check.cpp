@@ -106,8 +106,8 @@ int main(int Argc, char **Argv) {
   bool Composite = ProgName == "composite";
   Program Prog = Program::P_MultisetVector;
   if (Path.empty() || (!Composite && !parseProgram(ProgName, Prog)) ||
-      (Mode != "io" && Mode != "view") || Epochs < 0 ||
-      (Resume && Epochs > 0))
+      (Mode != "io" && Mode != "view") || Audit < 0 || Context < 0 ||
+      Epochs < 0 || (Resume && Epochs > 0))
     return usage(Argv[0]);
 
   // The snapshot paths: check the chain through epochCheck instead of a

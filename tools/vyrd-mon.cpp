@@ -17,7 +17,7 @@
 //     list          one JSON line: registered objects + per-object counters
 //     stats         one JSON line: full telemetry snapshot + health
 //     violations    one JSON line: violations published so far
-//     health        one JSON line: {"health":"ok|degraded|stalled|..."}
+//     health        one JSON line: {"health":"ok|stalled|violating"}
 //
 //   options
 //     --mon NAME    registry mode (a vyrd-checkd control socket): attach
