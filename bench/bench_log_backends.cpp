@@ -412,11 +412,12 @@ int main(int Argc, char **Argv) {
   BenchJson BJ("log_backends", Args.JsonPath);
 
   std::printf("Log append throughput (%u methods x 4 records per "
-              "producer, best of %u)\n"
+              "producer, best of %u; asymmetric publish: %s)\n"
               "app = records per CPU-second spent in the producer threads "
               "(instrumentation cost)\ne2e = records per wall second until "
               "the log is closed and drained\n\n",
-              MethodsPerThread, Reps);
+              MethodsPerThread, Reps,
+              BufferedLog::asymmetricPublish() ? "yes" : "no");
 
   std::printf("In-memory, concurrent consumer draining 256-record "
               "batches:\n\n");
@@ -485,11 +486,12 @@ int main(int Argc, char **Argv) {
   std::printf("\nTelemetry overhead (BufferedLog, concurrent consumer"
               "%s):\n\n",
               telemetryCompiledIn() ? "" : "; COMPILED OUT");
-  std::printf("%-8s %13s %13s %10s\n", "threads", "off app M/s",
-              "on app M/s", "overhead");
+  std::printf("%-8s %13s %13s %10s %10s %10s\n", "threads", "off app M/s",
+              "on app M/s", "overhead", "parks/1k", "wakes/1k");
   hr();
   Telemetry Telem; // no sampler: measures the pure metric-update cost
   for (unsigned Threads : ThreadCounts) {
+    TelemetrySnapshot Before = Telem.snapshot();
     Throughput Off = measure(
         [] {
           BufferedLog::Options O;
@@ -507,8 +509,15 @@ int main(int Argc, char **Argv) {
         },
         Threads, /*Drain=*/true);
     double OverheadPct = (Off.App / On.App - 1.0) * 100.0;
-    std::printf("%-8u %13.2f %13.2f %9.1f%%\n", Threads, Off.App, On.App,
-                OverheadPct);
+    // Reader park/wake cycles per 1000 records over the telemetry-on reps.
+    TelemetrySnapshot After = Telem.snapshot();
+    double PerK = 1000.0 / (double(Threads) * MethodsPerThread * 4 * Reps);
+    auto Delta = [&](Counter C) {
+      return double(After.counter(C) - Before.counter(C)) * PerK;
+    };
+    std::printf("%-8u %13.2f %13.2f %9.1f%% %10.2f %10.2f\n", Threads,
+                Off.App, On.App, OverheadPct, Delta(Counter::C_ReaderParks),
+                Delta(Counter::C_ReaderWakes));
     jsonRow(BJ, "buffered-telemetry-off", Threads, Off);
     jsonRow(BJ, "buffered-telemetry-on", Threads, On);
   }

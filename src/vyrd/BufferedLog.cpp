@@ -19,9 +19,71 @@
 #include <cstdio>
 #include <mutex>
 
+#if defined(__linux__)
+#include <linux/membarrier.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
+#if defined(__SANITIZE_THREAD__)
+#define VYRD_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define VYRD_TSAN 1
+#endif
+#endif
+
 using namespace vyrd;
 
 namespace {
+
+/// Registers the process for expedited private membarrier, once. False
+/// under TSan, which cannot model the barrier, and where the kernel or a
+/// seccomp filter refuses the call; the log then keeps the seq_cst
+/// publish (BufferedLog.h, "Who merges, who sleeps").
+bool membarrierRegistered() {
+#if defined(__linux__) && defined(__NR_membarrier) && !defined(VYRD_TSAN)
+  static const bool Ok =
+      syscall(__NR_membarrier, MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED,
+              0, 0) == 0;
+  return Ok;
+#else
+  return false;
+#endif
+}
+
+/// The sleeper's half of the asymmetric fence: a full barrier on every
+/// running thread of the process, when registered.
+void membarrierAll() {
+#if defined(__linux__) && defined(__NR_membarrier)
+  if (membarrierRegistered())
+    syscall(__NR_membarrier, MEMBARRIER_CMD_PRIVATE_EXPEDITED, 0, 0);
+#endif
+}
+
+/// Read by every append: publish Head with a release store (true) or a
+/// seq_cst store (false). Zero-initialized, hence false, for an append
+/// that runs before this file's static initializers, which is the safe
+/// side: a seq_cst publish pairs with a sleeper whether or not it
+/// issues the barrier.
+const bool AsymmetricPublish = membarrierRegistered();
+
+/// Pauses the reader may spin, rechecking the shard heads, before it
+/// parks (awaitRecords). About 5 us of x86 `pause`.
+constexpr unsigned ReaderSpinPauses = 256;
+
+void cpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  _mm_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield" ::: "memory");
+#else
+  std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+}
 
 /// Producer-side wait while the shard ring is full: a couple of yields,
 /// then short sleeps so a starved merger gets CPU even on one core.
@@ -53,30 +115,39 @@ enum SlotState : uint8_t { SlotEmpty, SlotParked, SlotAdmit, SlotDrop };
 
 /// Where one thread (the reader or the flusher) parks: a sleeper flag and
 /// an eventcount. BufferedLog.h ("Who merges, who sleeps") has the
-/// argument that no wake-up is lost.
+/// argument that no wake-up is lost: the sleeper raises its flag, issues
+/// the process-wide barrier (when the producers publish with a plain
+/// release store), then rechecks for work; a producer publishes, then
+/// loads the flag.
 struct alignas(64) Sleeper {
   std::atomic<bool> Parked{false};
   std::atomic<uint32_t> Epoch{0};
 
   /// Wakes the thread if it is parked. The load keeps the common call (no
   /// sleeper) read-only; the exchange makes one waker per sleep.
-  void wake() {
+  /// \returns true when this call woke the thread.
+  bool wake() {
     if (Parked.load(std::memory_order_seq_cst) &&
         Parked.exchange(false, std::memory_order_seq_cst)) {
       Epoch.fetch_add(1, std::memory_order_seq_cst);
       Epoch.notify_one();
+      return true;
     }
+    return false;
   }
 
   /// Parks the calling thread unless \p HasWork, called once the flag is
-  /// up, finds something to do.
-  template <typename Fn> void park(Fn HasWork) {
+  /// up and the barrier issued, finds something to do. \p BeforeWait runs
+  /// when the thread is about to wait.
+  template <typename Fn, typename Gn> void park(Fn HasWork, Gn BeforeWait) {
     uint32_t E = Epoch.load(std::memory_order_seq_cst);
     Parked.store(true, std::memory_order_seq_cst);
+    membarrierAll();
     if (HasWork()) {
       Parked.store(false, std::memory_order_relaxed);
       return;
     }
+    BeforeWait();
     // A waker clears the flag before it bumps the epoch.
     Epoch.wait(E, std::memory_order_seq_cst);
   }
@@ -200,10 +271,19 @@ uint64_t ThreadLogShard::append(Action A) {
   uint64_t Ticket = P.Tickets.fetch_add(1, std::memory_order_relaxed);
   A.Seq = Ticket;
   Slots[H & Mask] = std::move(A);
-  // seq_cst, not just release: this store and the flag loads after it are
-  // the producer's half of the lost-wake-up argument (BufferedLog.h).
-  Head.store(H + 1, std::memory_order_seq_cst);
-  P.Reader.wake();
+  // The producer's half of the lost-wake-up argument (BufferedLog.h): the
+  // publish, then the flag loads below. A release store and a compiler
+  // barrier keep them in that order in the instruction stream, and a
+  // sleeper's membarrier orders them on the CPU; without membarrier, a
+  // seq_cst store does both.
+  if (AsymmetricPublish) {
+    Head.store(H + 1, std::memory_order_release);
+    asm volatile("" ::: "memory");
+  } else {
+    Head.store(H + 1, std::memory_order_seq_cst);
+  }
+  if (P.Reader.wake() && telemetryCompiledIn() && TC)
+    TC->count(Counter::C_ReaderWakes);
   if (H + 1 - CachedTail == P.ShardHalf) {
     // Passing half full by the cached tail: if the real tail agrees,
     // nobody is keeping up, and the flusher takes over.
@@ -503,12 +583,9 @@ void BufferedLog::waitForRoom() {
   });
 }
 
-bool BufferedLog::shardsHold(uint64_t N) const {
-  for (ThreadLogShard *S = I->Shards.load(std::memory_order_seq_cst); S;
-       S = S->NextShard)
-    if (S->Head.load(std::memory_order_seq_cst) -
-            S->Tail.load(std::memory_order_acquire) >=
-        N)
+bool BufferedLog::shardsHold(uint64_t N, std::memory_order MO) const {
+  for (ThreadLogShard *S = I->Shards.load(MO); S; S = S->NextShard)
+    if (S->Head.load(MO) - S->Tail.load(std::memory_order_acquire) >= N)
       return true;
   return false;
 }
@@ -516,33 +593,54 @@ bool BufferedLog::shardsHold(uint64_t N) const {
 void BufferedLog::awaitRecords(std::vector<Action> *Out, size_t Max) {
   if (mergeRound(/*Reader=*/true, Out, Max).Emitted)
     return;
-  I->Reader.park([this] {
-    {
-      std::lock_guard Lock(I->QM);
-      if (readyLocked() || I->Finished)
-        return true;
-    }
-    return shardsHold(1);
-  });
+  // Every park costs the process a barrier on each running thread, and
+  // the next append a wake-up: spin a little first, in case a record is
+  // on its way. The caller runs another round when this returns.
+  for (unsigned K = 0; K != ReaderSpinPauses; ++K) {
+    if (shardsHold(1, std::memory_order_acquire))
+      return;
+    cpuRelax();
+  }
+  I->Reader.park(
+      [this] {
+        {
+          std::lock_guard Lock(I->QM);
+          if (readyLocked() || I->Finished)
+            return true;
+        }
+        return shardsHold(1);
+      },
+      [this] {
+        if (telemetryCompiledIn())
+          if (Telemetry *T = telemetry())
+            T->count(Counter::C_ReaderParks);
+      });
 }
 
 void BufferedLog::flusherMain() {
+  auto WakeReader = [this] {
+    if (I->Reader.wake() && telemetryCompiledIn())
+      if (Telemetry *T = telemetry())
+        T->count(Counter::C_ReaderWakes);
+  };
   for (;;) {
     // Order matters: observe Closed before the round, so everything
     // appended before close() is captured by this round's drain.
     bool ClosedNow = I->Closed.load(std::memory_order_seq_cst);
     MergeResult R = mergeRound(/*Reader=*/false);
     if (R.Emitted || R.Blocked)
-      I->Reader.wake(); // the queue changed under a reader that may be parked
+      WakeReader(); // the queue changed under a reader that may be parked
     if (ClosedNow && R.CaughtUp)
       break;
     if (R.Blocked)
       waitForRoom();
     else if (!R.Drained && !R.Emitted)
-      I->Flusher.park([this] {
-        return I->Closed.load(std::memory_order_seq_cst) ||
-               shardsHold(I->ShardHalf);
-      });
+      I->Flusher.park(
+          [this] {
+            return I->Closed.load(std::memory_order_seq_cst) ||
+                   shardsHold(I->ShardHalf);
+          },
+          [] {});
   }
   if (I->HasFile)
     I->Sink.sync();
@@ -550,7 +648,7 @@ void BufferedLog::flusherMain() {
     std::lock_guard Lock(I->QM);
     I->Finished = true;
   }
-  I->Reader.wake();
+  WakeReader();
 }
 
 void BufferedLog::close() {
@@ -726,6 +824,8 @@ bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
     dequeuedLocked(N, Bytes);
   return N != 0;
 }
+
+bool BufferedLog::asymmetricPublish() { return AsymmetricPublish; }
 
 uint64_t BufferedLog::appendCount() const {
   return I->Tickets.load(std::memory_order_acquire);

@@ -31,9 +31,13 @@
 ///    X's increment precedes Y's in the counter's modification order, so
 ///    ticket(X) < ticket(Y). No stronger ordering is needed from the RMW
 ///    itself; `relaxed` suffices.
-///  * the record is published to the shard with a (seq_cst, hence
-///    release) store of the ring head; the merger reads the head with
-///    acquire, so the record contents are visible when it drains.
+///  * the record is published to the shard with a release store of the
+///    ring head (seq_cst in the fallback below); the merger reads the
+///    head with acquire, so the record contents are visible when it
+///    drains. The release store is the commit of the publish (the
+///    release/acquire reading of Dalvandi & Dongol, "Verifying C11-Style
+///    Weak Memory Libraries via Refinement"): a merger whose acquire
+///    load reads it sees the whole record.
 ///  * tickets are dense, so a merge round can (and must) emit records in
 ///    exactly ticket order: it holds records back until the contiguous
 ///    prefix is complete, then stamps them into the global order as the
@@ -62,8 +66,9 @@
 ///    emit into the queue, at most its free room. Either way a
 ///    reader-side round admits at most the queue bound, so it never has
 ///    to wait on its own queue; what does not fit stays parked for the
-///    next round. When a round finds nothing, the reader parks on an
-///    eventcount until a producer publishes.
+///    next round. When a round finds nothing, the reader spins briefly
+///    on the shard heads, then parks on an eventcount until a producer
+///    publishes.
 ///  * the flusher thread, for the logs nobody reads online: log-only and
 ///    offline runs, the backlog behind a spilling reader, and a reader
 ///    busy or blocked downstream (checker-pool admission). It sleeps on
@@ -78,31 +83,65 @@
 /// a direct run only when the queue is empty, so ticket order holds
 /// across the two paths.
 ///
-/// The lost-wake-up argument. A sleeper loads its epoch, stores its
-/// sleeper flag (seq_cst), then rechecks for work: it loads every shard's
-/// Head (seq_cst) and parks only if no shard holds a record (the reader)
-/// or half a ring (the flusher); the reader also looks at its queue under
-/// the queue mutex, the flusher at Closed. A producer stores Head
-/// (seq_cst), then loads the reader's flag (seq_cst), and the flusher's
-/// when its ring passes half full. These accesses are all in the single
-/// total order S of seq_cst operations, so either the sleeper's Head load
-/// follows the producer's Head store in S (the recheck sees the record
-/// and the sleeper does not sleep), or the sleeper's flag store precedes
-/// the producer's flag load (the producer sees the flag and wakes it).
+/// The lost-wake-up argument. The producer's publish is on the hot path
+/// and the sleeper's park is not, so the full barrier the two sides need
+/// is paid by the sleeper (the asymmetric-fence pattern):
+///
+///  * producer: stores Head with release, then a compiler barrier, then
+///    loads the reader's sleeper flag, and the flusher's when its ring
+///    passes half full. The compiler barrier keeps the store before the
+///    loads in the instruction stream; nothing orders them on the CPU
+///    (a store buffer may hold the store past the loads).
+///  * sleeper: loads its epoch, stores its flag (seq_cst), issues
+///    membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED), then rechecks for
+///    work: it loads every shard's Head and parks only if no shard holds
+///    a record (the reader) or half a ring (the flusher); the reader
+///    also looks at its queue under the queue mutex, the flusher at
+///    Closed.
+///
+/// membarrier returns only after every thread of the process has run a
+/// full barrier at some instruction boundary between the call's start
+/// and its return: a running thread in the IPI the call sends it, a
+/// descheduled one in the context switch that took it off its CPU (and
+/// a thread scheduled in meanwhile starts after the sleeper's flag store
+/// is visible). So the producer's barrier point falls either after its
+/// Head store, and then the store is visible before membarrier returns
+/// and the sleeper's recheck sees the record; or before the store, and
+/// then its flag load comes after the barrier, which comes after the
+/// sleeper's flag store, and it sees the flag and wakes the sleeper.
+/// Either way the record is not stranded under a sleeping reader.
+///
+/// Fallback: TSan cannot model membarrier, and registration
+/// (MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED, once per process) fails
+/// on old kernels and under some seccomp filters. Then producers publish
+/// Head with a seq_cst store (asymmetricPublish() is false), sleepers
+/// skip the barrier, and the argument is the seq_cst one: the producer's
+/// Head store and flag load and the sleeper's flag store and Head load
+/// are all in the single total order S of seq_cst operations, so either
+/// the sleeper's Head load follows the producer's Head store in S, or
+/// the sleeper's flag store precedes the producer's flag load.
+///
 /// A waker wakes only after clearing the flag with an exchange, so each
 /// sleep costs one notify, not one per publish. The epoch was loaded
 /// before the flag was stored and the waker bumps it after reading that
 /// store, so the bump is never the value the sleeper waits against:
 /// atomic<uint32_t>::wait returns. Shards registered after the recheck's
 /// list load are covered the same way (the registration store is seq_cst
-/// and precedes the new shard's first publish); close() stores Closed
-/// (seq_cst) before it loads the flusher's flag. Records a merge round
-/// moves to the queue are covered by the queue mutex: every flusher round
-/// that emits ends with a wake-up check, and a reader whose recheck took
-/// the mutex before the round's push had stored its flag before that
-/// check. A producer that finds its ring full wakes the flusher on every
-/// backoff round, so no ring stays full unmerged whatever the half-full
-/// check saw.
+/// and precedes the new shard's first publish in its producer's program
+/// order); close() stores Closed (seq_cst) before it loads the flusher's
+/// flag. Records a merge round moves to the queue are covered by the
+/// queue mutex: every flusher round that emits ends with a wake-up check,
+/// and a reader whose recheck took the mutex before the round's push had
+/// stored its flag before that check. A producer that finds its ring full
+/// wakes the flusher on every backoff round, so no ring stays full
+/// unmerged whatever the half-full check saw.
+///
+/// Since every park makes each running thread of the process take a
+/// barrier, the reader spins briefly (a bounded run of `pause`s,
+/// rechecking the shard heads with acquire loads) before it parks; a
+/// record that arrives meanwhile sends it back to its loop for another
+/// round instead. The reader_parks / reader_wakes telemetry counters
+/// count the cycles that remain.
 ///
 /// Backpressure: shards are bounded. A producer whose ring is full wakes
 /// the flusher and waits (yield, then short sleeps) until a merge round
@@ -161,9 +200,10 @@ private:
   /// to BufferedLog's shard list.
   ThreadLogShard *NextShard = nullptr;
   /// Monotonic positions; slot = position & Mask. Head is written by the
-  /// producer (seq_cst, see the file comment) and read by the merger
-  /// (acquire); Tail is the reverse. CachedTail lets the producer check
-  /// for space without touching the shared Tail in the common case.
+  /// producer (a release store, or seq_cst in the fallback; see the file
+  /// comment) and read by the merger (acquire); Tail is the reverse.
+  /// CachedTail lets the producer check for space without touching the
+  /// shared Tail in the common case.
   alignas(64) std::atomic<uint64_t> Head{0};
   alignas(64) std::atomic<uint64_t> Tail{0};
   uint64_t CachedTail = 0;
@@ -241,6 +281,12 @@ public:
   /// threads, fewer when a thread reused an exited thread's id.
   size_t shardCount() const;
 
+  /// True when appends publish with a release store and sleepers pay the
+  /// barrier with membarrier; false when they fall back to the seq_cst
+  /// publish (under TSan, or where membarrier registration failed). See
+  /// "Who merges, who sleeps" in the file comment.
+  static bool asymmetricPublish();
+
 private:
   friend class ThreadLogShard;
 
@@ -301,8 +347,10 @@ private:
   /// a producer or a merge round wakes it.
   void awaitRecords(std::vector<Action> *Out = nullptr, size_t Max = 0);
   /// True when some shard holds at least \p N published records not yet
-  /// drained (the sleepers' recheck: seq_cst loads of every Head).
-  bool shardsHold(uint64_t N) const;
+  /// drained. The sleepers' recheck loads every Head with seq_cst (the
+  /// fallback protocol needs it); the reader's spin uses acquire.
+  bool shardsHold(uint64_t N,
+                  std::memory_order MO = std::memory_order_seq_cst) const;
   bool readyLocked() const;
   bool tryNextLocked(Action &Out, bool &End);
   bool spillNextLocked(Action &Out);

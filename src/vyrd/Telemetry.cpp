@@ -38,6 +38,10 @@ const char *vyrd::counterName(Counter C) {
     return "flushed_records";
   case Counter::C_ReorderGrows:
     return "reorder_grows";
+  case Counter::C_ReaderParks:
+    return "reader_parks";
+  case Counter::C_ReaderWakes:
+    return "reader_wakes";
   case Counter::C_CheckerBatches:
     return "checker_batches";
   case Counter::C_CheckerActions:

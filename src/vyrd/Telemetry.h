@@ -74,6 +74,10 @@ enum class Counter : uint8_t {
   /// Reorder-ring regrowths (a producer stalled between ticket and
   /// publish while others ran more than a ring ahead).
   C_ReorderGrows,
+  /// Times the log's reader parked (its recheck found nothing and it
+  /// waited) / times a producer or the flusher woke it (BufferedLog).
+  C_ReaderParks,
+  C_ReaderWakes,
   /// Batches the verification thread pulled from the log.
   C_CheckerBatches,
   /// Actions fed to the refinement checker.

@@ -29,6 +29,14 @@
 #include <thread>
 #include <time.h>
 
+#if defined(__SANITIZE_THREAD__)
+#define VYRD_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define VYRD_TEST_TSAN 1
+#endif
+#endif
+
 using namespace vyrd;
 using namespace std::chrono_literals;
 
@@ -503,6 +511,59 @@ TEST(BufferedLogTest, IdleOpenLogUsesNoCpu) {
   L.append(Action::commit(1));
   Reader.join();
   L.close();
+}
+
+TEST(BufferedLogTest, ReaderParksAndWakesAreCounted) {
+  if (!telemetryCompiledIn())
+    GTEST_SKIP() << "telemetry compiled out";
+  // Single-record bursts with pauses longer than the reader's spin: the
+  // reader parks between them and each append wakes it.
+  constexpr unsigned N = 40;
+  Telemetry T;
+  BufferedLog L;
+  L.setTelemetry(&T);
+  LogWriter &W = L.writer();
+  std::vector<Action> Got;
+  std::atomic<bool> Done{false};
+  std::thread Reader([&] {
+    std::vector<Action> Batch;
+    while (Got.size() < N && L.nextBatch(Batch, 64))
+      for (Action &A : Batch)
+        Got.push_back(std::move(A));
+    Done.store(true, std::memory_order_release);
+  });
+  for (unsigned I = 0; I < N; ++I) {
+    std::this_thread::sleep_for(2ms);
+    W.append(Action::commit(I));
+  }
+  watchdog(Done, "the reader of single-record bursts");
+  Reader.join();
+  ASSERT_EQ(Got.size(), N);
+  for (unsigned I = 0; I < N; ++I) {
+    EXPECT_EQ(Got[I].Seq, I);
+    EXPECT_EQ(Got[I].Tid, I);
+  }
+  TelemetrySnapshot S = T.snapshot();
+  uint64_t Parks = S.counter(Counter::C_ReaderParks);
+  uint64_t Wakes = S.counter(Counter::C_ReaderWakes);
+  EXPECT_GE(Parks, N / 2) << "the reader never slept: the park path did "
+                             "not run";
+  EXPECT_LE(Wakes, Parks + 1) << "a wake-up without a sleeper to wake";
+  L.close();
+  L.setTelemetry(nullptr);
+}
+
+TEST(BufferedLogTest, PublishIsAsymmetricOutsideTSan) {
+  // The release publish is what ships; the seq_cst fallback must not be
+  // what a Linux build measures without anyone noticing.
+#if defined(VYRD_TEST_TSAN)
+  EXPECT_FALSE(BufferedLog::asymmetricPublish());
+#elif defined(__linux__)
+  EXPECT_TRUE(BufferedLog::asymmetricPublish())
+      << "membarrier registration failed: appends pay a full fence";
+#else
+  GTEST_SKIP() << "membarrier is Linux-only";
+#endif
 }
 
 TEST(BufferedLogTest, EveryAppendIsCountedAsMergedWithALiveReader) {

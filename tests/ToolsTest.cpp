@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Exercises vyrd-logdump and vyrd-check as real subprocesses against a
-/// freshly recorded log (paths injected by CMake via VYRD_LOGDUMP_PATH /
-/// VYRD_CHECK_PATH).
+/// Exercises the CLI tools as real subprocesses, mostly against a freshly
+/// recorded log (paths injected by CMake via VYRD_LOGDUMP_PATH,
+/// VYRD_CHECK_PATH, VYRD_TRACE_PATH, VYRD_MON_PATH and VYRD_CHECKD_PATH).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -535,4 +535,30 @@ TEST(ToolsTest, MonFailsCleanlyWithoutServer) {
   EXPECT_NE(Out.find("cannot connect"), std::string::npos) << Out;
   EXPECT_EQ(runTool(std::string(VYRD_MON_PATH) + " --bogus", Out), 2);
   EXPECT_NE(Out.find("usage"), std::string::npos) << Out;
+  // A negative number would wrap to ~2^64 ms: an endless sleep or wait.
+  for (const char *Args : {"--interval -1", "--count -5", "--wait -1",
+                           "--interval 10x", "--count many", "--wait ''"}) {
+    EXPECT_EQ(runTool(std::string(VYRD_MON_PATH) +
+                          " --socket /tmp/vyrd-no-such.sock " + Args,
+                      Out),
+              2)
+        << Args;
+    EXPECT_NE(Out.find("usage"), std::string::npos) << Args << ": " << Out;
+  }
+}
+
+TEST(ToolsTest, CheckdRejectsBadUsage) {
+  // --checker-threads -1 would wrap to 4294967295 pool threads on the
+  // first session; "4x" used to be read as 4.
+  for (const char *Args :
+       {"", "--listen unix:/tmp/vyrd-no-such.sock --checker-threads -1",
+        "--listen unix:/tmp/vyrd-no-such.sock --checker-threads 4x",
+        "--listen unix:/tmp/vyrd-no-such.sock --checker-threads four",
+        "--listen unix:/tmp/vyrd-no-such.sock --checker-threads 0",
+        "--listen unix:/tmp/vyrd-no-such.sock --bogus"}) {
+    std::string Out;
+    EXPECT_EQ(runTool(std::string(VYRD_CHECKD_PATH) + " " + Args, Out), 2)
+        << Args;
+    EXPECT_NE(Out.find("usage"), std::string::npos) << Args << ": " << Out;
+  }
 }

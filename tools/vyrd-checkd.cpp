@@ -31,10 +31,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ParseArgs.h"
 #include "harness/Scenarios.h"
 #include "vyrd/ShipServer.h"
 
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -107,8 +109,10 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--control" && I + 1 < Argc) {
       Control = Argv[++I];
     } else if (Arg == "--checker-threads" && I + 1 < Argc) {
-      Opts.CheckerThreads =
-          static_cast<unsigned>(std::strtoul(Argv[++I], nullptr, 10));
+      uint64_t N = 0;
+      if (!tools::parseUnsigned(Argv[++I], N) || N > UINT_MAX)
+        return usage(Argv[0]);
+      Opts.CheckerThreads = static_cast<unsigned>(N);
     } else if (Arg == "--report-dir" && I + 1 < Argc) {
       Opts.ReportDir = Argv[++I];
     } else if (Arg == "--once") {

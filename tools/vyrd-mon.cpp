@@ -37,6 +37,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ParseArgs.h"
+
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -163,12 +165,15 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--mon" && I + 1 < Argc) {
       MonName = Argv[++I];
     } else if (Arg == "--interval" && I + 1 < Argc) {
-      IntervalMs = std::strtoull(Argv[++I], nullptr, 10);
+      if (!vyrd::tools::parseUnsigned(Argv[++I], IntervalMs))
+        return usage(Argv[0]);
     } else if (Arg == "--count" && I + 1 < Argc) {
-      Count = std::strtoull(Argv[++I], nullptr, 10);
+      if (!vyrd::tools::parseUnsigned(Argv[++I], Count))
+        return usage(Argv[0]);
       CountSet = true;
     } else if (Arg == "--wait" && I + 1 < Argc) {
-      WaitMs = std::strtoull(Argv[++I], nullptr, 10);
+      if (!vyrd::tools::parseUnsigned(Argv[++I], WaitMs))
+        return usage(Argv[0]);
     } else if (Arg == "--json") {
       Cmd = "stats";
     } else if (Arg == "--prom") {
