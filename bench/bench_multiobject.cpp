@@ -24,8 +24,8 @@
 // --epochs switches to the epoch-parallel mode: the composite workload is
 // recorded once as a segmented chain with snapshot sidecars
 // (VerifierConfig::Snapshots, reclamation off), then epochCheck() replays
-// it with the (object, epoch) task matrix on 1/2/4 threads against the
-// serial from-zero baseline. This measures the within-object speedup the
+// it with one task per epoch on 1/2/4 threads against the serial
+// from-zero baseline. This measures the within-object speedup the
 // object-affine pool cannot provide (docs/SNAPSHOTS.md).
 //
 //===----------------------------------------------------------------------===//

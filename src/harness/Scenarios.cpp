@@ -877,3 +877,24 @@ PipelineFactory vyrd::harness::makeCompositePipeline(bool ViewLevel) {
     }
   };
 }
+
+bool vyrd::harness::resolveProgramPipeline(const std::string &Key,
+                                           bool ViewLevel,
+                                           size_t &NumObjects,
+                                           PipelineFactory &Factory) {
+  if (Key == "composite") {
+    NumObjects = 4;
+    Factory = makeCompositePipeline(ViewLevel);
+    return true;
+  }
+  std::vector<Program> Ps = allPrograms();
+  for (Program P : extensionPrograms())
+    Ps.push_back(P);
+  for (Program P : Ps)
+    if (Key == programShipKey(P)) {
+      NumObjects = 1;
+      Factory = makeProgramPipeline(P, ViewLevel);
+      return true;
+    }
+  return false;
+}

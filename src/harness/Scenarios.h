@@ -177,10 +177,10 @@ size_t stringBufferLengthBound(unsigned Threads);
 /// violation must be attributed to the "multiset" object.
 Scenario makeCompositeScenario(const ScenarioOptions &O);
 
-/// PipelineFactory (see Epoch.h) that rebuilds the spec + replayer of the
-/// single object makeScenario registers for \p P, with the same
-/// constructor parameters — so sidecar blobs recorded by the scenario
-/// restore into it. \p ViewLevel must match the recording's check mode
+/// PipelineFactory (see CheckerService.h) that rebuilds the spec +
+/// replayer of the single object makeScenario registers for \p P, with
+/// the same constructor parameters — so sidecar blobs recorded by the
+/// scenario restore into it. \p ViewLevel must match the recording's check mode
 /// (the replayer is only built for view refinement, mirroring
 /// wireScenario). Pass NumObjects = 1 to epochCheck.
 PipelineFactory makeProgramPipeline(Program P, bool ViewLevel);
@@ -189,6 +189,13 @@ PipelineFactory makeProgramPipeline(Program P, bool ViewLevel);
 /// (multiset, cache, blinktree, queue in ObjectId order). Pass
 /// NumObjects = 4 to epochCheck.
 PipelineFactory makeCompositePipeline(bool ViewLevel);
+
+/// Resolves a shipping key (programShipKey, or "composite") into the
+/// pipelines of its recording run: the object count and factory to pass
+/// to epochCheck or a ShipServer session. \returns false for an unknown
+/// key.
+bool resolveProgramPipeline(const std::string &Key, bool ViewLevel,
+                            size_t &NumObjects, PipelineFactory &Factory);
 
 } // namespace harness
 } // namespace vyrd

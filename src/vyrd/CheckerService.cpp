@@ -319,6 +319,22 @@ ObjectId CheckerService::addObject(std::string Name, std::unique_ptr<Spec> S,
   return Id;
 }
 
+bool CheckerService::addObjects(size_t NumObjects,
+                                const PipelineFactory &Factory,
+                                const CheckerConfig &CC, std::string &Err) {
+  for (size_t Id = 0; Id < NumObjects; ++Id) {
+    std::string Name;
+    std::unique_ptr<Spec> S;
+    std::unique_ptr<Replayer> R;
+    if (!Factory(static_cast<ObjectId>(Id), Name, S, R) || !S) {
+      Err = "pipeline factory does not know object " + std::to_string(Id);
+      return false;
+    }
+    addObject(std::move(Name), std::move(S), std::move(R), CC);
+  }
+  return true;
+}
+
 CheckMode CheckerService::objectMode(ObjectId Id) const {
   assert(Id < Objects.size() && "mode of unregistered object");
   return Objects[Id]->CheckerCfg.Mode;
@@ -454,21 +470,12 @@ void CheckerService::takeSnapshot(uint64_t SegIndex, uint64_t CutSeq) {
   SnapshotFile SF;
   SF.SegmentIndex = SegIndex;
   SF.Watermark = CutSeq;
-  for (auto &O : Objects) {
-    ByteWriter W;
-    // A dirty checker (violation recorded, spec diverged) or a spec /
-    // replayer without serialization support makes the whole cut
-    // unsnapshottable: a partial sidecar could not seed a resume.
-    if (!O->Checker->saveState(W)) {
-      if (Telem)
-        Telem->count(Counter::C_SnapshotSkips);
-      return;
-    }
-    SnapshotObject SO;
-    SO.Id = O->Id;
-    SO.Name = O->Name;
-    SO.Blob = W.buffer();
-    SF.Objects.push_back(std::move(SO));
+  // A partial sidecar could not seed a resume: one unserializable
+  // checker makes the whole cut unsnapshottable.
+  if (!cutSnapshot(SF)) {
+    if (Telem)
+      Telem->count(Counter::C_SnapshotSkips);
+    return;
   }
   std::string Path = snapshotSidecarPath(Opts.SnapshotBase, SegIndex);
   if (!writeSnapshotFile(Path, SF)) {
@@ -483,6 +490,23 @@ void CheckerService::takeSnapshot(uint64_t SegIndex, uint64_t CutSeq) {
   if (Tracer)
     Tracer->noteVerifierInstant(CutSeq, "snapshot: segment " +
                                             std::to_string(SegIndex));
+}
+
+bool CheckerService::cutSnapshot(SnapshotFile &SF) {
+  bool All = true;
+  for (auto &O : Objects) {
+    ByteWriter W;
+    if (!O->Checker->saveState(W)) {
+      All = false;
+      continue;
+    }
+    SnapshotObject SO;
+    SO.Id = O->Id;
+    SO.Name = O->Name;
+    SO.Blob = W.buffer();
+    SF.Objects.push_back(std::move(SO));
+  }
+  return All;
 }
 
 bool CheckerService::restoreFromSnapshot(const SnapshotFile &Snap,
@@ -540,15 +564,21 @@ void CheckerService::buildReport(VerifierReport &R) {
   // Merge the per-object violation lists back into witness order.
   sortViolationsBySeq(R.Violations);
   if (UnroutedRecords) {
-    Violation V;
-    V.Kind = ViolationKind::VK_Instrumentation;
-    V.Seq = FirstUnroutedSeq;
-    V.Message = std::to_string(UnroutedRecords) +
-                " log records reference unregistered object ids (hooks "
-                "outliving their verifier, or log corruption)";
-    R.Violations.push_back(V);
+    R.Violations.push_back(
+        unroutedViolation(UnroutedRecords, FirstUnroutedSeq));
     ViolationFlag.store(true, std::memory_order_release);
   }
+}
+
+Violation CheckerService::unroutedViolation(uint64_t Count,
+                                            uint64_t FirstSeq) {
+  Violation V;
+  V.Kind = ViolationKind::VK_Instrumentation;
+  V.Seq = FirstSeq;
+  V.Message = std::to_string(Count) +
+              " log records reference unregistered object ids (hooks "
+              "outliving their verifier, or log corruption)";
+  return V;
 }
 
 void CheckerService::mergePoolStats(BackpressureStats &S) const {

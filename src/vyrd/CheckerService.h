@@ -38,6 +38,7 @@
 #include "vyrd/Trace.h"
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -46,6 +47,18 @@
 namespace vyrd {
 
 struct VerifierReport;
+
+/// Builds the spec + replayer pipeline for one registered object of a
+/// recorded run. Every checker built from a recording — an epoch task,
+/// a shipped session — calls it once per object, so the factory must be
+/// thread-safe and must produce the same spec the recording run
+/// registered for \p Id (same constructor parameters; sidecar blobs
+/// restore into it). \p Name receives the object's report name.
+/// \returns false when \p Id is not a known object; the caller treats
+/// that as an error, since the object's records could not be checked.
+using PipelineFactory = std::function<bool(
+    ObjectId Id, std::string &Name, std::unique_ptr<Spec> &S,
+    std::unique_ptr<Replayer> &R)>;
 
 /// Configuration of the checker half (the slice of VerifierConfig it
 /// needs; the Verifier copies these fields over, vyrd-checkd fills them
@@ -82,6 +95,12 @@ public:
   ObjectId addObject(std::string Name, std::unique_ptr<Spec> S,
                      std::unique_ptr<Replayer> R, CheckerConfig CC);
 
+  /// Registers objects 0 .. \p NumObjects - 1 as \p Factory builds them,
+  /// all with checker settings \p CC. Fails (with \p Err set) on the
+  /// first id the factory does not know.
+  bool addObjects(size_t NumObjects, const PipelineFactory &Factory,
+                  const CheckerConfig &CC, std::string &Err);
+
   size_t objectCount() const { return Objects.size(); }
   /// The check mode object \p Id was registered with (selects the hook
   /// logging level on the producer side).
@@ -113,6 +132,13 @@ public:
   /// Options.SnapshotBase. No-op when SnapshotBase is empty.
   void takeSnapshot(uint64_t SegIndex, uint64_t CutSeq);
 
+  /// The in-memory half of takeSnapshot: appends every checker's state
+  /// at this point to \p SF's objects. A checker that cannot be
+  /// serialized (violation recorded, or a spec / replayer without
+  /// snapshot support) is left out. \returns true when every object made
+  /// it into the cut. Without a pool, or after quiesce().
+  bool cutSnapshot(SnapshotFile &SF);
+
   /// Seeds every checker from \p Snap (a v5 sidecar) before any record
   /// is routed — the cold-pickup path for a chain whose prefix was
   /// reclaimed. Fails (with \p Err set) when an object has no blob or a
@@ -131,9 +157,17 @@ public:
   /// Fills the checking side of \p R: per-object reports, the merged
   /// stats and witness-ordered violation list, and the
   /// VK_Instrumentation violation for unrouted records. Call after
-  /// finishChecking(); log-side fields (LogRecords, LogBytes, the log's
-  /// backpressure stats) are the caller's.
+  /// finishChecking(), or on a paused mid-stream slice whose open tail
+  /// belongs to a later one; log-side fields (LogRecords, LogBytes, the
+  /// log's backpressure stats) are the caller's.
   void buildReport(VerifierReport &R);
+  /// Records routed so far whose ObjectId matched no registered object,
+  /// and the Seq of the first. Driving thread only.
+  uint64_t unroutedRecords() const { return UnroutedRecords; }
+  uint64_t firstUnroutedSeq() const { return FirstUnroutedSeq; }
+  /// The VK_Instrumentation violation buildReport files for \p Count
+  /// unrouted records, the first at \p FirstSeq.
+  static Violation unroutedViolation(uint64_t Count, uint64_t FirstSeq);
   /// Merges the pool's admission accounting into \p S (no-op without a
   /// pool).
   void mergePoolStats(BackpressureStats &S) const;

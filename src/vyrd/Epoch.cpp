@@ -17,6 +17,9 @@ using namespace vyrd;
 
 namespace {
 
+/// Records per routeRange call while feeding a slice.
+constexpr size_t SliceBatch = 256;
+
 /// One snapshot-delimited slice of the chain.
 struct EpochSlice {
   size_t SegPos = 0;                  ///< first segment (index into Segs)
@@ -25,21 +28,123 @@ struct EpochSlice {
   uint64_t EndSeq = UINT64_MAX; ///< exclusive; UINT64_MAX for the last epoch
 };
 
-/// Outcome of one (object, epoch) task.
+/// Outcome of one slice: one CheckerService over every object.
 struct SliceResult {
-  std::string Name; ///< object report name, from the factory
-  std::vector<Violation> Violations;
-  CheckerStats Stats;
-  /// End-of-epoch state did not match the next sidecar's baseline (or
-  /// could not be serialized for the audit). Conservative: forces the
-  /// serial re-check, exactly like a violation.
-  bool BaselineMismatch = false;
-  /// The sidecar blob failed to restore into a fresh pipeline.
+  /// The factory does not know an object id (the whole check fails).
+  std::string Error;
+  /// Per-object reports, Objects[O] for object O, from buildReport.
+  VerifierReport Report;
+  /// Per object: the end state did not match the next sidecar's
+  /// baseline (or could not be serialized for the audit). Conservative:
+  /// forces the serial re-check, exactly like a violation.
+  std::vector<bool> Mismatch;
+  /// The sidecar blobs failed to restore into fresh pipelines
+  /// (RestoreError says why); nothing was fed.
   bool RestoreFailed = false;
-  /// The factory does not know this object id.
-  bool Skipped = false;
+  std::string RestoreError;
+  /// Unreadable or malformed slice: reported once, and counts as a
+  /// violation of every object.
+  std::vector<Violation> Failures;
+  uint64_t Unrouted = 0;
+  uint64_t FirstUnroutedSeq = 0;
   uint64_t SeqHwm = 0; ///< highest Seq seen + 1 (log size estimate)
+
+  bool bad(size_t O) const {
+    return RestoreFailed || !Failures.empty() || Mismatch[O] ||
+           !Report.Objects[O].Violations.empty();
+  }
 };
+
+/// True when two checker blobs carry the same core. Stats sections
+/// legitimately differ — memo hits depend on where the checker started —
+/// which is why only the cores are compared.
+bool sameCore(const SnapshotObject *A, const SnapshotObject *B) {
+  size_t AOff = 0, ALen = 0, BOff = 0, BLen = 0;
+  return A && B &&
+         RefinementChecker::coreSection(A->Blob.data(), A->Blob.size(), AOff,
+                                        ALen) &&
+         RefinementChecker::coreSection(B->Blob.data(), B->Blob.size(), BOff,
+                                        BLen) &&
+         ALen == BLen &&
+         std::equal(A->Blob.data() + AOff, A->Blob.data() + AOff + ALen,
+                    B->Blob.data() + BOff);
+}
+
+/// Checks one slice: a fresh CheckerService over every object, seeded
+/// from the slice's sidecar, fed the slice's records, then either
+/// finished (final slice) or audited against the next sidecar's
+/// baseline.
+SliceResult runSlice(const EpochSlice &E, bool Final,
+                     const std::vector<ChainSegment> &Segs,
+                     size_t NumObjects, const PipelineFactory &Factory,
+                     const EpochCheckOptions &Opts,
+                     const SnapshotFile *NextSnap,
+                     std::atomic<uint64_t> &Loads) {
+  SliceResult Res;
+  CheckerConfig CC = Opts.Checker;
+  if (!Final) {
+    // Executions that straddle the epoch boundary are completed by the
+    // successor slice; an incomplete tail here is expected, not an error.
+    CC.AllowIncompleteTail = true;
+  }
+  CheckerService Svc(CheckerServiceOptions{});
+  if (!Svc.addObjects(NumObjects, Factory, CC, Res.Error))
+    return Res;
+  Res.Mismatch.assign(NumObjects, false);
+  if (E.Snap) {
+    if (!Svc.restoreFromSnapshot(*E.Snap, Res.RestoreError)) {
+      Res.RestoreFailed = true;
+      Svc.buildReport(Res.Report);
+      return Res;
+    }
+    Loads.fetch_add(NumObjects, std::memory_order_relaxed);
+    if (Opts.Telem)
+      Opts.Telem->count(Counter::C_SnapshotLoads, NumObjects);
+  }
+  LogFileReader Reader(Segs[E.SegPos].Path);
+  std::vector<Action> Batch;
+  Batch.reserve(SliceBatch);
+  while (true) {
+    Batch.emplace_back();
+    if (!Reader.next(Batch.back()) || Batch.back().Seq >= E.EndSeq) {
+      Batch.pop_back();
+      break;
+    }
+    Res.SeqHwm = std::max(Res.SeqHwm, Batch.back().Seq + 1);
+    if (Batch.size() == SliceBatch) {
+      Svc.routeRange(Batch, 0, Batch.size(), nullptr);
+      Batch.clear();
+    }
+  }
+  Svc.routeRange(Batch, 0, Batch.size(), nullptr);
+  if (!Reader.valid()) {
+    Violation V;
+    V.Kind = ViolationKind::VK_Instrumentation;
+    V.Seq = Reader.malformed() ? Res.SeqHwm : E.StartSeq;
+    V.Message = Reader.malformed()
+                    ? "malformed log record in epoch slice (chain " +
+                          Segs[E.SegPos].Path + "...)"
+                    : "cannot open log segment " + Segs[E.SegPos].Path;
+    Res.Failures.push_back(V);
+  }
+  if (Final) {
+    Svc.finishChecking();
+  } else {
+    // No finish (the open tail belongs to the successor, and finished
+    // checkers refuse saveState): audit the end state against the
+    // baseline the next epoch restored from. A checker with a violation
+    // serializes nothing and so fails its audit, as it must.
+    SnapshotFile Cut;
+    Svc.cutSnapshot(Cut);
+    for (size_t O = 0; O < NumObjects; ++O)
+      Res.Mismatch[O] = !sameCore(Cut.find(static_cast<ObjectId>(O)),
+                                  NextSnap->find(static_cast<ObjectId>(O)));
+  }
+  Svc.buildReport(Res.Report);
+  Res.Unrouted = Svc.unroutedRecords();
+  Res.FirstUnroutedSeq = Svc.firstUnroutedSeq();
+  return Res;
+}
 
 /// True when \p Snap carries a restorable blob for every object id.
 bool hasAllBlobs(const SnapshotFile &Snap, size_t NumObjects) {
@@ -47,110 +152,6 @@ bool hasAllBlobs(const SnapshotFile &Snap, size_t NumObjects) {
     if (!Snap.find(static_cast<ObjectId>(O)))
       return false;
   return true;
-}
-
-/// Runs one slice for one object: fresh pipeline, optional sidecar
-/// restore, feed the slice's records, then either finish (final slice)
-/// or audit the end state against the next sidecar's baseline.
-SliceResult runSlice(ObjectId O, const EpochSlice &E, bool Final,
-                     const std::vector<ChainSegment> &Segs,
-                     const PipelineFactory &Factory,
-                     const EpochCheckOptions &Opts,
-                     const SnapshotFile *NextSnap,
-                     std::atomic<uint64_t> &Loads) {
-  SliceResult Res;
-  std::unique_ptr<Spec> S;
-  std::unique_ptr<Replayer> R;
-  if (!Factory(O, Res.Name, S, R) || !S) {
-    Res.Skipped = true;
-    return Res;
-  }
-  CheckerConfig CC = Opts.Checker;
-  if (!Final) {
-    // Executions that straddle the epoch boundary are completed by the
-    // successor slice; an incomplete tail here is expected, not an error.
-    CC.AllowIncompleteTail = true;
-  }
-  RefinementChecker Checker(*S, R.get(), CC);
-  if (E.Snap) {
-    const SnapshotObject *SO = E.Snap->find(O);
-    ByteReader Blob(SO ? SO->Blob.data() : nullptr, SO ? SO->Blob.size() : 0);
-    if (!SO || !Checker.restoreState(Blob)) {
-      Res.RestoreFailed = true;
-      return Res;
-    }
-    Loads.fetch_add(1, std::memory_order_relaxed);
-    if (Opts.Telem)
-      Opts.Telem->count(Counter::C_SnapshotLoads);
-  }
-  LogFileReader Reader(Segs[E.SegPos].Path);
-  if (!Reader.valid()) {
-    Violation V;
-    V.Kind = ViolationKind::VK_Instrumentation;
-    V.Seq = E.StartSeq;
-    V.Message = "cannot open log segment " + Segs[E.SegPos].Path;
-    Res.Violations.push_back(V);
-    return Res;
-  }
-  Action A;
-  while (Reader.next(A)) {
-    if (A.Seq >= E.EndSeq)
-      break;
-    Res.SeqHwm = std::max(Res.SeqHwm, A.Seq + 1);
-    if (A.Obj != O)
-      continue;
-    Checker.feed(A);
-    if (CC.StopAtFirstViolation && Checker.hasViolation())
-      break;
-  }
-  if (Reader.malformed()) {
-    Violation V;
-    V.Kind = ViolationKind::VK_Instrumentation;
-    V.Seq = Res.SeqHwm;
-    V.Message = "malformed log record in epoch slice (chain " +
-                Segs[E.SegPos].Path + "...)";
-    Checker.finish();
-    Res.Violations = Checker.violations();
-    Res.Violations.push_back(V);
-    Res.Stats = Checker.stats();
-    return Res;
-  }
-  if (Final) {
-    Checker.finish();
-    Res.Violations = Checker.violations();
-    Res.Stats = Checker.stats();
-    return Res;
-  }
-  // Non-final slice: no finish() (saveState refuses finished checkers,
-  // and the open tail belongs to the successor). A violation forces the
-  // serial re-check; otherwise audit the end state against the baseline
-  // the next epoch restored from.
-  Res.Violations = Checker.violations();
-  Res.Stats = Checker.stats();
-  if (!Res.Violations.empty())
-    return Res;
-  ByteWriter W;
-  if (!Checker.saveState(W)) {
-    Res.BaselineMismatch = true;
-    return Res;
-  }
-  const SnapshotObject *NO = NextSnap ? NextSnap->find(O) : nullptr;
-  size_t MyOff = 0, MyLen = 0, NxOff = 0, NxLen = 0;
-  if (!NO ||
-      !RefinementChecker::coreSection(W.buffer().data(), W.buffer().size(),
-                                      MyOff, MyLen) ||
-      !RefinementChecker::coreSection(NO->Blob.data(), NO->Blob.size(),
-                                      NxOff, NxLen) ||
-      MyLen != NxLen ||
-      !std::equal(W.buffer().data() + MyOff, W.buffer().data() + MyOff + MyLen,
-                  NO->Blob.data() + NxOff)) {
-    // The state this slice ends in is not the state the next slice
-    // started from: the stitch would be unsound, so flag it. (Stats
-    // sections legitimately differ — memo hits depend on where the
-    // checker started — which is why only the cores are compared.)
-    Res.BaselineMismatch = true;
-  }
-  return Res;
 }
 
 } // namespace
@@ -197,117 +198,114 @@ EpochReport vyrd::epochCheck(const std::string &LogPath, size_t NumObjects,
   const size_t NumEpochs = Epochs.size();
   ER.Epochs = NumEpochs;
 
-  // The (object, epoch) task matrix, claimed off an atomic cursor by a
-  // small worker pool. Results land in a pre-sized grid, so workers
-  // never contend on anything but the cursor.
-  std::vector<SliceResult> Results(NumObjects * NumEpochs);
+  // One task per epoch, claimed off an atomic cursor by a small worker
+  // pool. Results land in a pre-sized vector, so workers never contend
+  // on anything but the cursor.
+  std::vector<SliceResult> Results(NumEpochs);
   std::atomic<size_t> Cursor{0};
-  std::atomic<uint64_t> TasksRun{0};
   std::atomic<uint64_t> Loads{0};
   auto Worker = [&] {
     while (true) {
-      size_t T = Cursor.fetch_add(1, std::memory_order_relaxed);
-      if (T >= Results.size())
+      size_t E = Cursor.fetch_add(1, std::memory_order_relaxed);
+      if (E >= NumEpochs)
         return;
-      size_t O = T / NumEpochs, E = T % NumEpochs;
       bool Final = E + 1 == NumEpochs;
       if (Opts.Telem)
         Opts.Telem->gaugeAdd(Gauge::G_EpochsInFlight, 1);
-      Results[T] = runSlice(static_cast<ObjectId>(O), Epochs[E], Final, Segs,
-                            Factory, Opts,
+      Results[E] = runSlice(Epochs[E], Final, Segs, NumObjects, Factory, Opts,
                             Final ? nullptr : Epochs[E + 1].Snap, Loads);
       if (Opts.Telem) {
         Opts.Telem->gaugeSub(Gauge::G_EpochsInFlight, 1);
-        Opts.Telem->count(Counter::C_EpochsChecked);
+        Opts.Telem->count(Counter::C_EpochsChecked, NumObjects);
       }
-      if (!Results[T].Skipped)
-        TasksRun.fetch_add(1, std::memory_order_relaxed);
     }
   };
-  unsigned NThreads = std::max(1u, Opts.Threads);
+  // More workers than epochs would only idle.
+  size_t NThreads = std::clamp<size_t>(Opts.Threads, 1, NumEpochs);
   if (NThreads == 1) {
     Worker();
   } else {
     std::vector<std::thread> Pool;
     Pool.reserve(NThreads);
-    for (unsigned I = 0; I < NThreads; ++I)
+    for (size_t I = 0; I < NThreads; ++I)
       Pool.emplace_back(Worker);
     for (std::thread &W : Pool)
       W.join();
   }
-  ER.Tasks = TasksRun.load();
+  for (const SliceResult &Res : Results) {
+    if (!Res.Error.empty()) {
+      ER.Error = Res.Error;
+      return ER;
+    }
+  }
+  ER.Tasks = NumObjects * NumEpochs;
 
   // Stitch per object: the first epoch with a violation, a failed
   // restore or a baseline mismatch invalidates everything after it (the
   // later epochs' baselines descend from a state the bad epoch never
   // reached), so the object is re-checked serially from the last epoch
-  // whose baseline is known good through the end of the chain.
-  uint64_t SeqHwm = 0;
+  // whose baseline is known good through the end of the chain. One
+  // serial slice, seeded at the earliest bad epoch, re-checks every bad
+  // object at once.
+  std::vector<size_t> FirstBad(NumObjects, NumEpochs);
+  size_t From = NumEpochs;
   for (size_t O = 0; O < NumObjects; ++O) {
-    SliceResult *Rs = &Results[O * NumEpochs];
-    for (size_t E = 0; E < NumEpochs; ++E)
-      SeqHwm = std::max(SeqHwm, Rs[E].SeqHwm);
-    if (Rs[0].Skipped)
-      continue; // the factory does not know this object
-    size_t FirstBad = NumEpochs;
-    for (size_t E = 0; E < NumEpochs; ++E) {
-      if (Rs[E].RestoreFailed || Rs[E].BaselineMismatch ||
-          !Rs[E].Violations.empty()) {
-        FirstBad = E;
-        break;
-      }
+    for (size_t E = 0; E < NumEpochs && FirstBad[O] == NumEpochs; ++E)
+      if (Results[E].bad(O))
+        FirstBad[O] = E;
+    From = std::min(From, FirstBad[O]);
+  }
+  SliceResult Serial;
+  if (From < NumEpochs) {
+    // Fall back past epochs whose own restore failed: their sidecar
+    // cannot seed the re-check either.
+    while (From > 0 && Results[From].RestoreFailed)
+      --From;
+    EpochSlice Re = Epochs[From];
+    Re.EndSeq = UINT64_MAX;
+    Serial = runSlice(Re, /*Final=*/true, Segs, NumObjects, Factory, Opts,
+                      nullptr, Loads);
+    if (Serial.RestoreFailed) {
+      // Even epoch 0's sidecar is unrestorable and the chain has no
+      // complete prefix to fall back to.
+      Violation V;
+      V.Kind = ViolationKind::VK_Instrumentation;
+      V.Seq = Re.StartSeq;
+      V.Message = "snapshot sidecar for segment " +
+                  std::to_string(Segs[Re.SegPos].Index) +
+                  " cannot restore into the pipelines: " +
+                  Serial.RestoreError;
+      ER.Report.Violations.push_back(V);
     }
-    ObjectReport OR;
-    OR.Id = static_cast<ObjectId>(O);
-    if (FirstBad == NumEpochs) {
-      // Every epoch clean and every stitch audited: the final epoch's
-      // checker carries the cumulative verdict (sidecar blobs restore
-      // the running stats, so its stats are the object's totals).
-      OR.Name = Rs[NumEpochs - 1].Name;
-      OR.Stats = Rs[NumEpochs - 1].Stats;
-    } else {
-      // Fall back past epochs whose own restore failed: their sidecar
-      // cannot seed the re-check either.
-      size_t From = FirstBad;
-      while (From > 0 && Rs[From].RestoreFailed)
-        --From;
-      EpochSlice Re = Epochs[From];
-      Re.EndSeq = UINT64_MAX;
-      if (Re.Snap && Rs[From].RestoreFailed) {
-        // Even epoch 0's sidecar is unrestorable and the chain has no
-        // complete prefix to fall back to.
-        Violation V;
-        V.Kind = ViolationKind::VK_Instrumentation;
-        V.Seq = Re.StartSeq;
-        V.Message = "snapshot sidecar for segment " +
-                    std::to_string(Segs[Re.SegPos].Index) +
-                    " cannot restore into the object's pipeline (spec "
-                    "mismatch or blob corruption)";
-        OR.Name = Rs[FirstBad].Name;
-        OR.Violations.push_back(V);
-      } else {
-        SliceResult Serial = runSlice(static_cast<ObjectId>(O), Re,
-                                      /*Final=*/true, Segs, Factory, Opts,
-                                      nullptr, Loads);
-        SeqHwm = std::max(SeqHwm, Serial.SeqHwm);
-        OR.Name = Serial.Name;
-        OR.Stats = Serial.Stats;
-        OR.Violations = std::move(Serial.Violations);
-        ++ER.SerialRechecks;
-      }
-    }
+  }
+
+  uint64_t SeqHwm = Serial.SeqHwm, Unrouted = 0, FirstUnroutedSeq = 0;
+  for (const SliceResult &Res : Results) {
+    SeqHwm = std::max(SeqHwm, Res.SeqHwm);
+    ER.Report.Violations.insert(ER.Report.Violations.end(),
+                                Res.Failures.begin(), Res.Failures.end());
+    if (Res.Unrouted && !Unrouted)
+      FirstUnroutedSeq = Res.FirstUnroutedSeq;
+    Unrouted += Res.Unrouted;
+  }
+  for (size_t O = 0; O < NumObjects; ++O) {
+    // Every epoch clean and every stitch audited: the final epoch's
+    // checker carries the cumulative verdict (sidecar blobs restore the
+    // running stats, so its stats are the object's totals).
+    bool Clean = FirstBad[O] == NumEpochs;
+    ObjectReport OR = (Clean ? Results.back() : Serial).Report.Objects[O];
+    if (!Clean)
+      ++ER.SerialRechecks;
     OR.Records = OR.Stats.ActionsFed;
-    Name Tag = OR.Name.empty() ? Name() : internName(OR.Name);
-    for (Violation &V : OR.Violations) {
-      V.Obj = OR.Id;
-      V.Object = Tag;
-    }
     ER.Report.Stats.merge(OR.Stats);
     ER.Report.Violations.insert(ER.Report.Violations.end(),
                                 OR.Violations.begin(), OR.Violations.end());
     ER.Report.Objects.push_back(std::move(OR));
   }
   sortViolationsBySeq(ER.Report.Violations);
+  if (Unrouted)
+    ER.Report.Violations.push_back(
+        CheckerService::unroutedViolation(Unrouted, FirstUnroutedSeq));
   ER.Report.LogRecords = SeqHwm;
   // Restart lag: how far behind the chain's end the cold restart began.
   if (Opts.Telem && Epochs[0].Snap)

@@ -14,14 +14,18 @@
 /// because refinement is preserved under sequential splits of the trace
 /// (docs/SNAPSHOTS.md, "Why epoch stitching is sound").
 ///
-/// epochCheck() runs the (object, epoch) task matrix on a small thread
-/// pool. This parallelizes *within* one object — the dimension the online
-/// pool's object-affine scheduling cannot touch — so a chain dominated by
-/// a single hot object still checks on all cores. Stitching is pessimistic
-/// where it must be: a violation (or a baseline-audit mismatch) in epoch k
-/// invalidates the snapshots later epochs restored from, so the object is
-/// re-checked serially from epoch k's snapshot through the end of the
-/// chain before anything is reported.
+/// epochCheck() checks the epochs on a small thread pool, one task per
+/// epoch. A task is one CheckerService over every object — the consumer
+/// the Verifier, ShipServer and InProcessTransport share — seeded from
+/// the epoch's sidecar and fed its slice in batches from one pass of a
+/// LogFileReader, so each record is decoded once. Epochs parallelize
+/// *within* one object — the dimension the online pool's object-affine
+/// scheduling cannot touch — so a chain dominated by a single hot object
+/// still checks on all cores. Stitching is per object and pessimistic
+/// where it must be: a violation (or a baseline-audit mismatch) in epoch
+/// k invalidates the snapshots later epochs restored from, so the
+/// object is re-checked serially from epoch k's snapshot through the end
+/// of the chain before anything is reported.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,22 +34,9 @@
 
 #include "vyrd/Verifier.h"
 
-#include <functional>
-#include <memory>
 #include <string>
 
 namespace vyrd {
-
-/// Builds the spec + replayer pipeline for one registered object of the
-/// recorded run. epochCheck calls it once per (object, epoch) task — each
-/// task needs a private pipeline — so the factory must be thread-safe and
-/// must produce the same spec the recording run registered for \p Id
-/// (same constructor parameters; the sidecar blobs restore into it).
-/// \p Name receives the object's report name. \returns false when \p Id
-/// is not a known object (the task is skipped).
-using PipelineFactory = std::function<bool(
-    ObjectId Id, std::string &Name, std::unique_ptr<Spec> &S,
-    std::unique_ptr<Replayer> &R)>;
 
 /// Options for epochCheck().
 struct EpochCheckOptions {
@@ -53,16 +44,15 @@ struct EpochCheckOptions {
   /// for non-final epochs: their executions legitimately straddle the
   /// epoch boundary and are completed by the successor slice).
   CheckerConfig Checker;
-  /// Size of the (object, epoch) task pool. 1 = serial (still epoch by
-  /// epoch when UseSnapshots, useful for testing the stitching).
+  /// Size of the epoch task pool. 1 = serial (still epoch by epoch when
+  /// UseSnapshots, useful for testing the stitching).
   unsigned Threads = 1;
-  /// When false, ignore sidecars and run one from-zero epoch per object —
-  /// the serial offline baseline the speedup is measured against.
+  /// When false, ignore sidecars and run one from-zero epoch — the serial
+  /// offline baseline the speedup is measured against.
   bool UseSnapshots = true;
   /// Cold-restart mode (`vyrd-check --resume`): only the front segment's
-  /// sidecar seeds the check; later sidecars are ignored, so each object
-  /// runs as one epoch from the oldest live record to the end of the
-  /// chain. Also sets G_RestartLag (records between the resume watermark
+  /// sidecar seeds the check; later sidecars are ignored, so the chain
+  /// runs as one epoch from the oldest live record to its end. Also sets G_RestartLag (records between the resume watermark
   /// and the chain's end) when a hub is attached.
   bool ResumeOnly = false;
   /// Optional hub for C_SnapshotLoads / C_EpochsChecked /
@@ -78,7 +68,8 @@ struct EpochReport {
   /// Epochs the chain split into (1 when UseSnapshots is false or no
   /// usable sidecar exists).
   uint64_t Epochs = 0;
-  /// (object, epoch) tasks executed, excluding serial re-checks.
+  /// (object, epoch) pairs checked — objects × epochs, excluding serial
+  /// re-checks.
   uint64_t Tasks = 0;
   /// Sidecar blobs restored into checkers.
   uint64_t SnapshotLoads = 0;
@@ -86,7 +77,8 @@ struct EpochReport {
   /// failed its baseline audit.
   uint64_t SerialRechecks = 0;
   /// Non-empty when the chain was unusable (no files, reclaimed prefix
-  /// without a sidecar, malformed front segment); Report is empty then.
+  /// without a sidecar, malformed front segment) or the factory does not
+  /// know an object id; Report is empty then.
   std::string Error;
 
   bool ok() const { return Error.empty() && Report.ok(); }
@@ -94,9 +86,12 @@ struct EpochReport {
 
 /// Checks the recorded chain rooted at \p LogPath (a plain log file or a
 /// segment chain base) for the \p NumObjects objects the recording run
-/// registered, splitting each object's stream into snapshot-delimited
-/// epochs and checking the (object, epoch) matrix on \p Opts.Threads
-/// workers. See the file comment for the stitching rule.
+/// registered, splitting the stream into snapshot-delimited epochs and
+/// checking them on \p Opts.Threads workers. \p Factory builds object
+/// ids 0 .. \p NumObjects - 1 (see PipelineFactory); an id it does not
+/// know is an error. Records of ids at or above \p NumObjects surface as
+/// one VK_Instrumentation violation, as in a Verifier run. See the file
+/// comment for the stitching rule.
 EpochReport epochCheck(const std::string &LogPath, size_t NumObjects,
                        const PipelineFactory &Factory,
                        const EpochCheckOptions &Opts);

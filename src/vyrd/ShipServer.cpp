@@ -323,14 +323,9 @@ ShipServer::bindSession(const std::string &Name, const std::string &Program,
   CheckerConfig CC = Opts.Checker;
   CC.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
                       : CheckMode::CM_IORefinement;
-  for (ObjectId Id = 0; Id < NumObjects; ++Id) {
-    std::string ObjName;
-    std::unique_ptr<Spec> Sp;
-    std::unique_ptr<Replayer> Rp;
-    if (!Factory(Id, ObjName, Sp, Rp) || !Sp)
-      return nullptr;
-    S->Svc->addObject(std::move(ObjName), std::move(Sp), std::move(Rp), CC);
-  }
+  std::string Err;
+  if (!S->Svc->addObjects(NumObjects, Factory, CC, Err))
+    return nullptr;
   if (Opts.CheckerThreads > 1)
     S->Svc->startPool(Opts.CheckerThreads);
   Sessions.push_back(S);

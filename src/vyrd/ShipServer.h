@@ -34,7 +34,7 @@
 #define VYRD_SHIPSERVER_H
 
 #include "vyrd/Checker.h"
-#include "vyrd/Epoch.h"
+#include "vyrd/CheckerService.h"
 #include "vyrd/Monitor.h"
 #include "vyrd/Transport.h"
 
@@ -50,9 +50,9 @@
 namespace vyrd {
 
 /// Maps a Hello's program name to the pipelines of the recording run:
-/// fills \p NumObjects and a thread-safe \p Factory (see Epoch.h) and
-/// returns true, or returns false for an unknown name (the session is
-/// refused). \p ViewLevel selects view- vs I/O-refinement pipelines.
+/// fills \p NumObjects and a thread-safe \p Factory (see
+/// CheckerService.h) and returns true, or returns false for an unknown
+/// name (the session is refused). \p ViewLevel selects view- vs I/O-refinement pipelines.
 using ProgramPipelineResolver = std::function<bool(
     const std::string &Program, bool ViewLevel, size_t &NumObjects,
     PipelineFactory &Factory)>;

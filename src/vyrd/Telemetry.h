@@ -107,7 +107,8 @@ enum class Counter : uint8_t {
   C_SnapshotWrites,
   C_SnapshotSkips,
   C_SnapshotLoads,
-  /// Epochs fully checked by epochCheck (one per (object, epoch) task).
+  /// (object, epoch) pairs checked by epochCheck (each epoch task adds
+  /// the object count).
   C_EpochsChecked,
   /// gaugeSub calls that would have driven a gauge below zero (mismatched
   /// add/sub pair somewhere); the gauge is clamped at 0 instead of
@@ -170,7 +171,7 @@ enum class Gauge : uint8_t {
   G_TailBytes,
   /// Log segment files currently on disk.
   G_SegmentsLive,
-  /// (object, epoch) tasks currently being checked by epochCheck.
+  /// Epoch tasks currently being checked by epochCheck.
   G_EpochsInFlight,
   /// Records between the resume point's watermark and the end of the log
   /// at restore time: how much re-checking a cold restart saved relative

@@ -123,16 +123,8 @@ LocalShip shipChainInProcess(const std::string &Base, size_t NumObjects,
                              PipelineFactory F, uint64_t FinalSeq) {
   LocalShip Out;
   CheckerService Svc(CheckerServiceOptions{});
-  for (size_t Id = 0; Id < NumObjects; ++Id) {
-    std::string Name;
-    std::unique_ptr<Spec> S;
-    std::unique_ptr<Replayer> R;
-    if (!F(static_cast<ObjectId>(Id), Name, S, R) || !S) {
-      Out.Err = "pipeline factory failed for object " + std::to_string(Id);
-      return Out;
-    }
-    Svc.addObject(Name, std::move(S), std::move(R), CheckerConfig());
-  }
+  if (!Svc.addObjects(NumObjects, F, CheckerConfig(), Out.Err))
+    return Out;
   InProcessTransport T(Svc);
   if (!shipChain(Base, T, FinalSeq, /*CloseTimeoutMs=*/1000, Out.Err))
     return Out;

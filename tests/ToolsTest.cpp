@@ -20,6 +20,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 
 using namespace vyrd;
@@ -41,10 +42,11 @@ int runTool(const std::string &Cmd, std::string &Out) {
   return WIFEXITED(Status) ? WEXITSTATUS(Status) : -1;
 }
 
-/// Records a multiset run (buggy or clean) into \p Path.
-void recordLog(const std::string &Path, bool Buggy) {
+/// Records a run of \p P (buggy or clean) into \p Path.
+void recordLog(const std::string &Path, bool Buggy,
+               Program P = Program::P_MultisetVector) {
   ScenarioOptions SO;
-  SO.Prog = Program::P_MultisetVector;
+  SO.Prog = P;
   SO.Mode = RunMode::RM_LogOnlyView;
   SO.Buggy = Buggy;
   SO.LogPath = Path;
@@ -55,6 +57,7 @@ void recordLog(const std::string &Path, bool Buggy) {
   WO.OpsPerThread = 120;
   WO.KeyPoolSize = 12;
   WO.Seed = 7;
+  WO.BackgroundOp = S.BackgroundOp;
   runWorkload(WO, S.Op);
   Chaos::disable();
   S.Finish();
@@ -157,9 +160,13 @@ TEST(ToolsTest, CheckIOModeWorks) {
 TEST(ToolsTest, CheckRejectsBadUsage) {
   // A negative --audit would wrap to "audit every 4e9 commits" (off) and
   // a negative --context to a ring that keeps every record.
+  // A malformed number must not silently read as its numeric prefix.
   for (const char *Args : {"--program not-a-program",
                            "--program multiset --audit -1",
-                           "--program multiset --context -1"}) {
+                           "--program multiset --context -1",
+                           "--program multiset --epochs abc",
+                           "--program multiset --epochs 2x",
+                           "--program multiset --context 8x"}) {
     std::string Out;
     EXPECT_EQ(runTool(std::string(VYRD_CHECK_PATH) + " /tmp/x.bin " + Args,
                       Out),
@@ -167,6 +174,36 @@ TEST(ToolsTest, CheckRejectsBadUsage) {
         << Args;
     EXPECT_NE(Out.find("usage"), std::string::npos) << Args << ": " << Out;
   }
+}
+
+// The checker reports the log's own numbering: its record count (and so
+// every violation seq) is the file's, with nothing of the checking
+// side's own set-up in between. MiniScan-FS appends setup records of
+// its own when a live scenario is built, so it shows any such shift.
+TEST(ToolsTest, CheckReportsTheLogsOwnSeqs) {
+  std::string Path = tempLog("ownseqs");
+  recordLog(Path, false, Program::P_ScanFs);
+  std::string Out, Stats;
+  int RC = runTool(std::string(VYRD_CHECK_PATH) + " " + Path +
+                       " --program scanfs",
+                   Out);
+  EXPECT_EQ(RC, 0) << Out;
+  ASSERT_EQ(runTool(std::string(VYRD_LOGDUMP_PATH) + " " + Path +
+                        " --stats --json",
+                    Stats),
+            0)
+      << Stats;
+  size_t At = Stats.find("\"records\":");
+  ASSERT_NE(At, std::string::npos) << Stats;
+  unsigned long long Records =
+      std::strtoull(Stats.c_str() + At + std::strlen("\"records\":"),
+                    nullptr, 10);
+  EXPECT_GT(Records, 0u);
+  EXPECT_NE(Out.find("log: " + std::to_string(Records) + " records"),
+            std::string::npos)
+      << "logdump counts " << Records << " records:\n"
+      << Out;
+  std::remove(Path.c_str());
 }
 
 TEST(ToolsTest, LogdumpStatsAsJson) {

@@ -63,38 +63,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-/// Maps a Hello program name onto the harness pipelines.
-bool resolvePipeline(const std::string &Name, bool ViewLevel,
-                     size_t &NumObjects, PipelineFactory &Factory) {
-  if (Name == "composite") {
-    NumObjects = 4;
-    Factory = makeCompositePipeline(ViewLevel);
-    return true;
-  }
-  struct Entry {
-    const char *Key;
-    Program P;
-  };
-  static const Entry Table[] = {
-      {"multiset", Program::P_MultisetVector},
-      {"bst", Program::P_MultisetBst},
-      {"vector", Program::P_Vector},
-      {"stringbuffer", Program::P_StringBuffer},
-      {"blinktree", Program::P_BLinkTree},
-      {"cache", Program::P_Cache},
-      {"scanfs", Program::P_ScanFs},
-      {"hashtable", Program::P_Hashtable},
-      {"queue", Program::P_Queue},
-  };
-  for (const Entry &E : Table)
-    if (Name == E.Key) {
-      NumObjects = 1;
-      Factory = makeProgramPipeline(E.P, ViewLevel);
-      return true;
-    }
-  return false;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -128,7 +96,7 @@ int main(int Argc, char **Argv) {
   std::signal(SIGTERM, onSignal);
 
   MonitorRegistry Registry;
-  ShipServer Server(Opts, resolvePipeline, &Registry);
+  ShipServer Server(Opts, resolveProgramPipeline, &Registry);
   if (!Server.valid()) {
     std::fprintf(stderr, "vyrd-checkd: %s\n", Server.error().c_str());
     return 1;
