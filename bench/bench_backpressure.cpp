@@ -1,4 +1,4 @@
-//===- bench_backpressure.cpp - Bounded-pipeline soak and policy curves ----===//
+//===- bench_backpressure.cpp - Bounded-pipeline soak ----------------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -13,20 +13,16 @@
 //  * BP_Block soak: append throughput plus the p99 append latency once
 //    the producer absorbs the checker's pace, and the hard invariant
 //    pending-HWM <= MaxPendingRecords;
-//  * BP_SpillToDisk soak over a segmented file log: spill volume, and the
-//    hard invariant that checked-prefix reclamation keeps at most two
-//    segments live at the end of the run;
 //  * fixed-256: the bounded-block soak at the pump's fixed 256-record
 //    batch, with how often the producer blocked and its p99 append.
 //
-// Full mode soaks >= 10M records per bounded policy; --quick shrinks
+// Full mode soaks >= 10M records per bounded run; --quick shrinks
 // everything for CI. Invariant failures exit non-zero so CI notices.
 // JSON rows (--json) feed tools/check_bench_baseline.py.
 //
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "vyrd/Log.h"
 #include "vyrd/Verifier.h"
 
 #include <algorithm>
@@ -34,7 +30,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 using namespace vyrd;
@@ -185,16 +180,6 @@ double nsPerAppend(const RunResult &R) {
   return R.Records ? R.AppendSeconds * 1e9 / double(R.Records) : 0;
 }
 
-std::string tmpBase() {
-  return "/tmp/vyrd-benchbp-" + std::to_string(getpid()) + ".bin";
-}
-
-void removeChain(const std::string &Base) {
-  std::remove(Base.c_str());
-  for (uint64_t I = 1; I <= 4096; ++I)
-    std::remove(logSegmentPath(Base, I).c_str());
-}
-
 VerifierConfig baseConfig() {
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
@@ -212,7 +197,7 @@ int main(int Argc, char **Argv) {
   BenchJson BJ("backpressure", Args.JsonPath);
   char Extra[160];
 
-  std::printf("Bounded-pipeline soak: %u execs (%u records) per policy, "
+  std::printf("Bounded-pipeline soak: %u execs (%u records) per run, "
               "1us/step checker throttle, bound %llu records\n\n",
               SoakExecs, SoakExecs * 5 + SeededViolations * 3,
               static_cast<unsigned long long>(PendingBound));
@@ -221,8 +206,8 @@ int main(int Argc, char **Argv) {
   hr();
 
   // Unbounded baseline at a memory-safe size: the backlog this
-  // configuration pins is exactly what the bounded policies exist to
-  // avoid, so it does not get the full soak.
+  // configuration pins is exactly what the bound exists to avoid, so it
+  // does not get the full soak.
   RunResult Unbounded = run(baseConfig(), /*ThrottleUs=*/1, CompareExecs);
   requireSeededViolations(Unbounded.Report, "unbounded");
   std::printf("%-12s %12.2f %12llu %12s %12.2f\n", "unbounded",
@@ -263,48 +248,6 @@ int main(int Argc, char **Argv) {
     BJ.row("block", 1, nsPerAppend(R), appendPerSec(R), Extra);
   }
 
-  // BP_SpillToDisk soak over a segmented chain: appends never block, the
-  // reader catches up from disk, and reclamation bounds the disk too.
-  {
-    std::string Base = tmpBase();
-    removeChain(Base);
-    VerifierConfig C = baseConfig();
-    C.LogFilePath = Base;
-    C.Backpressure.Enabled = true;
-    C.Backpressure.MaxPendingRecords = PendingBound;
-    C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
-    C.Backpressure.SegmentBytes = 1 << 20;
-    C.Backpressure.ReclaimSegments = true;
-    RunResult R = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
-    requireSeededViolations(R.Report, "spill");
-    require(R.Report.Backpressure.PendingRecordsHwm <= PendingBound,
-            "spill: pending HWM exceeded MaxPendingRecords");
-    require(R.Report.Backpressure.SegmentsCreated -
-                    R.Report.Backpressure.SegmentsReclaimed <=
-                2,
-            "spill: more than two segments left live after a fully "
-            "checked run");
-    removeChain(Base);
-    std::printf("%-12s %12.2f %12llu %12llu %12.2f\n", "spill",
-                appendPerSec(R) / 1e6,
-                static_cast<unsigned long long>(R.P99AppendNs),
-                static_cast<unsigned long long>(
-                    R.Report.Backpressure.PendingRecordsHwm),
-                R.WallSeconds);
-    std::snprintf(
-        Extra, sizeof(Extra),
-        "{\"spilled_records\":%llu,\"segments_created\":%llu,"
-        "\"segments_live\":%llu,\"pending_hwm\":%llu}",
-        static_cast<unsigned long long>(R.Report.Backpressure.SpilledRecords),
-        static_cast<unsigned long long>(
-            R.Report.Backpressure.SegmentsCreated),
-        static_cast<unsigned long long>(
-            R.Report.Backpressure.SegmentsCreated -
-            R.Report.Backpressure.SegmentsReclaimed),
-        static_cast<unsigned long long>(
-            R.Report.Backpressure.PendingRecordsHwm));
-    BJ.row("spill", 1, nsPerAppend(R), appendPerSec(R), Extra);
-  }
   hr();
 
   // Bounded-vs-unbounded verdict equivalence at the comparison size:

@@ -113,7 +113,7 @@ struct ScenarioOptions {
   /// inline on the consumption thread, the historical behavior). Ignored
   /// in the offline/log-only modes, where the pool is not applicable.
   unsigned CheckerThreads = 1;
-  /// Bound + admission policy for the pipeline's queues, and segment
+  /// Record bound for the pipeline's queues, and segment
   /// rotation for file-backed logs (see Backpressure.h). Passed through
   /// to VerifierConfig::Backpressure in the checking modes.
   BackpressureConfig Backpressure;

@@ -1,4 +1,4 @@
-//===- Backpressure.cpp - Bounded-pipeline admission policies -------------===//
+//===- Backpressure.cpp - Bounded pipeline and segmented log --------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -12,52 +12,17 @@
 
 using namespace vyrd;
 
-const char *vyrd::backpressurePolicyName(BackpressurePolicy P) {
-  switch (P) {
-  case BackpressurePolicy::BP_Block:
-    return "block";
-  case BackpressurePolicy::BP_SpillToDisk:
-    return "spill";
-  }
-  return "?";
-}
-
 void BackpressureStats::merge(const BackpressureStats &O) {
   BlockedAppends += O.BlockedAppends;
   BlockedNanos += O.BlockedNanos;
-  SpilledRecords += O.SpilledRecords;
   PendingRecordsHwm = std::max(PendingRecordsHwm, O.PendingRecordsHwm);
-  TailBytesHwm = std::max(TailBytesHwm, O.TailBytesHwm);
   SegmentsCreated += O.SegmentsCreated;
   SegmentsReclaimed += O.SegmentsReclaimed;
   SegmentsLiveHwm = std::max(SegmentsLiveHwm, O.SegmentsLiveHwm);
 }
 
 bool BackpressureStats::any() const {
-  return BlockedAppends || SpilledRecords || PendingRecordsHwm ||
-         SegmentsCreated;
-}
-
-/// Heap bytes a Value pins beyond its inline storage. Strings inside the
-/// small-string buffer cost nothing extra.
-static size_t valueHeapBytes(const Value &V) {
-  if (V.isStr()) {
-    const std::string &S = V.asStr();
-    return S.capacity() > sizeof(std::string) ? S.capacity() : 0;
-  }
-  if (V.isBytes())
-    return V.asBytes().capacity();
-  return 0;
-}
-
-size_t vyrd::actionFootprintBytes(const Action &A) {
-  size_t B = sizeof(Action);
-  if (!A.Args.inlined())
-    B += A.Args.capacity() * sizeof(Value);
-  for (const Value &V : A.Args)
-    B += valueHeapBytes(V);
-  B += valueHeapBytes(A.Ret);
-  return B;
+  return BlockedAppends || PendingRecordsHwm || SegmentsCreated;
 }
 
 //===----------------------------------------------------------------------===//
@@ -245,22 +210,6 @@ void SegmentSink::reclaimThrough(uint64_t Watermark) {
 size_t SegmentSink::liveSegments() const {
   std::lock_guard Lock(M);
   return Segments.size();
-}
-
-std::string SegmentSink::pathForSeq(uint64_t Seq) const {
-  std::lock_guard Lock(M);
-  if (!SegmentBytes || Segments.empty())
-    return Path;
-  const Segment *Best = nullptr;
-  for (const Segment &S : Segments) {
-    if (S.FirstSeq <= Seq)
-      Best = &S;
-    else
-      break;
-  }
-  if (!Best)
-    Best = &Segments.front(); // conservative: walk forward from oldest
-  return segmentPathLocked(Best->Index);
 }
 
 void SegmentSink::drainCuts(std::vector<SegmentCut> &Out) {

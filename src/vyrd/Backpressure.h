@@ -1,4 +1,4 @@
-//===- Backpressure.h - Bounded-pipeline admission policies -----*- C++ -*-===//
+//===- Backpressure.h - Bounded pipeline and segmented log ------*- C++ -*-===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -9,19 +9,11 @@
 /// decouples instrumented threads from the verification thread; without a
 /// bound, every link of that chain (BufferedLog's reader queue, the
 /// checker pool's pending queues) grows whenever checkers lag producers.
-/// BackpressureConfig states the memory ceiling and the admission policy
-/// every stage enforces when it is reached:
-///
-///  * BP_Block       — bounded blocking append: the producer waits for the
-///                     reader to make room. Safe default; requires a
-///                     concurrent consumer (Online mode).
-///  * BP_SpillToDisk — overflow is demoted to the log file: records keep
-///                     flowing to disk, the in-memory queue stops growing,
-///                     and the reader re-reads the spilled region through
-///                     LogFileReader when it catches up. Producers never
-///                     block. Requires a file-backed log.
-///
-/// Neither policy drops a record: every appended record is checked.
+/// BackpressureConfig states one bound, in records, that every stage
+/// enforces: a record that meets it waits until the stage's consumer
+/// makes room, and the wait propagates back to the producers. No record
+/// is dropped, so every appended record is checked. A blocked producer
+/// needs a concurrent consumer, hence the bound requires Online mode.
 ///
 /// SegmentSink implements the disk half of the ceiling: instead of one
 /// file that accretes forever, output rotates into numbered segment files
@@ -46,18 +38,15 @@
 
 namespace vyrd {
 
-/// What a bounded stage does with a record that does not fit.
+/// What a bounded stage does with a record that does not fit: it waits.
+/// The only policy; kept as a type because callers name it.
 enum class BackpressurePolicy : uint8_t {
-  BP_Block,       ///< bounded blocking append (safe default)
-  BP_SpillToDisk, ///< demote overflow to the log file, re-read on catch-up
+  BP_Block, ///< bounded blocking append
 };
 
-/// Short printable name ("block", "spill").
-const char *backpressurePolicyName(BackpressurePolicy P);
-
-/// The pipeline-wide bound and admission policy, enforced uniformly by
-/// BufferedLog's merge rounds and the checker pool's pending queues. Part of
-/// VerifierConfig; validated there.
+/// The pipeline-wide bound, enforced uniformly by BufferedLog's merge
+/// rounds and the checker pool's pending queues. Part of VerifierConfig;
+/// validated there.
 struct BackpressureConfig {
   /// Master switch. Disabled (the default) keeps the historical
   /// unbounded behavior of every stage.
@@ -65,10 +54,7 @@ struct BackpressureConfig {
   /// Ceiling on records pending in any one stage's in-memory queue.
   /// Must be >= 1 when Enabled.
   size_t MaxPendingRecords = 1 << 16;
-  /// Optional ceiling on the estimated bytes those pending records pin
-  /// (actionFootprintBytes). 0 = no byte bound. Whichever of the two
-  /// ceilings is hit first triggers the policy.
-  size_t MaxTailBytes = 0;
+  /// Always BP_Block, the only policy.
   BackpressurePolicy Policy = BackpressurePolicy::BP_Block;
   /// When > 0, file-backed logs rotate into numbered segment files of
   /// roughly this many bytes (see SegmentSink). 0 = one plain log file,
@@ -83,16 +69,12 @@ struct BackpressureConfig {
 /// Counters a bounded stage keeps about its admission decisions. Exact:
 /// updated under the stage's own lock, independent of telemetry.
 struct BackpressureStats {
-  /// Appends that had to wait for space (BP_Block), and the total time
-  /// they spent waiting.
+  /// Appends that had to wait for space, and the total time they spent
+  /// waiting.
   uint64_t BlockedAppends = 0;
   uint64_t BlockedNanos = 0;
-  /// Records that bypassed the in-memory queue and were re-read from
-  /// disk (BP_SpillToDisk).
-  uint64_t SpilledRecords = 0;
-  /// High-watermarks of the stage's pending queue.
+  /// High-watermark of the stage's pending queue.
   uint64_t PendingRecordsHwm = 0;
-  uint64_t TailBytesHwm = 0;
   /// Segment lifecycle (SegmentSink).
   uint64_t SegmentsCreated = 0;
   uint64_t SegmentsReclaimed = 0;
@@ -103,12 +85,6 @@ struct BackpressureStats {
   /// Any field non-zero (whether the report should render a line).
   bool any() const;
 };
-
-/// Rough bytes one pending Action pins: the record itself plus heap
-/// payloads (spilled argument lists, string/bytes values). Used for the
-/// MaxTailBytes ceiling and the G_TailBytes gauge; an estimate — small
-/// allocator overhead is not modeled.
-size_t actionFootprintBytes(const Action &A);
 
 /// One segment rotation, as observed by the snapshot machinery: the chain
 /// grew a new segment \p Index whose first record is \p FirstSeq, i.e.
@@ -135,9 +111,8 @@ struct SegmentCut {
 ///    before its successor is created (readers rely on that order).
 ///
 /// All methods are thread-safe (one internal mutex): writers call
-/// write()/flushPending() under their own admission lock, the pump
-/// thread calls reclaimThrough(), and spill readers call sync() /
-/// pathForSeq() concurrently.
+/// write()/flushPending() under their own admission lock, and the pump
+/// thread calls reclaimThrough() concurrently.
 class SegmentSink {
 public:
   SegmentSink() = default;
@@ -163,8 +138,7 @@ public:
   void flushPending();
 
   /// flushPending + fflush: everything written so far becomes readable
-  /// through an independent FILE handle (spill readers call this before
-  /// crossing the last synced boundary).
+  /// through an independent FILE handle.
   void sync();
 
   /// Final sync and fclose. Idempotent; the destructor calls it.
@@ -181,12 +155,6 @@ public:
 
   /// Segments currently on disk (1 in plain-file mode).
   size_t liveSegments() const;
-
-  /// The file to start reading from to reach sequence number \p Seq: the
-  /// newest live segment whose first record is <= Seq (the plain path in
-  /// plain-file mode). Spill readers open a LogFileReader here and walk
-  /// the chain forward.
-  std::string pathForSeq(uint64_t Seq) const;
 
   /// Segment lifecycle counters (created/reclaimed/live HWM only; the
   /// owning log merges them into its own stats).

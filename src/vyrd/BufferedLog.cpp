@@ -108,10 +108,9 @@ constexpr size_t ShardCacheWays = 4;
 /// shard), so the append fast path avoids the registry mutex.
 thread_local ShardCacheEntry ShardCache[ShardCacheWays];
 
-/// Reorder-ring slot states. A merge round marks each record of the run it
-/// emits admitted or dropped (spilled: on disk only) under the
-/// queue mutex, writes the run to the sink, then pushes the admitted ones.
-enum SlotState : uint8_t { SlotEmpty, SlotParked, SlotAdmit, SlotDrop };
+/// Reorder-ring slot states: a drained record waits parked at its ticket
+/// until a merge round emits the contiguous run it belongs to.
+enum SlotState : uint8_t { SlotEmpty, SlotParked };
 
 /// Where one thread (the reader or the flusher) parks: a sleeper flag and
 /// an eventcount. BufferedLog.h ("Who merges, who sleeps") has the
@@ -194,7 +193,7 @@ struct BufferedLog::Impl {
   /// The global, merged order the readers consume. Lock order: MergeM
   /// before QM.
   std::mutex QM;
-  /// The flusher waits here in BP_Block mode until the reader makes room.
+  /// A bounded log's flusher waits here until the reader makes room.
   std::condition_variable QSpaceCV;
   ChunkQueue<Action> Q; // chunk-recycling: see Ring.h
   bool Finished = false; // flusher exited; Q holds everything remaining
@@ -202,19 +201,9 @@ struct BufferedLog::Impl {
   /// Backpressure state, guarded by QM (admission happens where a merge
   /// round pushes into Q; the shard rings have their own bound).
   BackpressureStats Stats;
-  /// When the record now first in line met the bound under BP_Block (0:
-  /// none waiting). One wait counts once, whichever round meets it.
+  /// When the record now first in line met the bound (0: none waiting).
+  /// One wait counts once, whichever round meets it.
   uint64_t BlockedSince = 0;
-  uint64_t QBytes = 0; // estimated bytes Q pins (BP enabled only)
-  /// Spill bookkeeping: Delivered = next seq the reader hands out;
-  /// EmittedSeq = every record below it has reached the sink, published
-  /// at the end of each merge round (under QM, so readers see queue and
-  /// watermark consistently).
-  uint64_t Delivered = 0;
-  std::atomic<uint64_t> EmittedSeq{0};
-  std::unique_ptr<LogFileReader> SpillReader;
-  uint64_t SpillNextSeq = 0;
-  bool SpillFailed = false; // latched on corrupt spilled region
 
   /// Segment telemetry deltas already forwarded (pump thread only).
   uint64_t SegCreatedSeen = 0;
@@ -411,95 +400,48 @@ void BufferedLog::park(Action &&A) {
   I->Reorder[Slot] = std::move(A);
 }
 
-bool BufferedLog::spillCapable() const {
-  const BackpressureConfig &BP = I->Opts.Backpressure;
-  return BP.Enabled && I->HasFile && I->Opts.RetainRecords &&
-         BP.Policy == BackpressurePolicy::BP_SpillToDisk;
-}
-
-bool BufferedLog::waitsAtBound(BackpressurePolicy P) const {
-  return P == BackpressurePolicy::BP_Block ||
-         (P == BackpressurePolicy::BP_SpillToDisk && !I->HasFile);
-}
-
 uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
                                   bool &Blocked) {
   const BackpressureConfig &BP = I->Opts.Backpressure;
-  if (!BP.Enabled) {
-    for (uint64_t Ti = First; Ti != S; ++Ti)
-      I->Parked[Ti & I->ReorderMask] = SlotAdmit;
+  if (!BP.Enabled)
     return S;
-  }
   Telemetry *T = telemetry();
-  const BackpressurePolicy P = BP.Policy;
   // The queue as it will stand after this round's pushes. The reader can
   // only shrink it before they happen, so the bound holds.
   uint64_t Pending = I->Q.size();
-  uint64_t Bytes = I->QBytes;
-  for (uint64_t Ti = First; Ti != S; ++Ti) {
-    const Action &A = I->Reorder[Ti & I->ReorderMask];
-    bool Over = Pending >= BP.MaxPendingRecords ||
-                (BP.MaxTailBytes && Bytes >= BP.MaxTailBytes);
-    if (Over && (Reader || waitsAtBound(P))) {
-      // The record waits parked: for the reader to drain the queue (its
-      // own next round), or for the flusher's waitForRoom.
-      if (waitsAtBound(P) && !I->BlockedSince) {
-        ++I->Stats.BlockedAppends;
-        I->BlockedSince = telemetryNowNanos();
-        if (telemetryCompiledIn() && T)
-          T->count(Counter::C_BlockedAppends);
-      }
-      Blocked = !Reader;
-      return Ti;
-    }
-    if (I->BlockedSince) {
-      uint64_t Waited = telemetryNowNanos() - I->BlockedSince;
-      I->BlockedSince = 0;
-      I->Stats.BlockedNanos += Waited;
-      if (telemetryCompiledIn() && T)
-        T->record(Histo::H_BlockedNs, Waited);
-    }
-    if (Over && P == BackpressurePolicy::BP_SpillToDisk) {
-      // At the sink by the time the round publishes; the reader re-reads
-      // the gap from disk.
-      ++I->Stats.SpilledRecords;
-      if (telemetryCompiledIn() && T)
-        T->count(Counter::C_SpilledRecords);
-      I->Parked[Ti & I->ReorderMask] = SlotDrop;
-      continue;
-    }
-    I->Parked[Ti & I->ReorderMask] = SlotAdmit;
-    ++Pending;
-    Bytes += actionFootprintBytes(A);
+  uint64_t Room =
+      Pending < BP.MaxPendingRecords ? BP.MaxPendingRecords - Pending : 0;
+  uint64_t End = First + std::min(S - First, Room);
+  if (End != First && I->BlockedSince) {
+    uint64_t Waited = telemetryNowNanos() - I->BlockedSince;
+    I->BlockedSince = 0;
+    I->Stats.BlockedNanos += Waited;
+    if (telemetryCompiledIn() && T)
+      T->record(Histo::H_BlockedNs, Waited);
   }
-  return S;
+  if (End != S) {
+    // The record at End waits parked: for the reader to drain the queue
+    // (its own next round), or for the flusher's waitForRoom.
+    if (!I->BlockedSince) {
+      ++I->Stats.BlockedAppends;
+      I->BlockedSince = telemetryNowNanos();
+      if (telemetryCompiledIn() && T)
+        T->count(Counter::C_BlockedAppends);
+    }
+    Blocked = !Reader;
+  }
+  return End;
 }
 
 void BufferedLog::publishLocked(uint64_t First, uint64_t S) {
-  const BackpressureConfig &BP = I->Opts.Backpressure;
-  Telemetry *T = telemetry();
-  for (uint64_t Ti = First; Ti != S; ++Ti) {
-    size_t Slot = Ti & I->ReorderMask;
-    if (I->Parked[Slot] != SlotAdmit)
-      continue;
-    Action &A = I->Reorder[Slot];
-    if (BP.Enabled) {
-      size_t FP = actionFootprintBytes(A);
-      I->QBytes += FP;
-      I->Stats.PendingRecordsHwm =
-          std::max<uint64_t>(I->Stats.PendingRecordsHwm, I->Q.size() + 1);
-      I->Stats.TailBytesHwm =
-          std::max<uint64_t>(I->Stats.TailBytesHwm, I->QBytes);
-      if (telemetryCompiledIn() && T) {
-        T->gaugeAdd(Gauge::G_PendingRecords, 1);
-        T->gaugeAdd(Gauge::G_TailBytes, FP);
-      }
-    }
-    I->Q.push_back(std::move(A));
-  }
-  // Publish the disk watermark under QM so readers never see a record
-  // "on disk" that this round is still deciding to queue or spill.
-  I->EmittedSeq.store(S, std::memory_order_release);
+  for (uint64_t Ti = First; Ti != S; ++Ti)
+    I->Q.push_back(std::move(I->Reorder[Ti & I->ReorderMask]));
+  if (!I->Opts.Backpressure.Enabled)
+    return;
+  I->Stats.PendingRecordsHwm =
+      std::max<uint64_t>(I->Stats.PendingRecordsHwm, I->Q.size());
+  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T)
+    T->gaugeAdd(Gauge::G_PendingRecords, S - First);
 }
 
 size_t BufferedLog::emitReady(bool Reader, bool &Blocked,
@@ -523,23 +465,19 @@ size_t BufferedLog::emitReady(bool Reader, bool &Blocked,
   if (S == First)
     return 0;
   if (I->HasFile) {
-    // All records reach the disk log, including ones the admission above
-    // spilled (the file is the complete witness). A rotation
-    // records its cut here, before any record past it is handed out.
+    // A rotation records its cut here, before any record past it is
+    // handed out.
     for (uint64_t T = First; T != S; ++T)
       I->Sink.write(I->Reorder[T & I->ReorderMask]);
     I->Sink.flushPending();
   }
-  {
+  if (I->Opts.RetainRecords && !Direct) {
     std::lock_guard Lock(I->QM);
-    if (I->Opts.RetainRecords && !Direct)
-      publishLocked(First, S);
-    else
-      I->EmittedSeq.store(S, std::memory_order_release);
+    publishLocked(First, S);
   }
   for (uint64_t T = First; T != S; ++T) {
     size_t Slot = T & I->ReorderMask;
-    if (Direct && I->Parked[Slot] == SlotAdmit)
+    if (Direct)
       Out->push_back(std::move(I->Reorder[Slot]));
     I->Parked[Slot] = SlotEmpty;
   }
@@ -577,10 +515,8 @@ BufferedLog::mergeRound(bool Reader, std::vector<Action> *Out, size_t Max) {
 void BufferedLog::waitForRoom() {
   const BackpressureConfig &BP = I->Opts.Backpressure;
   std::unique_lock Lock(I->QM);
-  I->QSpaceCV.wait(Lock, [&] {
-    return I->Q.size() < BP.MaxPendingRecords &&
-           (!BP.MaxTailBytes || I->QBytes < BP.MaxTailBytes);
-  });
+  I->QSpaceCV.wait(Lock,
+                   [&] { return I->Q.size() < BP.MaxPendingRecords; });
 }
 
 bool BufferedLog::shardsHold(uint64_t N, std::memory_order MO) const {
@@ -605,7 +541,7 @@ void BufferedLog::awaitRecords(std::vector<Action> *Out, size_t Max) {
       [this] {
         {
           std::lock_guard Lock(I->QM);
-          if (readyLocked() || I->Finished)
+          if (!I->Q.empty() || I->Finished)
             return true;
         }
         return shardsHold(1);
@@ -661,105 +597,23 @@ void BufferedLog::close() {
   I->FlusherThread.join();
 }
 
-void BufferedLog::dequeuedLocked(size_t N, uint64_t Bytes) {
-  I->QBytes -= std::min(Bytes, I->QBytes);
-  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
+void BufferedLog::dequeuedLocked(size_t N) {
+  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T)
     T->gaugeSub(Gauge::G_PendingRecords, N);
-    T->gaugeSub(Gauge::G_TailBytes, Bytes);
-  }
   I->QSpaceCV.notify_one();
 }
 
-void BufferedLog::popFrontLocked(Action &Out) {
-  Out = std::move(I->Q.front());
-  I->Q.pop_front();
-  if (I->Opts.Backpressure.Enabled) {
-    dequeuedLocked(1, actionFootprintBytes(Out));
-    // Monotone: a stale pop (a record the spill reader already
-    // delivered from disk while its producer was still blocked) must
-    // not rewind the frontier, or the next queued record is delivered
-    // twice.
-    if (spillCapable() && Out.Seq + 1 > I->Delivered) {
-      I->Delivered = Out.Seq + 1;
-      if (I->SpillReader)
-        I->SpillReader.reset(); // stale: positioned inside a finished gap
-    }
-  }
-}
-
-bool BufferedLog::spillNextLocked(Action &Out) {
-  // Catch-up read from the file: the record is at the sink (published
-  // via EmittedSeq only after the sink write), at worst still in stdio
-  // buffers, which sync() pushes down.
-  if (!I->SpillReader || I->SpillNextSeq != I->Delivered) {
-    I->Sink.sync();
-    auto R =
-        std::make_unique<LogFileReader>(I->Sink.pathForSeq(I->Delivered));
-    R->setTailing(true);
-    if (!R->valid())
-      return false;
-    I->SpillReader = std::move(R);
-    I->SpillNextSeq = I->Delivered;
-  }
-  for (int Attempt = 0; Attempt < 2; ++Attempt) {
-    Action A;
-    while (I->SpillReader->next(A)) {
-      I->SpillNextSeq = A.Seq + 1;
-      if (A.Seq < I->Delivered)
-        continue; // opened at a segment boundary before the gap
-      I->Delivered = A.Seq + 1;
-      Out = std::move(A);
-      return true;
-    }
-    if (I->SpillReader->malformed()) {
-      std::fprintf(stderr,
-                   "vyrd: spill re-read failed (malformed log near seq "
-                   "%llu); online checking truncated\n",
-                   static_cast<unsigned long long>(I->Delivered));
-      I->SpillReader.reset();
-      I->SpillFailed = true;
-      return false;
-    }
-    I->Sink.sync(); // the record may still be buffered; retry once synced
-  }
-  return false;
-}
-
-bool BufferedLog::readyLocked() const {
-  if (!I->Q.empty())
-    return true;
-  return spillCapable() && !I->SpillFailed &&
-         I->Delivered < I->EmittedSeq.load(std::memory_order_acquire);
-}
-
 bool BufferedLog::tryNextLocked(Action &Out, bool &End) {
-  if (!spillCapable()) {
-    if (!I->Q.empty()) {
-      popFrontLocked(Out);
-      End = false;
-      return true;
-    }
+  if (I->Q.empty()) {
     End = I->Finished;
     return false;
   }
-  // Spill mode: deliver strictly in sequence order, preferring the queue
-  // and filling gaps (spilled regions) from the sink's file(s).
-  while (!I->Q.empty() && I->Q.front().Seq < I->Delivered) {
-    Action Drop;
-    popFrontLocked(Drop); // already delivered from disk
-  }
-  if (!I->Q.empty() && I->Q.front().Seq == I->Delivered) {
-    popFrontLocked(Out);
-    End = false;
-    return true;
-  }
-  if (!I->SpillFailed &&
-      I->Delivered < I->EmittedSeq.load(std::memory_order_acquire)) {
-    End = false;
-    return spillNextLocked(Out); // false = not visible yet, caller retries
-  }
-  End = I->Finished && I->Q.empty();
-  return false;
+  Out = std::move(I->Q.front());
+  I->Q.pop_front();
+  if (I->Opts.Backpressure.Enabled)
+    dequeuedLocked(1);
+  End = false;
+  return true;
 }
 
 bool BufferedLog::next(Action &Out) {
@@ -770,11 +624,6 @@ bool BufferedLog::next(Action &Out) {
       return true;
     if (End)
       return false;
-    // Ready but not delivered: spill data momentarily invisible (stdio
-    // buffering around a rotation); spillNextLocked has synced, so
-    // retrying converges.
-    if (readyLocked())
-      continue;
     Lock.unlock();
     awaitRecords();
     Lock.lock();
@@ -794,8 +643,6 @@ bool BufferedLog::tryNext(Action &Out, bool &End) {
 }
 
 bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
-  if (spillCapable())
-    return Log::nextBatch(Out, Max); // per-record path handles disk gaps
   Out.clear();
   if (Max == 0)
     Max = 1; // the Log::nextBatch contract
@@ -809,19 +656,15 @@ bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
     Lock.lock();
   }
   // The queue holds what flusher rounds emitted while this reader was
-  // away: take it in one pass, with one byte count, gauge update and
-  // wake-up for the whole batch.
+  // away: take it in one pass, with one gauge update and wake-up for the
+  // whole batch.
   size_t N = std::min(I->Q.size(), Max);
-  const bool Bounded = I->Opts.Backpressure.Enabled;
-  uint64_t Bytes = 0;
   for (size_t K = 0; K != N; ++K) {
     Out.push_back(std::move(I->Q.front()));
     I->Q.pop_front();
-    if (Bounded)
-      Bytes += actionFootprintBytes(Out.back());
   }
-  if (Bounded && N)
-    dequeuedLocked(N, Bytes);
+  if (I->Opts.Backpressure.Enabled && N)
+    dequeuedLocked(N);
   return N != 0;
 }
 

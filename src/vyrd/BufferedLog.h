@@ -56,26 +56,25 @@
 /// emits the contiguous ticket run to the file sink and to the reader
 /// queue's admission. Two kinds of thread run rounds:
 ///
-///  * the reader. Every reader entry point (nextBatch, next, tryNext, and
-///    the per-record spill path) runs a round itself when its queue has
-///    nothing for it, so a record reaches the checker on the thread that
-///    checks it. A round run by nextBatch that finds the queue empty
-///    (under the queue mutex) hands the admitted run straight to the
-///    caller's batch, at most the batch's room, after writing it to the
-///    file sink; those records never enter the queue. Other reader rounds
-///    emit into the queue, at most its free room. Either way a
-///    reader-side round admits at most the queue bound, so it never has
-///    to wait on its own queue; what does not fit stays parked for the
-///    next round. When a round finds nothing, the reader spins briefly
-///    on the shard heads, then parks on an eventcount until a producer
-///    publishes.
+///  * the reader. Every reader entry point (nextBatch, next, tryNext) runs
+///    a round itself when its queue has nothing for it, so a record
+///    reaches the checker on the thread that checks it. A round run by
+///    nextBatch that finds the queue empty (under the queue mutex) hands
+///    the admitted run straight to the caller's batch, at most the
+///    batch's room, after writing it to the file sink; those records
+///    never enter the queue. Other reader rounds emit into the queue, at
+///    most its free room. Either way a reader-side round admits at most
+///    the queue bound, so it never has to wait on its own queue; what
+///    does not fit stays parked for the next round. When a round finds
+///    nothing, the reader spins briefly on the shard heads, then parks on
+///    an eventcount until a producer publishes.
 ///  * the flusher thread, for the logs nobody reads online: log-only and
-///    offline runs, the backlog behind a spilling reader, and a reader
-///    busy or blocked downstream (checker-pool admission). It sleeps on
-///    its own eventcount until close(), or until a producer's ring passes
-///    half full. Awake, it runs rounds until one finds nothing. Under
-///    BP_Block it waits for queue room between rounds, never inside one,
-///    so the merge mutex is never held across a wait.
+///    offline runs, and a reader busy or blocked downstream (checker-pool
+///    admission). It sleeps on its own eventcount until close(), or until
+///    a producer's ring passes half full. Awake, it runs rounds until one
+///    finds nothing. On a bounded log it waits for queue room between
+///    rounds, never inside one, so the merge mutex is never held across a
+///    wait.
 ///
 /// The reader queue is the flusher's overflow: it holds only what flusher
 /// rounds (and next/tryNext rounds) emitted while the reader was away.
@@ -146,7 +145,10 @@
 /// Backpressure: shards are bounded. A producer whose ring is full wakes
 /// the flusher and waits (yield, then short sleeps) until a merge round
 /// makes room, so memory for unmerged records is capped at ShardCapacity
-/// per thread.
+/// per thread. With Options::Backpressure enabled the reader queue is
+/// bounded too: a merge round emits no record past MaxPendingRecords
+/// queued ones, so the rest waits parked in the reorder ring and then in
+/// the shards, and the producers wait with it.
 ///
 /// Thread registration: shards are keyed by the dense thread id
 /// (currentTid()) and created the first time a thread with that id calls
@@ -230,13 +232,11 @@ public:
     /// Disable for logging-only runs where nothing consumes the log; the
     /// reader then reports end of log only after close().
     bool RetainRecords = true;
-    /// Bound + policy for the merged reader queue. The shard rings are
-    /// already bounded (ShardCapacity per thread); this bounds the
-    /// downstream stage merge rounds feed. BP_Block stops a round at the
-    /// bound and parks the *flusher* until the reader makes room (shards
-    /// then fill and producers hit the ring-full backoff, so the
-    /// pressure propagates); BP_SpillToDisk needs FilePath and lets the
-    /// reader re-read over-limit records from disk.
+    /// Bound for the merged reader queue. The shard rings are already
+    /// bounded (ShardCapacity per thread); this bounds the downstream
+    /// stage merge rounds feed. A round stops at the bound and parks the
+    /// *flusher* until the reader makes room (shards then fill and
+    /// producers hit the ring-full backoff, so the pressure propagates).
     BackpressureConfig Backpressure;
   };
 
@@ -294,7 +294,7 @@ private:
   struct MergeResult {
     size_t Drained = 0; ///< records moved out of the shards
     size_t Emitted = 0; ///< records emitted into the global order
-    /// BP_Block stopped the run at the queue bound (flusher rounds only).
+    /// The queue bound stopped the run (flusher rounds only).
     bool Blocked = false;
     /// Every ticket issued so far is in the global order.
     bool CaughtUp = false;
@@ -302,13 +302,6 @@ private:
 
   ThreadLogShard &shardForCurrentThread();
   void flusherMain();
-  /// True when the reader must track the delivery frontier and be able to
-  /// re-read over-limit records from the file: the policy is
-  /// BP_SpillToDisk on a file-backed log that retains records.
-  bool spillCapable() const;
-  /// True when \p P makes a record wait at the queue bound: BP_Block, and
-  /// BP_SpillToDisk without a file to spill to.
-  bool waitsAtBound(BackpressurePolicy P) const;
   /// One merge round under the merge mutex (file comment, "Who merges,
   /// who sleeps"). \p Reader marks a reader-side round, which emits at
   /// most the queue's free room. Given \p Out, a round that finds the
@@ -328,17 +321,13 @@ private:
   size_t emitReady(bool Reader, bool &Blocked, std::vector<Action> *Out,
                    size_t Max);
   /// Decides queue admission for the run [\p First, \p S) in ticket
-  /// order and marks each slot admitted or dropped (spilled).
-  /// \returns the end of the decided prefix: \p S, or the first record
-  /// that met a full queue where it has to wait, which is under any
-  /// policy in a reader-side round and under waitsAtBound otherwise (and
-  /// then sets \p Blocked). A wait under waitsAtBound counts once in
-  /// BlockedAppends; its length goes to BlockedNanos when the record is
-  /// admitted.
+  /// order. \returns the end of the admitted prefix: \p S, or the first
+  /// record that met a full queue and has to wait (then a flusher round
+  /// sets \p Blocked). A wait counts once in BlockedAppends; its length
+  /// goes to BlockedNanos when the record is admitted.
   uint64_t admitLocked(uint64_t First, uint64_t S, bool Reader,
                        bool &Blocked);
-  /// Pushes the admitted records of [\p First, \p S) into the reader
-  /// queue and publishes \p S as the emitted (on-disk) watermark.
+  /// Pushes the records of [\p First, \p S) into the reader queue.
   void publishLocked(uint64_t First, uint64_t S);
   /// Flusher after a blocked round: waits until the queue has room.
   void waitForRoom();
@@ -351,14 +340,10 @@ private:
   /// fallback protocol needs it); the reader's spin uses acquire.
   bool shardsHold(uint64_t N,
                   std::memory_order MO = std::memory_order_seq_cst) const;
-  bool readyLocked() const;
   bool tryNextLocked(Action &Out, bool &End);
-  bool spillNextLocked(Action &Out);
-  void popFrontLocked(Action &Out);
-  /// Accounts for \p N records of footprint \p Bytes leaving the queue
-  /// (bounded queues only): the byte estimate, the gauges, and a wake-up
-  /// for a flusher waiting for room.
-  void dequeuedLocked(size_t N, uint64_t Bytes);
+  /// Accounts for \p N records leaving the queue (bounded queues only):
+  /// the gauge, and a wake-up for a flusher waiting for room.
+  void dequeuedLocked(size_t N);
 
   struct Impl;
   std::unique_ptr<Impl> I;

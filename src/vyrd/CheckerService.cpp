@@ -92,10 +92,9 @@ public:
   /// allocating a fresh one per dispatch.
   ///
   /// With backpressure enabled the total records pending across objects
-  /// are bounded by MaxPendingRecords: BP_Block (and BP_SpillToDisk,
-  /// which has nothing left to spill here — the records are already in
-  /// memory) parks the pump until workers drain below the bound, so the
-  /// pressure propagates back into the log. Admission is sliced
+  /// are bounded by MaxPendingRecords: a batch that meets the bound parks
+  /// the pump until workers drain below it, so the pressure propagates
+  /// back into the log. Admission is sliced
   /// at the free room, so occupancy never exceeds the bound (a
   /// batch-granular path would overshoot by up to a whole pump batch).
   void dispatch(ObjectState &O, std::vector<Action> &Batch) {
@@ -243,8 +242,8 @@ private:
         Lock.lock();
         // Account the batch as fed only now: until this point it was
         // neither pending nor checked, and the watermark must not
-        // advance past records still being fed (a reclaimed segment
-        // would strand a concurrent spill reader).
+        // advance past records still being fed (reclamation would delete
+        // the segment holding them).
         if (BatchN) {
           O->FedExclusive = std::max(O->FedExclusive, BatchEnd);
           O->PendingRecs -= BatchN;
@@ -265,7 +264,7 @@ private:
   mutable std::mutex M;
   std::condition_variable WorkCV; ///< workers wait for runnable objects
   std::condition_variable IdleCV; ///< drainAndJoin waits for quiescence
-  std::condition_variable SpaceCV; ///< BP_Block: pump waits for room
+  std::condition_variable SpaceCV; ///< bounded: pump waits for room
   BackpressureStats Stats;         ///< admission accounting (guarded by M)
   /// Records pending across all objects (dispatched, not yet fed).
   uint64_t PendingRecs = 0;

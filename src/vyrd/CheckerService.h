@@ -64,7 +64,7 @@ using PipelineFactory = std::function<bool(
 /// needs; the Verifier copies these fields over, vyrd-checkd fills them
 /// from its command line).
 struct CheckerServiceOptions {
-  /// Bound + admission policy of the pool's per-object batch queues
+  /// Record bound of the pool's per-object batch queues
   /// (the log-side half of the same config lives with the log).
   BackpressureConfig Backpressure;
   /// Forensic bundle prefix; empty disables bundles (see

@@ -81,7 +81,7 @@ LogFileReader::~LogFileReader() {
     std::fclose(File);
 }
 
-void LogFileReader::refill() {
+size_t LogFileReader::refill() {
   // Compact the undecoded suffix to the front, then top the window up.
   if (Start > 0) {
     std::memmove(Buf.data(), Buf.data() + Start, End - Start);
@@ -92,11 +92,7 @@ void LogFileReader::refill() {
     Buf.resize(Buf.size() * 2); // one record larger than the window
   size_t N = std::fread(Buf.data() + End, 1, Buf.size() - End, File);
   End += N;
-  if (N == 0) {
-    Eof = true;
-    if (Tailing)
-      std::clearerr(File); // the writer may append more; re-probe later
-  }
+  return N;
 }
 
 bool LogFileReader::advanceSegment() {
@@ -116,8 +112,8 @@ bool LogFileReader::advanceSegment() {
   uint32_t V = readLogHeader(R, &Seg);
   if (V != LogSegmentVersion) {
     std::fclose(NF);
-    if (Tailing || HN == 0)
-      return false; // header not flushed yet / crashed mid-rotation
+    if (HN == 0)
+      return false; // crashed mid-rotation
     Malformed = true;
     return false;
   }
@@ -132,7 +128,6 @@ bool LogFileReader::advanceSegment() {
   std::fclose(File);
   File = NF;
   std::fseek(File, static_cast<long>(R.position()), SEEK_SET);
-  Eof = false;
   Start = End = 0;
   Consumed += R.position();
   // Segments are self-contained: fresh name-interning table per file.
@@ -159,10 +154,7 @@ bool LogFileReader::next(Action &Out) {
       }
       Decoder.truncateNames(SavedNames);
     }
-    Eof = false; // re-probe: tailed files grow, chains gain successors
-    size_t Had = End - Start;
-    refill();
-    if (!Eof && End - Start != Had)
+    if (refill())
       continue; // new bytes: retry the decode
     // At the (current) end of this file: continue into the successor
     // segment if one exists.
@@ -170,8 +162,6 @@ bool LogFileReader::next(Action &Out) {
       continue;
     if (Malformed)
       return false;
-    if (Tailing)
-      return false; // no complete record *yet*; caller retries later
     if (Start != End)
       Malformed = true; // trailing undecodable bytes
     return false;

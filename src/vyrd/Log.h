@@ -118,12 +118,6 @@ private:
 /// Rotation order guarantees a successor's existence proves its
 /// predecessor is complete on disk, so leftover undecodable bytes before
 /// a successor are real corruption.
-///
-/// Tailing mode (setTailing) reads a file a writer is still appending
-/// to: end-of-file is treated as "no more data *yet*" — next() returns
-/// false without latching EOF or flagging a record truncated at the
-/// write frontier as malformed, and a later call re-probes the file and
-/// the chain. BufferedLog's spill reader runs in this mode.
 class LogFileReader {
 public:
   explicit LogFileReader(const std::string &Path);
@@ -143,18 +137,14 @@ public:
   /// Chain index of the segment currently being read (0 outside chains).
   uint64_t segmentIndex() const { return ChainIndex; }
 
-  /// See the class comment; must be set before the first next() that
-  /// could hit end-of-file.
-  void setTailing(bool T) { Tailing = T; }
-
   /// Decodes the next record into \p Out. \returns false at clean end of
-  /// file (of the whole chain), on malformed input — distinguish via
-  /// malformed() — or, in tailing mode, when no complete record is
-  /// available yet.
+  /// file (of the whole chain) or on malformed input — distinguish via
+  /// malformed().
   bool next(Action &Out);
 
 private:
-  void refill();
+  /// Tops up the read window. \returns the bytes read (0 at end of file).
+  size_t refill();
   bool advanceSegment();
 
   std::FILE *File = nullptr;
@@ -164,9 +154,7 @@ private:
   size_t End = 0;
   uint64_t Consumed = 0;
   uint32_t Version = 1;
-  bool Eof = false;
   bool Malformed = false;
-  bool Tailing = false;
   /// Non-empty while walking a segment chain: the chain's base path and
   /// the 1-based index of the segment currently open.
   std::string ChainBase;

@@ -54,8 +54,6 @@ const char *vyrd::counterName(Counter C) {
     return "obs_memo_hits";
   case Counter::C_ObsMemoMisses:
     return "obs_memo_misses";
-  case Counter::C_SpilledRecords:
-    return "spilled_records";
   case Counter::C_BlockedAppends:
     return "blocked_appends";
   case Counter::C_SegmentsCreated:
@@ -147,8 +145,6 @@ const char *vyrd::gaugeName(Gauge G) {
   switch (G) {
   case Gauge::G_PendingRecords:
     return "pending_records";
-  case Gauge::G_TailBytes:
-    return "tail_bytes";
   case Gauge::G_SegmentsLive:
     return "segments_live";
   case Gauge::G_EpochsInFlight:

@@ -91,10 +91,7 @@ enum class Counter : uint8_t {
   /// call. Flushed once per checker at finish().
   C_ObsMemoHits,
   C_ObsMemoMisses,
-  /// Records that bypassed an over-limit in-memory queue and were
-  /// re-read from disk (BP_SpillToDisk).
-  C_SpilledRecords,
-  /// Appends that had to wait for queue space (BP_Block).
+  /// Appends that had to wait for queue space (bounded pipeline).
   C_BlockedAppends,
   /// Log segment files created / reclaimed (SegmentSink rotation and
   /// checked-prefix deletion).
@@ -117,7 +114,7 @@ enum class Counter : uint8_t {
   /// Segment shipping, producer side (docs/SHIPPING.md): closed segments
   /// / encoded bytes shipped to the remote checker, watermark acks
   /// received back, connect/send attempts that had to be retried, and
-  /// records re-checked locally after a degrade to SD_LocalCheck.
+  /// records re-checked locally by the degrade path.
   C_ShipSegments,
   C_ShipBytes,
   C_ShipAcks,
@@ -152,7 +149,7 @@ enum class Histo : uint8_t {
   H_ViewCompareNs,
   /// Sampled checker lag, in sequence numbers (sampler thread).
   H_CheckerLag,
-  /// Time one BP_Block append spent waiting for queue space, nanoseconds
+  /// Time one bounded append spent waiting for queue space, nanoseconds
   /// (every blocked append records; unblocked appends record nothing).
   H_BlockedNs,
   NumHistos
@@ -167,8 +164,6 @@ enum class Gauge : uint8_t {
   /// Records admitted to an in-memory queue (log tail / pool pending)
   /// and not yet consumed by the checker side.
   G_PendingRecords,
-  /// Estimated bytes those pending records pin (actionFootprintBytes).
-  G_TailBytes,
   /// Log segment files currently on disk.
   G_SegmentsLive,
   /// Epoch tasks currently being checked by epochCheck.

@@ -22,7 +22,7 @@
 ///    directly.
 ///  * InProcessTransport feeds a CheckerService from closed segment files
 ///    through the same decode path the remote service uses. It backs the
-///    SD_LocalCheck degrade path and lets tests assert wire == inline.
+///    local re-check degrade path and lets tests assert wire == inline.
 ///  * SocketTransport frames segment files (plus .snap sidecars) over a
 ///    unix or TCP socket to a `vyrd-checkd` service, with CRC-protected
 ///    length-framed chunks, capped-exponential-backoff reconnects, and an
@@ -53,20 +53,6 @@ class CheckerService;
 class Telemetry;
 class TraceRecorder;
 
-/// What the producer does when the checker fleet stays unreachable after
-/// the retry budget (VerifierConfig::Shipping.Degrade).
-enum class ShipDegrade : uint8_t {
-  /// Re-check the surviving on-disk chain locally at finish(): the
-  /// verdict stays sound, the run just lost the offload. Requires the
-  /// full chain (nothing was reclaimed before the fleet died — acks
-  /// drive reclamation, so a fleet that never acked never reclaimed).
-  SD_LocalCheck,
-  /// Account the unshipped suffix as a VK_Degraded note: verdicts on
-  /// acked records stand, the rest is reported unverified. For deployments where producer-side checking
-  /// is too expensive to ever run inline.
-  SD_Shed,
-};
-
 /// Producer-side shipping configuration (VerifierConfig::Shipping).
 struct ShipperOptions {
   /// Where the checker fleet listens: "unix:<path>" or "tcp:<host>:<port>".
@@ -95,7 +81,6 @@ struct ShipperOptions {
   /// How long finish() waits for the remote ack of the final watermark
   /// after the Close frame before degrading.
   unsigned FinalAckTimeoutMs = 10000;
-  ShipDegrade Degrade = ShipDegrade::SD_LocalCheck;
 
   bool enabled() const { return !Endpoint.empty(); }
 };
@@ -247,7 +232,7 @@ public:
 /// SegmentTransport into a CheckerService in this process: reads each
 /// segment file, decodes it through the same v4 path the remote service
 /// uses, and feeds the service. Acks are immediate (the feed is
-/// synchronous). Used by the SD_LocalCheck degrade path and by tests
+/// synchronous). Used by the local re-check degrade path and by tests
 /// asserting wire == inline verdicts.
 class InProcessTransport : public SegmentTransport {
 public:

@@ -38,14 +38,10 @@ std::string VerifierConfig::validate() const {
     if (Backpressure.MaxPendingRecords == 0)
       return "Backpressure.MaxPendingRecords must be >= 1 when "
              "backpressure is enabled (a zero bound admits nothing)";
-    if (Backpressure.Policy == BackpressurePolicy::BP_SpillToDisk &&
-        LogFilePath.empty())
-      return "Backpressure.Policy = BP_SpillToDisk requires a file-backed "
-             "log (set LogFilePath)";
-    if (!Online && Backpressure.Policy == BackpressurePolicy::BP_Block)
-      return "Backpressure.Policy = BP_Block requires Online = true "
-             "(offline runs have no concurrent reader to make room; a "
-             "blocked producer would deadlock)";
+    if (!Online)
+      return "Backpressure.Enabled requires Online = true (offline runs "
+             "have no concurrent reader to make room; a blocked producer "
+             "would deadlock)";
   }
   if (Snapshots) {
     if (!Backpressure.SegmentBytes)
@@ -112,7 +108,7 @@ std::string VerifierConfig::validate() const {
 // VerifierReport
 //===----------------------------------------------------------------------===//
 
-std::string VerifierReport::str() const {
+std::string VerifierReport::str(size_t MaxListed) const {
   std::string Out;
   Out += "log: " + std::to_string(LogRecords) + " records";
   if (LogBytes)
@@ -136,12 +132,8 @@ std::string VerifierReport::str() const {
       Out += " blocked_appends=" + std::to_string(Backpressure.BlockedAppends) +
              " blocked_ms=" +
              std::to_string(Backpressure.BlockedNanos / 1000000);
-    if (Backpressure.SpilledRecords)
-      Out += " spilled_records=" + std::to_string(Backpressure.SpilledRecords);
     if (Backpressure.PendingRecordsHwm)
       Out += " pending_hwm=" + std::to_string(Backpressure.PendingRecordsHwm);
-    if (Backpressure.TailBytesHwm)
-      Out += " tail_bytes_hwm=" + std::to_string(Backpressure.TailBytesHwm);
     if (Backpressure.SegmentsCreated)
       Out += " segments=" + std::to_string(Backpressure.SegmentsCreated) +
              "/reclaimed=" + std::to_string(Backpressure.SegmentsReclaimed) +
@@ -159,7 +151,7 @@ std::string VerifierReport::str() const {
     if (Shipping.Retries)
       Out += " retries=" + std::to_string(Shipping.Retries);
     if (Shipping.Degraded)
-      Out += " degraded=" + Shipping.DegradeMode;
+      Out += " degraded";
     if (Shipping.FallbackRecords)
       Out += " fallback_records=" + std::to_string(Shipping.FallbackRecords);
     Out += "\n";
@@ -172,8 +164,12 @@ std::string VerifierReport::str() const {
     Out += "no refinement violations\n";
   else {
     Out += std::to_string(Violations.size()) + " violation(s):\n";
-    for (const Violation &V : Violations)
-      Out += "  " + V.str() + "\n";
+    size_t Listed = std::min(Violations.size(), MaxListed);
+    for (size_t I = 0; I != Listed; ++I)
+      Out += "  " + Violations[I].str() + "\n";
+    if (Listed != Violations.size())
+      Out += "  ... " + std::to_string(Violations.size() - Listed) +
+             " more not listed\n";
   }
   if (TelemetryEnabled)
     Out += Telemetry.str();
@@ -208,9 +204,7 @@ static std::string backpressureJson(const BackpressureStats &S) {
   std::string Out = "{";
   Out += "\"blocked_appends\":" + std::to_string(S.BlockedAppends);
   Out += ",\"blocked_ns\":" + std::to_string(S.BlockedNanos);
-  Out += ",\"spilled_records\":" + std::to_string(S.SpilledRecords);
   Out += ",\"pending_records_hwm\":" + std::to_string(S.PendingRecordsHwm);
-  Out += ",\"tail_bytes_hwm\":" + std::to_string(S.TailBytesHwm);
   Out += ",\"segments_created\":" + std::to_string(S.SegmentsCreated);
   Out += ",\"segments_reclaimed\":" + std::to_string(S.SegmentsReclaimed);
   Out += ",\"segments_live_hwm\":" + std::to_string(S.SegmentsLiveHwm);
@@ -270,8 +264,6 @@ std::string VerifierReport::json() const {
            std::string(Shipping.FinalAckOk ? "true" : "false");
     Out += ",\"degraded\":" +
            std::string(Shipping.Degraded ? "true" : "false");
-    if (Shipping.Degraded)
-      Out += ",\"degrade_mode\":\"" + Shipping.DegradeMode + "\"";
     if (Shipping.FallbackRecords)
       Out += ",\"fallback_records\":" +
              std::to_string(Shipping.FallbackRecords);
@@ -479,8 +471,6 @@ void Verifier::pump() {
     if (Tracer && Telem && Config.Backpressure.Enabled) {
       Tracer->noteGauge(LastSeq, "pending_records",
                         Telem->gauge(Gauge::G_PendingRecords));
-      Tracer->noteGauge(LastSeq, "tail_bytes",
-                        Telem->gauge(Gauge::G_TailBytes));
       if (Config.Backpressure.SegmentBytes)
         Tracer->noteGauge(LastSeq, "segments_live",
                           Telem->gauge(Gauge::G_SegmentsLive));
@@ -495,7 +485,7 @@ void Verifier::pump() {
 
 void Verifier::shipPump() {
   // The shipping consumption loop never touches a checker: it drains the
-  // log (so the bounded tail keeps moving and BP_Block producers wake),
+  // log (so the bounded tail keeps moving and blocked producers wake),
   // turns segment rotations into shipSegment calls, and trims the chain
   // as the remote checker's watermark advances. Memory stays bounded on
   // both sides: here by SegmentBytes x live segments, there by the
@@ -551,42 +541,32 @@ bool Verifier::degradeShipping(VerifierReport &R,
   uint64_t Acked = Transport->ackedWatermark();
   uint64_t Unverified =
       FinalSeqExclusive > Acked ? FinalSeqExclusive - Acked : 0;
-  if (Config.Shipping.Degrade == ShipDegrade::SD_LocalCheck) {
-    R.Shipping.DegradeMode = "local-check";
-    // A sound local verdict needs the chain from record 0 — which is
-    // exactly what survives when the fleet never acked (acks are the
-    // only thing that reclaims). A partially acked-and-reclaimed chain
-    // cannot be re-checked (shipped runs write no sidecars), so its
-    // unacked suffix is accounted like SD_Shed.
-    std::vector<ChainSegment> Chain;
-    bool CanLocal = enumerateChain(Config.LogFilePath, Chain) &&
-                    !Chain.empty() &&
-                    (Chain.front().Index <= 1 || Chain.front().HasSnapshot);
-    if (CanLocal) {
-      InProcessTransport Local(*Svc);
-      std::string Err;
-      if (shipChain(Config.LogFilePath, Local, FinalSeqExclusive, 0, Err)) {
-        R.Notes.push_back(
-            "shipping degraded: checker fleet at " +
-            Config.Shipping.Endpoint +
-            " unreachable; surviving chain re-checked locally "
-            "(SD_LocalCheck), the verdict below is sound");
-        return true;
-      }
-      R.Notes.push_back("shipping degraded: local re-check failed: " + Err);
+  // A sound local verdict needs the chain from record 0 — which is
+  // exactly what survives when the fleet never acked (acks are the only
+  // thing that reclaims). A partially acked-and-reclaimed chain cannot be
+  // re-checked (shipped runs write no sidecars), so its unacked suffix is
+  // noted as unverified.
+  std::vector<ChainSegment> Chain;
+  bool CanLocal = enumerateChain(Config.LogFilePath, Chain) &&
+                  !Chain.empty() &&
+                  (Chain.front().Index <= 1 || Chain.front().HasSnapshot);
+  if (CanLocal) {
+    InProcessTransport Local(*Svc);
+    std::string Err;
+    if (shipChain(Config.LogFilePath, Local, FinalSeqExclusive, 0, Err)) {
+      R.Notes.push_back("shipping degraded: checker fleet at " +
+                        Config.Shipping.Endpoint +
+                        " unreachable; surviving chain re-checked locally, "
+                        "the verdict below is sound");
+      return true;
     }
-    R.Notes.push_back(
-        std::string(violationKindName(ViolationKind::VK_Degraded)) + ": " +
-        std::to_string(Unverified) +
-        " record(s) unverified (checker fleet unreachable and the "
-        "partially reclaimed chain cannot be re-checked locally)");
-    return false;
+    R.Notes.push_back("shipping degraded: local re-check failed: " + Err);
   }
-  R.Shipping.DegradeMode = "shed";
   R.Notes.push_back(
       std::string(violationKindName(ViolationKind::VK_Degraded)) + ": " +
       std::to_string(Unverified) +
-      " record(s) unverified (checker fleet unreachable, SD_Shed)");
+      " record(s) unverified (checker fleet unreachable and the "
+      "partially reclaimed chain cannot be re-checked locally)");
   return false;
 }
 

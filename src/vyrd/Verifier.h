@@ -47,6 +47,7 @@
 #include "vyrd/Trace.h"
 #include "vyrd/Transport.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -95,10 +96,10 @@ struct VerifierConfig {
   LogBackend Backend = LogBackend::LB_Buffered;
   /// Log shard capacity (records per producer thread).
   size_t ShardCapacity = 1024;
-  /// Bound + admission policy for every queue between the hooks and the
-  /// checkers: the log's reader queue and the checker pool's per-object
-  /// batch queues (see Backpressure.h for the policies). Disabled by
-  /// default — the historical unbounded pipeline.
+  /// Record bound for every queue between the hooks and the checkers:
+  /// the log's reader queue and the checker pool's per-object batch
+  /// queues (see Backpressure.h). Disabled by default — the historical
+  /// unbounded pipeline.
   /// SegmentBytes > 0 additionally rotates the log file into a segment
   /// chain that is trimmed as checkers advance.
   BackpressureConfig Backpressure;
@@ -146,13 +147,13 @@ struct VerifierConfig {
   /// producer-side memory stays bounded end-to-end. Requires Online and
   /// a file-backed segmented log (Backpressure.SegmentBytes > 0); the
   /// verdict lives in the service's session report. If the fleet stays
-  /// unreachable past the retry budget, Shipping.Degrade picks between
-  /// re-checking the surviving chain locally (SD_LocalCheck, the default)
-  /// and shedding with VK_Degraded accounting (SD_Shed).
+  /// unreachable past the retry budget, finish() re-checks the surviving
+  /// chain locally; a chain already partially reclaimed cannot be, and
+  /// its unchecked suffix is reported as a VK_Degraded note.
   ShipperOptions Shipping;
 
-  /// Checks the configuration for nonsensical combinations (spilling
-  /// without a log file, a zero-sized or offline multi-threaded checker pool,
+  /// Checks the configuration for nonsensical combinations (an offline
+  /// bounded pipeline, a zero-sized or offline multi-threaded checker pool,
   /// watchdog without telemetry, ...). Returns the empty string when the
   /// configuration is usable, otherwise a one-line description of the
   /// first problem. The Verifier constructor calls this and refuses
@@ -190,9 +191,9 @@ struct VerifierReport {
   /// pool), all zero when backpressure never engaged. Exact counts,
   /// independent of telemetry.
   BackpressureStats Backpressure;
-  /// Degradation notes (e.g. the VK_Degraded summary when shipping shed
-  /// an unverified suffix under SD_Shed). Notes are advisories — they do
-  /// not affect ok().
+  /// Degradation notes (e.g. the VK_Degraded summary when shipping left
+  /// an unverified suffix). Notes are advisories — they do not affect
+  /// ok().
   std::vector<std::string> Notes;
   /// Final metric snapshot; all zeros unless TelemetryEnabled.
   TelemetrySnapshot Telemetry;
@@ -206,8 +207,8 @@ struct VerifierReport {
   /// Remote-checking summary (all zeros / empty when
   /// VerifierConfig::Shipping was off). A shipped run's verdict lives in
   /// the remote service's session report; ok() here only covers what was
-  /// checked in this process (nothing, unless the run degraded into
-  /// SD_LocalCheck).
+  /// checked in this process (nothing, unless the run degraded into a
+  /// local re-check).
   struct ShippingSummary {
     bool Enabled = false;
     std::string Endpoint;
@@ -222,9 +223,7 @@ struct VerifierReport {
     bool FinalAckOk = false;
     /// The fleet became unreachable and the degrade path ran.
     bool Degraded = false;
-    /// "local-check" or "shed" when Degraded.
-    std::string DegradeMode;
-    /// Records re-checked in this process by SD_LocalCheck.
+    /// Records re-checked in this process by the degrade path.
     uint64_t FallbackRecords = 0;
   };
   ShippingSummary Shipping;
@@ -232,8 +231,9 @@ struct VerifierReport {
   bool ok() const { return Violations.empty(); }
   /// Renders the full report for diagnostics (includes the per-object
   /// breakdown for multi-object runs and the telemetry snapshot when
-  /// enabled).
-  std::string str() const;
+  /// enabled). Lists at most \p MaxListed violations; the count line
+  /// always counts them all.
+  std::string str(size_t MaxListed = SIZE_MAX) const;
   /// Machine-readable rendering of the whole report (stats, per-object
   /// breakdown, violations count, telemetry) as one JSON object.
   std::string json() const;
@@ -314,10 +314,10 @@ private:
   /// segments through the transport and reclaims acked ones. No local
   /// checking.
   void shipPump();
-  /// The fleet-unreachable path at finish(): local re-check or shed
-  /// accounting per Config.Shipping.Degrade. Appends notes to \p R.
-  /// Runs the configured degrade path after a failed final ack; returns
-  /// true when the surviving chain was re-checked locally (so the report
+  /// The fleet-unreachable path at finish(), after a failed final ack:
+  /// re-checks the surviving chain locally, or, when it was partially
+  /// reclaimed, notes the unverified suffix. Appends notes to \p R.
+  /// \returns true when the chain was re-checked locally (so the report
   /// carries a sound verdict and FallbackRecords should be filled).
   bool degradeShipping(VerifierReport &R, uint64_t FinalSeqExclusive);
 

@@ -31,10 +31,11 @@ enum class ViolationKind : uint8_t {
   /// nested calls, commit outside a method). Usually an annotation bug; the
   /// paper's iterative commit-point debugging loop (Sec. 4.1) surfaces here.
   VK_Instrumentation,
-  /// Coverage was degraded, not violated: shipping under SD_Shed left a
-  /// suffix of the log unverified when the checker fleet stayed
-  /// unreachable. Emitted as a report *note* (VerifierReport::Notes),
-  /// never as a violation — verdicts on the checked prefix stand.
+  /// Coverage was degraded, not violated: shipping left a suffix of the
+  /// log unverified when the checker fleet stayed unreachable and the
+  /// partially reclaimed chain could not be re-checked locally. Emitted
+  /// as a report *note* (VerifierReport::Notes), never as a violation —
+  /// verdicts on the checked prefix stand.
   VK_Degraded,
 };
 

@@ -1,4 +1,4 @@
-//===- BackpressureTest.cpp - Bounded-pipeline admission policies ----------===//
+//===- BackpressureTest.cpp - The bounded pipeline -------------------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -6,13 +6,11 @@
 ///
 /// \file
 /// Exercises the bounded pipeline end to end: config validation, the
-/// two admission policies (BP_Block / BP_SpillToDisk) at the log,
-/// without (MemoryLogBackpressureTest) and with
-/// (FileLogBackpressureTest) a file sink, through a full Verifier with a
-/// throttled checker and with concurrent producers (the TSan suite), and
-/// the memory bound itself via a global operator-new hook — the peak live
-/// heap of a bounded run must stay orders of magnitude under what the
-/// unbounded queue would pin.
+/// record bound at the log, through a full Verifier with a throttled
+/// checker (with and without a segmented file log) and with concurrent
+/// producers (the TSan suite), and the memory bound itself via a global
+/// operator-new hook — the peak live heap of a bounded run must stay
+/// orders of magnitude under what the unbounded queue would pin.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -88,12 +86,9 @@ void removeChain(const std::string &Base) {
     std::remove(logSegmentPath(Base, I).c_str());
 }
 
-/// Options for a log bounded by \p BP, with a file sink at \p Path when
-/// it is non-empty.
-BufferedLog::Options bounded(const BackpressureConfig &BP,
-                             const std::string &Path = "") {
+/// Options for an in-memory log bounded by \p BP.
+BufferedLog::Options bounded(const BackpressureConfig &BP) {
   BufferedLog::Options O;
-  O.FilePath = Path;
   O.Backpressure = BP;
   return O;
 }
@@ -181,33 +176,23 @@ TEST(BackpressureConfigTest, ValidateRejectsZeroPendingBound) {
   EXPECT_EQ(C.validate(), "") << "the bound is ignored while disabled";
 }
 
-TEST(BackpressureConfigTest, ValidateRejectsSpillWithoutFileBackedLog) {
-  VerifierConfig C;
-  C.Backpressure.Enabled = true;
-  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
-  EXPECT_NE(C.validate(), "") << "no LogFilePath: nowhere to spill";
-  C.LogFilePath = "/tmp/x.bin";
-  EXPECT_EQ(C.validate(), "");
-}
-
-TEST(BackpressureConfigTest, ValidateRejectsOfflineBlockAndShed) {
+TEST(BackpressureConfigTest, ValidateRejectsOfflineBound) {
   VerifierConfig C;
   C.Online = false;
   C.Backpressure.Enabled = true;
-  C.Backpressure.Policy = BackpressurePolicy::BP_Block;
   EXPECT_NE(C.validate(), "")
       << "offline has no concurrent reader: a blocked producer deadlocks";
-  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   C.LogFilePath = "/tmp/x.bin";
-  EXPECT_EQ(C.validate(), "")
-      << "offline spill is fine: producers never block on it";
+  EXPECT_NE(C.validate(), "") << "a file sink does not make room either";
+  C.Backpressure.Enabled = false;
+  EXPECT_EQ(C.validate(), "") << "offline without a bound is fine";
 }
 
 //===----------------------------------------------------------------------===//
 // Log-level policy behavior
 //===----------------------------------------------------------------------===//
 
-TEST(MemoryLogBackpressureTest, BlockBoundsTheQueue) {
+TEST(BufferedLogBackpressureTest, BlockBoundsTheQueue) {
   BackpressureConfig BP;
   BP.Enabled = true;
   BP.MaxPendingRecords = 4;
@@ -232,99 +217,6 @@ TEST(MemoryLogBackpressureTest, BlockBoundsTheQueue) {
   EXPECT_LE(S.PendingRecordsHwm, BP.MaxPendingRecords);
   EXPECT_GT(S.BlockedAppends, 0u);
   EXPECT_GT(S.BlockedNanos, 0u);
-}
-
-TEST(MemoryLogBackpressureTest, ByteCeilingAloneTriggersThePolicy) {
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 1 << 20; // effectively unbounded record count
-  BP.MaxTailBytes = 4096;
-  BufferedLog L(bounded(BP));
-  Name M = internName("bp.bytes");
-  std::string Fat(256, 'x'); // heap payload per record
-  constexpr int N = 400;
-  std::thread Producer([&] {
-    for (int I = 0; I < N; ++I)
-      L.append(Action::call(1, M, {Value(Fat)}));
-    L.close();
-  });
-  Action A;
-  int Read = 0;
-  while (L.next(A)) {
-    ++Read;
-    if (Read % 8 == 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  Producer.join();
-  EXPECT_EQ(Read, N);
-  BackpressureStats S = L.backpressureStats();
-  EXPECT_GT(S.BlockedAppends, 0u) << "the byte ceiling must have engaged";
-  EXPECT_LE(S.TailBytesHwm, BP.MaxTailBytes + actionFootprintBytes(
-                                Action::call(1, M, {Value(Fat)})))
-      << "occupancy may overshoot by at most the admitted record";
-}
-
-TEST(FileLogBackpressureTest, SpillDeliversEverythingInOrder) {
-  std::string Path = tempPath("spill");
-  removeChain(Path);
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 8;
-  BP.Policy = BackpressurePolicy::BP_SpillToDisk;
-  BufferedLog L(bounded(BP, Path));
-  ASSERT_TRUE(L.valid());
-  Name M = internName("bp.fspill");
-  constexpr int N = 500;
-  // No reader while appending: everything past the bound is disk-only.
-  for (int I = 0; I < N; ++I)
-    L.append(Action::call(1, M, {Value(static_cast<int64_t>(I))}));
-  L.close();
-  Action A;
-  uint64_t Expected = 0;
-  while (L.next(A)) {
-    ASSERT_EQ(A.Seq, Expected) << "spill fill-in must preserve order";
-    EXPECT_EQ(A.Args[0].asInt(), static_cast<int64_t>(Expected));
-    ++Expected;
-  }
-  EXPECT_EQ(Expected, static_cast<uint64_t>(N));
-  BackpressureStats S = L.backpressureStats();
-  EXPECT_LE(S.PendingRecordsHwm, BP.MaxPendingRecords);
-  EXPECT_GT(S.SpilledRecords, 0u);
-  EXPECT_EQ(S.BlockedAppends, 0u) << "spill never blocks producers";
-  removeChain(Path);
-}
-
-TEST(FileLogBackpressureTest, SpillWorksWithConcurrentReaderAndSegments) {
-  std::string Path = tempPath("spillseg");
-  removeChain(Path);
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 16;
-  BP.Policy = BackpressurePolicy::BP_SpillToDisk;
-  BP.SegmentBytes = 2048;
-  BufferedLog L(bounded(BP, Path));
-  ASSERT_TRUE(L.valid());
-  Name M = internName("bp.cspill");
-  constexpr int N = 2000;
-  std::thread Producer([&] {
-    for (int I = 0; I < N; ++I)
-      L.append(Action::call(1, M, {Value(static_cast<int64_t>(I))}));
-    L.close();
-  });
-  Action A;
-  uint64_t Expected = 0;
-  while (L.next(A)) {
-    ASSERT_EQ(A.Seq, Expected);
-    ++Expected;
-    if (Expected % 64 == 0)
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
-  Producer.join();
-  EXPECT_EQ(Expected, static_cast<uint64_t>(N));
-  BackpressureStats S = L.backpressureStats();
-  EXPECT_LE(S.PendingRecordsHwm, BP.MaxPendingRecords);
-  EXPECT_GT(S.SegmentsCreated, 1u);
-  removeChain(Path);
 }
 
 TEST(BufferedLogBackpressureTest, BlockParksFlusherAndPropagates) {
@@ -408,8 +300,6 @@ void expectAdmissionTelemetryMatches(const VerifierReport &R) {
   EXPECT_EQ(S.histo(Histo::H_BlockedNs).Count, R.Backpressure.BlockedAppends)
       << "every counted wait must close with its length";
   EXPECT_EQ(S.histo(Histo::H_BlockedNs).Sum, R.Backpressure.BlockedNanos);
-  EXPECT_EQ(S.counter(Counter::C_SpilledRecords),
-            R.Backpressure.SpilledRecords);
 }
 
 } // namespace
@@ -449,12 +339,11 @@ TEST(VerifierBackpressureTest, BlockBoundsThePoolToo) {
       << "the bound must hold exactly, not modulo one batch";
 }
 
-TEST(AdaptiveVerifierTest, PoolAdmissionNeverOvershootsTheBound) {
+TEST(VerifierBackpressureTest, PoolAdmissionNeverOvershootsTheBound) {
   // Regression: pool admission used to be batch-granular (wait for room,
   // then add the whole batch), overshooting MaxPendingRecords by up to a
-  // pump batch. The suite name is kept from the self-tuning pump whose
-  // oversized batches first exposed it. Here four workers contend for
-  // admission slices of 256-record batches, eight times the bound.
+  // pump batch. Here four workers contend for admission slices of
+  // 256-record batches, eight times the bound.
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
   C.CheckerThreads = 4;
@@ -467,8 +356,8 @@ TEST(AdaptiveVerifierTest, PoolAdmissionNeverOvershootsTheBound) {
       << "the bound must hold exactly, not modulo one batch";
 }
 
-TEST(VerifierBackpressureTest, SpillWithSegmentsReclaimsCheckedPrefix) {
-  std::string Path = tempPath("e2espill");
+TEST(VerifierBackpressureTest, BlockWithSegmentsReclaimsCheckedPrefix) {
+  std::string Path = tempPath("e2eseg");
   removeChain(Path);
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
@@ -476,7 +365,6 @@ TEST(VerifierBackpressureTest, SpillWithSegmentsReclaimsCheckedPrefix) {
   C.Telemetry.Enabled = true;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 32;
-  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   C.Backpressure.SegmentBytes = 4096;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/0, /*Execs=*/4000);
   EXPECT_TRUE(R.ok()) << R.str();
@@ -518,22 +406,21 @@ TEST(VerifierBackpressureTest, VerdictsMatchTheUnboundedRun) {
 // Concurrent producers (TSan suite)
 //===----------------------------------------------------------------------===//
 
-TEST(BackpressureStressTest, SpillReadsNeverDuplicateRecords) {
-  // Under BP_SpillToDisk the reader fills queue gaps from the file, so
-  // records reach it through disk catch-up reads interleaved with queue
-  // pops. Two producers and an unthrottled checker drive that
-  // interleaving; a delivery frontier that rewinds or strands would
-  // deliver a record twice (duplicate commits, bracket-state violations)
-  // or never.
+TEST(BackpressureStressTest, BoundedReadsNeverDuplicateRecords) {
+  // Under a bound, records reach the reader through direct hand-offs
+  // interleaved with pops of what flusher rounds queued, and rounds stop
+  // short at the bound with the rest left parked. Two producers and an
+  // unthrottled checker drive that interleaving over a file-backed log;
+  // a round that re-emitted or skipped a parked record would deliver it
+  // twice (duplicate commits, bracket-state violations) or never.
   ThrottledRegisterSpec Script;
-  std::string Path = tempPath("spill-dup");
+  std::string Path = tempPath("bounded-dup");
   removeChain(Path);
   VerifierConfig C;
   C.Checker.Mode = CheckMode::CM_IORefinement;
   C.LogFilePath = Path;
   C.Backpressure.Enabled = true;
   C.Backpressure.MaxPendingRecords = 128;
-  C.Backpressure.Policy = BackpressurePolicy::BP_SpillToDisk;
   Verifier V(std::make_unique<ThrottledRegisterSpec>(), nullptr,
              std::move(C));
   V.start();
@@ -600,39 +487,11 @@ void pumpRecords(const BackpressureConfig &BP, int N) {
 TEST(BackpressureHeapTest, PeakHeapStaysBoundedUnderEveryPolicy) {
   constexpr int N = 200000; // ~40 MB if the queue were unbounded
   constexpr int64_t Budget = 8 << 20;
-  {
-    BackpressureConfig BP;
-    BP.Enabled = true;
-    BP.MaxPendingRecords = 256;
-    int64_t Peak = peakHeapDelta([&] { pumpRecords(BP, N); });
-    EXPECT_LT(Peak, Budget)
-        << "block: peak live heap must stay orders of magnitude under the "
-           "~40 MB an unbounded queue would pin";
-  }
-  // Spill needs a file-backed log; same bound, same assertion.
-  std::string Path = tempPath("rss");
-  removeChain(Path);
-  int64_t Peak = peakHeapDelta([&] {
-    BackpressureConfig BP;
-    BP.Enabled = true;
-    BP.MaxPendingRecords = 256;
-    BP.Policy = BackpressurePolicy::BP_SpillToDisk;
-    BufferedLog L(bounded(BP, Path));
-    ASSERT_TRUE(L.valid());
-    Name M = internName("bp.rss.spill");
-    std::string Payload(48, 'p');
-    std::thread Producer([&] {
-      for (int I = 0; I < N; ++I)
-        L.append(Action::call(1, M, {Value(Payload)}));
-      L.close();
-    });
-    Action A;
-    int Read = 0;
-    while (L.next(A))
-      ++Read;
-    Producer.join();
-    EXPECT_EQ(Read, N);
-  });
-  EXPECT_LT(Peak, Budget) << "spill: bounded tail, disk absorbs the rest";
-  removeChain(Path);
+  BackpressureConfig BP;
+  BP.Enabled = true;
+  BP.MaxPendingRecords = 256;
+  int64_t Peak = peakHeapDelta([&] { pumpRecords(BP, N); });
+  EXPECT_LT(Peak, Budget)
+      << "block: peak live heap must stay orders of magnitude under the "
+         "~40 MB an unbounded queue would pin";
 }

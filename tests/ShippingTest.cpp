@@ -10,8 +10,8 @@
 /// parsing and config validation, verdict equivalence between the
 /// in-process pipeline, InProcessTransport re-checks and a real
 /// ShipServer fed over a unix socket, ack-gated producer-side segment
-/// reclamation, producer-crash recovery at the receiver, and the
-/// SD_LocalCheck / SD_Shed degrade paths when the fleet is unreachable.
+/// reclamation, producer-crash recovery at the receiver, and the local
+/// re-check degrade path when the fleet is unreachable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -111,8 +111,8 @@ EpochReport fromZero(const std::string &Base, size_t NumObjects,
 }
 
 /// Re-checks a chain through a CheckerService fed by an
-/// InProcessTransport — the SD_LocalCheck path, and the structural
-/// reference the socket tests compare against.
+/// InProcessTransport — the local re-check degrade path, and the
+/// structural reference the socket tests compare against.
 struct LocalShip {
   bool Ok = false;
   std::string Err;
@@ -711,9 +711,9 @@ TEST(ShippingTest, GarbageOnTheWireResyncsWithoutVerdictDamage) {
 // Degrade paths: the fleet is unreachable
 //===----------------------------------------------------------------------===//
 
-// SD_LocalCheck: when the fleet never answers, finish() re-checks the
-// surviving chain in-process — including catching a violation the remote
-// fleet would have caught.
+// When the fleet never answers, finish() re-checks the surviving chain
+// in-process — including catching a violation the remote fleet would
+// have caught — and says so in a report note.
 TEST(ShippingTest, LocalCheckDegradeCatchesViolationLocally) {
   std::string Base = tempBase("degrade-local");
   bool Caught = false;
@@ -733,56 +733,23 @@ TEST(ShippingTest, LocalCheckDegradeCatchesViolationLocally) {
     SO.Shipping.BackoffInitialMs = 1;
     SO.Shipping.BackoffCapMs = 2;
     SO.Shipping.FinalAckTimeoutMs = 10;
-    SO.Shipping.Degrade = ShipDegrade::SD_LocalCheck;
     VerifierReport R = recordRun(SO, 4, 300, 4000 + Try);
     ASSERT_TRUE(R.Shipping.Enabled);
     EXPECT_TRUE(R.Shipping.Degraded);
-    EXPECT_EQ(R.Shipping.DegradeMode, "local-check");
     EXPECT_FALSE(R.Shipping.FinalAckOk);
     EXPECT_EQ(R.Shipping.FallbackRecords, R.LogRecords)
         << "nothing was acked, so the whole chain re-checks locally";
     ASSERT_FALSE(R.Notes.empty());
+    EXPECT_NE(R.str().find("note: "), std::string::npos) << R.str();
+    EXPECT_TRUE(test::jsonValid(R.json())) << R.json();
+    EXPECT_NE(R.json().find("\"notes\""), std::string::npos);
+    EXPECT_EQ(R.ok(), R.Violations.empty())
+        << "notes are advisories, not violations";
     if (!R.Violations.empty())
       Caught = true;
   }
   EXPECT_TRUE(Caught)
       << "the local fallback never reproduced the injected bug";
-  removeChainAll(Base);
-}
-
-// SD_Shed: verdicts on acked records stand, the unverified suffix is
-// accounted as a degradation note — no local checking happens.
-TEST(ShippingTest, ShedDegradeAccountsUnverifiedSuffix) {
-  std::string Base = tempBase("degrade-shed");
-  removeChainAll(Base);
-  ScenarioOptions SO;
-  SO.Prog = Program::P_MultisetVector;
-  SO.Mode = RunMode::RM_OnlineView;
-  SO.LogPath = Base;
-  SO.Backpressure.SegmentBytes = 8 * 1024;
-  SO.Backpressure.ReclaimSegments = true;
-  SO.Shipping.Endpoint = "unix:/tmp/vyrd-shiptest-no-such-daemon2-" +
-                         std::to_string(::getpid()) + ".sock";
-  SO.Shipping.MaxRetries = 1;
-  SO.Shipping.BackoffInitialMs = 1;
-  SO.Shipping.BackoffCapMs = 2;
-  SO.Shipping.FinalAckTimeoutMs = 10;
-  SO.Shipping.Degrade = ShipDegrade::SD_Shed;
-  VerifierReport R = recordRun(SO, 4, 300, 21);
-  ASSERT_TRUE(R.Shipping.Enabled);
-  EXPECT_TRUE(R.Shipping.Degraded);
-  EXPECT_EQ(R.Shipping.DegradeMode, "shed");
-  EXPECT_EQ(R.Shipping.FallbackRecords, 0u);
-  EXPECT_EQ(R.Shipping.AckedWatermark, 0u);
-  ASSERT_FALSE(R.Notes.empty());
-  bool Noted = false;
-  for (const std::string &N : R.Notes)
-    Noted |= N.find("unverified") != std::string::npos;
-  EXPECT_TRUE(Noted) << "the shed note must name the unverified records";
-  EXPECT_TRUE(R.ok()) << "notes are advisories, not violations";
-  EXPECT_NE(R.str().find("note: degraded"), std::string::npos) << R.str();
-  EXPECT_TRUE(test::jsonValid(R.json())) << R.json();
-  EXPECT_NE(R.json().find("\"notes\""), std::string::npos);
   removeChainAll(Base);
 }
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -108,6 +109,41 @@ TEST(ToolsTest, LogdumpFiltersByKind) {
   std::remove(Path.c_str());
 }
 
+// A malformed, negative or trailing-garbage number is a usage error,
+// never read as its numeric prefix or as zero.
+TEST(ToolsTest, LogdumpRejectsBadNumbers) {
+  for (const char *Args : {"--limit abc", "--limit -3", "--limit 2x",
+                           "--tid abc", "--tid -1", "--obj abc",
+                           "--obj 1x"}) {
+    std::string Out;
+    EXPECT_EQ(runTool(std::string(VYRD_LOGDUMP_PATH) + " /tmp/x.bin " +
+                          Args,
+                      Out),
+              2)
+        << Args;
+    EXPECT_NE(Out.find("usage"), std::string::npos) << Args << ": " << Out;
+  }
+}
+
+TEST(ToolsTest, LogdumpLimitCountsPrintedRecords) {
+  std::string Path = tempLog("limit");
+  recordLog(Path, false);
+  std::string Out;
+  EXPECT_EQ(runTool(std::string(VYRD_LOGDUMP_PATH) + " " + Path +
+                        " --limit 0",
+                    Out),
+            0)
+      << Out;
+  EXPECT_EQ(Out, "") << "--limit 0 prints no record";
+  EXPECT_EQ(runTool(std::string(VYRD_LOGDUMP_PATH) + " " + Path +
+                        " --limit 3",
+                    Out),
+            0)
+      << Out;
+  EXPECT_EQ(std::count(Out.begin(), Out.end(), '\n'), 3) << Out;
+  std::remove(Path.c_str());
+}
+
 TEST(ToolsTest, LogdumpRejectsMissingFile) {
   std::string Out;
   EXPECT_NE(runTool(std::string(VYRD_LOGDUMP_PATH) +
@@ -166,7 +202,11 @@ TEST(ToolsTest, CheckRejectsBadUsage) {
                            "--program multiset --context -1",
                            "--program multiset --epochs abc",
                            "--program multiset --epochs 2x",
-                           "--program multiset --context 8x"}) {
+                           "--program multiset --context 8x",
+                           "--program multiset --max-violations abc",
+                           "--program multiset --max-violations -3",
+                           "--program multiset --max-violations 0",
+                           "--program multiset --max-violations 2x"}) {
     std::string Out;
     EXPECT_EQ(runTool(std::string(VYRD_CHECK_PATH) + " /tmp/x.bin " + Args,
                       Out),
@@ -174,6 +214,47 @@ TEST(ToolsTest, CheckRejectsBadUsage) {
         << Args;
     EXPECT_NE(Out.find("usage"), std::string::npos) << Args << ": " << Out;
   }
+}
+
+// --max-violations caps the printed list only: a buggy log still fails,
+// and the count line reports every violation found.
+TEST(ToolsTest, CheckMaxViolationsCapsOnlyTheList) {
+  std::string Path = tempLog("maxviol");
+  auto countLine = [](const std::string &Out) {
+    size_t At = Out.find(" violation(s):");
+    if (At == std::string::npos)
+      return 0ull;
+    size_t Begin = Out.rfind('\n', At);
+    Begin = Begin == std::string::npos ? 0 : Begin + 1;
+    return std::strtoull(Out.c_str() + Begin, nullptr, 10);
+  };
+  auto listed = [](const std::string &Out) {
+    size_t N = 0;
+    for (size_t At = Out.find("[methods checked: "); At != std::string::npos;
+         At = Out.find("[methods checked: ", At + 1))
+      ++N;
+    return N;
+  };
+  // The bug is probabilistic: record until a log shows two violations.
+  std::string All, Capped;
+  for (int Try = 0; Try < 20 && countLine(All) < 2; ++Try) {
+    recordLog(Path, true);
+    runTool(std::string(VYRD_CHECK_PATH) + " " + Path +
+                " --program multiset --max-violations 1000",
+            All);
+  }
+  unsigned long long Total = countLine(All);
+  ASSERT_GE(Total, 2u) << All;
+  EXPECT_EQ(listed(All), Total) << All;
+  EXPECT_EQ(runTool(std::string(VYRD_CHECK_PATH) + " " + Path +
+                        " --program multiset --max-violations 1",
+                    Capped),
+            1)
+      << Capped;
+  EXPECT_EQ(countLine(Capped), Total) << Capped;
+  EXPECT_EQ(listed(Capped), 1u) << Capped;
+  EXPECT_EQ(Capped.find("no refinement violations"), std::string::npos);
+  std::remove(Path.c_str());
 }
 
 // The checker reports the log's own numbering: its record count (and so

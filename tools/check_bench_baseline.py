@@ -50,8 +50,7 @@ def load_metrics(log_backends_path, hotpath_path, backpressure_path=None,
         # it is added here.
         with open(backpressure_path) as f:
             for row in json.load(f):
-                if row["config"] not in ("unbounded", "block", "spill",
-                                         "fixed-256"):
+                if row["config"] not in ("unbounded", "block", "fixed-256"):
                     continue
                 key = "backpressure/%s/append_per_s" % row["config"]
                 metrics[key] = {

@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace vyrd;
@@ -55,8 +54,7 @@ int usage(const char *Argv0) {
 
 int main(int Argc, char **Argv) {
   std::string Path, ProgName, Mode = "view";
-  long MaxViolations = 16;
-  uint64_t Audit = 0, Context = 0, Epochs = 0;
+  uint64_t MaxViolations = 16, Audit = 0, Context = 0, Epochs = 0;
   bool Quiescent = false, Resume = false;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
@@ -65,7 +63,8 @@ int main(int Argc, char **Argv) {
     } else if (Arg == "--mode" && I + 1 < Argc) {
       Mode = Argv[++I];
     } else if (Arg == "--max-violations" && I + 1 < Argc) {
-      MaxViolations = std::atol(Argv[++I]);
+      if (!tools::parseUnsigned(Argv[++I], MaxViolations))
+        return usage(Argv[0]);
     } else if (Arg == "--audit" && I + 1 < Argc) {
       if (!tools::parseUnsigned(Argv[++I], Audit))
         return usage(Argv[0]);
@@ -90,8 +89,9 @@ int main(int Argc, char **Argv) {
   PipelineFactory Factory;
   if (Path.empty() ||
       !resolveProgramPipeline(ProgName, ViewLevel, NumObjects, Factory) ||
-      (Mode != "io" && Mode != "view") || Audit > UINT32_MAX ||
-      Context > UINT32_MAX || Epochs > UINT32_MAX || (Resume && Epochs > 0))
+      (Mode != "io" && Mode != "view") || MaxViolations == 0 ||
+      Audit > UINT32_MAX || Context > UINT32_MAX || Epochs > UINT32_MAX ||
+      (Resume && Epochs > 0))
     return usage(Argv[0]);
 
   // From zero by default; --resume restores from the front sidecar only
@@ -111,14 +111,14 @@ int main(int Argc, char **Argv) {
     std::fprintf(stderr, "error: %s\n", ER.Error.c_str());
     return 2;
   }
-  VerifierReport &R = ER.Report;
-  if (MaxViolations >= 0 &&
-      R.Violations.size() > static_cast<size_t>(MaxViolations))
-    R.Violations.resize(static_cast<size_t>(MaxViolations));
-  std::printf("%s", R.str().c_str());
+  // --max-violations caps the printed list only: the count line and the
+  // exit code come from every violation found.
+  const VerifierReport &R = ER.Report;
+  size_t Listed = std::min<uint64_t>(R.Violations.size(), MaxViolations);
+  std::printf("%s", R.str(Listed).c_str());
   if (Context > 0)
-    for (const Violation &V : R.Violations)
-      if (!V.Context.empty())
+    for (size_t I = 0; I != Listed; ++I)
+      if (const Violation &V = R.Violations[I]; !V.Context.empty())
         std::printf("\ncontext of #%llu:\n%s",
                     static_cast<unsigned long long>(V.Seq),
                     V.Context.c_str());

@@ -37,14 +37,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ParseArgs.h"
 #include "vyrd/Log.h"
 #include "vyrd/Snapshot.h"
 #include "vyrd/Value.h"
 
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -272,19 +273,26 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage(Argv[0]);
   std::string Path;
-  long Limit = -1, Tid = -1, Obj = -1;
+  uint64_t Limit = UINT64_MAX;
+  std::optional<uint64_t> Tid, Obj;
   std::string KindFilter;
   bool Stats = false;
   bool Json = false;
   bool Snapshots = false;
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
+    uint64_t N = 0;
     if (Arg == "--limit" && I + 1 < Argc) {
-      Limit = std::atol(Argv[++I]);
+      if (!tools::parseUnsigned(Argv[++I], Limit))
+        return usage(Argv[0]);
     } else if (Arg == "--tid" && I + 1 < Argc) {
-      Tid = std::atol(Argv[++I]);
+      if (!tools::parseUnsigned(Argv[++I], N))
+        return usage(Argv[0]);
+      Tid = N;
     } else if (Arg == "--obj" && I + 1 < Argc) {
-      Obj = std::atol(Argv[++I]);
+      if (!tools::parseUnsigned(Argv[++I], N))
+        return usage(Argv[0]);
+      Obj = N;
     } else if (Arg == "--kind" && I + 1 < Argc) {
       KindFilter = Argv[++I];
     } else if (Arg == "--stats") {
@@ -312,22 +320,21 @@ int main(int Argc, char **Argv) {
   }
 
   LogStats S;
-  long Printed = 0;
+  uint64_t Printed = 0;
   Action A;
-  while (Reader.next(A)) {
+  while ((Stats || Printed < Limit) && Reader.next(A)) {
     if (Stats) {
       S.add(A);
       continue;
     }
-    if (Tid >= 0 && A.Tid != static_cast<ThreadId>(Tid))
+    if (Tid && A.Tid != *Tid)
       continue;
-    if (Obj >= 0 && A.Obj != static_cast<ObjectId>(Obj))
+    if (Obj && A.Obj != *Obj)
       continue;
     if (!KindFilter.empty() && KindFilter != actionKindName(A.Kind))
       continue;
     std::printf("%s\n", A.str().c_str());
-    if (Limit >= 0 && ++Printed >= Limit)
-      break;
+    ++Printed;
   }
   if (Reader.malformed()) {
     std::fprintf(stderr, "error: cannot read log file '%s'\n",
