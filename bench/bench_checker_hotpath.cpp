@@ -1,18 +1,16 @@
-//===- bench_checker_hotpath.cpp - Checker hot-path A/B bench --------------===//
+//===- bench_checker_hotpath.cpp - Checker hot-path bench ------------------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Measures the two costs the checker hot-path overhaul targets:
+// Measures two costs of the checker hot path:
 //
-//  1. Observer evaluation redundancy. An observer-heavy, Vector-style
-//     workload — epochs of K concurrent open observers (with heavily
-//     duplicated signatures) spanning M mutator commits each, satisfied
-//     only by the *last* state of their window (the adversarial Fig. 7
-//     shape) — is fed through RefinementChecker twice, with observer
-//     memoization on and off, and the checker CPU ns/record compared.
-//     Both runs must report identical violations (none).
+//  1. Observer evaluation. An observer-heavy, Vector-style workload —
+//     epochs of K concurrent open observers spanning M mutator commits
+//     each, satisfied only by the *last* state of their window (the
+//     adversarial Fig. 7 shape) — is fed through RefinementChecker, and
+//     the checker CPU ns/record reported.
 //
 //  2. Heap allocations per logged record on the append -> batch -> check
 //     path, counted with an operator-new hook around a BufferedLog
@@ -21,8 +19,8 @@
 // Usage: bench_checker_hotpath [--quick] [--json <out.json>]
 //
 // JSON rows (schema of docs/OBSERVABILITY.md "Benchmark JSON"):
-//   config "memo-on" / "memo-off"  — ns_per_op = checker CPU ns/record
-//   config "alloc-pipeline"        — extra.allocs_per_record
+//   config "observer-heavy"  — ns_per_op = checker CPU ns/record
+//   config "alloc-pipeline"  — extra.allocs_per_record
 //
 //===----------------------------------------------------------------------===//
 
@@ -121,7 +119,7 @@ public:
 
   /// java.util.Vector-style content hash: O(n) and sensitive to every
   /// element, so a HashCode() observer is the expensive, late-satisfied
-  /// case memoization targets.
+  /// case.
   int64_t hashOf() const {
     int64_t H = 1;
     for (int64_t E : Elems)
@@ -140,8 +138,8 @@ public:
 //===----------------------------------------------------------------------===//
 
 /// Builds the observer-heavy trace: \p Epochs rounds of \p Observers
-/// concurrent observer windows (signatures drawn from a small set, so
-/// duplicates abound) spanning \p Commits mutator commits each. Observer
+/// concurrent observer windows (signatures drawn from a small set)
+/// spanning \p Commits mutator commits each. Observer
 /// return values are computed from the *end-of-epoch* state, so every
 /// observer stays unsatisfied (and is re-evaluated) at every intermediate
 /// commit — the worst case Sec. 4.3 allows. Each epoch mutates in one
@@ -191,10 +189,9 @@ std::vector<Action> makeTrace(unsigned Epochs, unsigned Observers,
     }
 
     // 2. Observer calls open first (their windows span all the commits).
-    // Signatures repeat heavily: HashCode() and Size() are identical
-    // across observers, IndexOf keys are drawn from a pool of 4 per
-    // epoch. HashCode dominates the mix — it is the O(n), changes-every-
-    // commit observer whose redundant re-evaluation the memo removes.
+    // HashCode() and Size() are identical across observers, IndexOf keys
+    // are drawn from a pool of 4 per epoch. HashCode dominates the mix —
+    // it is the O(n) observer whose value changes at every commit.
     struct Obs {
       ThreadId Tid;
       Name M;
@@ -249,24 +246,20 @@ std::vector<Action> makeTrace(unsigned Epochs, unsigned Observers,
   return Trace;
 }
 
-/// Feeds \p Trace through a fresh checker. \returns the checker's stats;
-/// \p CpuSecs gets the CPU cost of the feed loop, \p NumViolations the
-/// violation count.
-CheckerStats checkTrace(const std::vector<Action> &Trace, bool Memoize,
-                        double &CpuSecs, size_t &NumViolations) {
+/// Feeds \p Trace through a fresh checker. \returns the CPU cost of the
+/// feed loop; \p NumViolations gets the violation count.
+double checkTrace(const std::vector<Action> &Trace, size_t &NumViolations) {
   VectorSpec S;
   CheckerConfig CC;
   CC.Mode = CheckMode::CM_IORefinement;
-  CC.MemoizeObservers = Memoize;
   RefinementChecker Checker(S, nullptr, CC);
   double C0 = cpuSeconds(), W0 = wallSeconds();
   for (const Action &A : Trace)
     Checker.feed(A);
   Checker.finish();
   double C = cpuSeconds() - C0;
-  CpuSecs = C > 0 ? C : wallSeconds() - W0;
   NumViolations = Checker.violations().size();
-  return Checker.stats();
+  return C > 0 ? C : wallSeconds() - W0;
 }
 
 } // namespace
@@ -288,52 +281,23 @@ int main(int Argc, char **Argv) {
       makeTrace(Epochs, Observers, Commits, SteadySize);
   double Records = static_cast<double>(Trace.size());
 
-  // --- 1. memo on/off A/B over the identical trace -----------------------
-  double OnSecs = 0, OffSecs = 0;
-  size_t OnViol = 0, OffViol = 0;
-  CheckerStats On = checkTrace(Trace, true, OnSecs, OnViol);
-  CheckerStats Off = checkTrace(Trace, false, OffSecs, OffViol);
-  if (OnViol != OffViol) {
-    std::fprintf(stderr,
-                 "FATAL: memo-on (%zu) and memo-off (%zu) violation counts "
-                 "disagree — memoization is not semantically invisible\n",
-                 OnViol, OffViol);
-    return 1;
-  }
-  double OnNs = OnSecs * 1e9 / Records;
-  double OffNs = OffSecs * 1e9 / Records;
-  double Reduction = OffNs > 0 ? (1.0 - OnNs / OffNs) * 100.0 : 0;
-
-  std::printf("%-10s %10s %14s %14s %14s\n", "config", "records",
-              "cpu ns/record", "spec calls", "memo hits");
+  // --- 1. checker CPU per record over the observer-heavy trace ----------
+  size_t Viol = 0;
+  double Secs = checkTrace(Trace, Viol);
+  double Ns = Secs * 1e9 / Records;
+  std::printf("%-16s %10s %14s %10s\n", "config", "records",
+              "cpu ns/record", "violations");
   hr();
-  std::printf("%-10s %10zu %14.1f %14llu %14llu\n", "memo-off", Trace.size(),
-              OffNs,
-              static_cast<unsigned long long>(Off.ObserversChecked +
-                                              Off.CommitsProcessed),
-              0ull);
-  std::printf("%-10s %10zu %14.1f %14llu %14llu\n", "memo-on", Trace.size(),
-              OnNs, static_cast<unsigned long long>(On.ObsMemoMisses),
-              static_cast<unsigned long long>(On.ObsMemoHits));
-  hr();
-  std::printf("checker CPU ns/record reduction: %.1f%% (violations: %zu, "
-              "identical on/off)\n\n",
-              Reduction, OnViol);
+  std::printf("%-16s %10zu %14.1f %10zu\n\n", "observer-heavy", Trace.size(),
+              Ns, Viol);
 
   char Extra[192];
-  std::snprintf(Extra, sizeof(Extra),
-                "{\"memo_hits\":%llu,\"memo_misses\":%llu,"
-                "\"version_bumps\":%llu,\"violations\":%zu}",
-                static_cast<unsigned long long>(On.ObsMemoHits),
-                static_cast<unsigned long long>(On.ObsMemoMisses),
-                static_cast<unsigned long long>(On.SpecVersionBumps), OnViol);
-  BJ.row("memo-on", 1, OnNs, OnSecs > 0 ? Records / OnSecs : 0, Extra);
-  std::snprintf(Extra, sizeof(Extra), "{\"violations\":%zu}", OffViol);
-  BJ.row("memo-off", 1, OffNs, OffSecs > 0 ? Records / OffSecs : 0, Extra);
+  std::snprintf(Extra, sizeof(Extra), "{\"violations\":%zu}", Viol);
+  BJ.row("observer-heavy", 1, Ns, Secs > 0 ? Records / Secs : 0, Extra);
 
   // --- 2. allocations per record, append -> batch -> check ---------------
-  // The trace is pre-built and the checker pre-warmed (pools, memo table,
-  // queue chunks), so the counted window holds only the steady-state
+  // The trace is pre-built and the checker pre-warmed (pools, queue
+  // chunks), so the counted window holds only the steady-state
   // per-record cost of the pipeline. PumpReady takes what has been
   // published; close() before the last call makes that everything.
   {

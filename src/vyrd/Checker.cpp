@@ -84,9 +84,6 @@ void CheckerStats::merge(const CheckerStats &Other) {
   ReplayNanos += Other.ReplayNanos;
   SpecNanos += Other.SpecNanos;
   ViewCompareNanos += Other.ViewCompareNanos;
-  ObsMemoHits += Other.ObsMemoHits;
-  ObsMemoMisses += Other.ObsMemoMisses;
-  SpecVersionBumps += Other.SpecVersionBumps;
 }
 
 RefinementChecker::RefinementChecker(Spec &S, Replayer *R,
@@ -241,10 +238,17 @@ std::string RefinementChecker::captureForensic(const Violation &V) const {
   // Spec-state digest: the view digests pin down what each side believed
   // the abstract state to be; the serialized-spec fingerprint lets two
   // bundles be compared for state equality without replaying anything.
-  std::snprintf(Buf, sizeof(Buf), ",\"spec_state\":{\"spec_version\":%"
-                PRIu64,
-                SpecVersion);
-  Out += Buf;
+  ByteWriter W;
+  if (TheSpec.saveState(W)) {
+    std::snprintf(Buf, sizeof(Buf),
+                  ",\"spec_state\":{\"spec_blob_bytes\":%zu,"
+                  "\"spec_blob_fnv1a\":\"%016" PRIx64 "\"",
+                  W.size(), fnv1a(W.buffer()));
+    Out += Buf;
+  } else {
+    Out += ",\"spec_state\":{\"spec_blob_bytes\":null,"
+           "\"spec_blob_fnv1a\":null";
+  }
   if (Config.Mode == CheckMode::CM_ViewRefinement) {
     auto DI = ViewI.digest(), DS = ViewS.digest();
     std::snprintf(Buf, sizeof(Buf),
@@ -254,16 +258,6 @@ std::string RefinementChecker::captureForensic(const Violation &V) const {
                   ViewI.size(), DI.first, DI.second, ViewS.size(),
                   DS.first, DS.second);
     Out += Buf;
-  }
-  ByteWriter W;
-  if (TheSpec.saveState(W)) {
-    std::snprintf(Buf, sizeof(Buf),
-                  ",\"spec_blob_bytes\":%zu,\"spec_blob_fnv1a\":\"%016"
-                  PRIx64 "\"",
-                  W.size(), fnv1a(W.buffer()));
-    Out += Buf;
-  } else {
-    Out += ",\"spec_blob_bytes\":null,\"spec_blob_fnv1a\":null";
   }
   Out += "}";
 
@@ -442,13 +436,7 @@ bool RefinementChecker::processHead() {
     if (!X.HasRet)
       return false;
     uint64_t T0 = tickIf(Config.CollectTimings);
-    if (Config.MemoizeObservers) {
-      // Signature hashes are computed once per execution, here, where the
-      // return value first becomes known.
-      X.ArgsHash = X.Args.hash();
-      X.RetHash = X.Ret.hash();
-    }
-    X.Satisfied = observerAllowed(X);
+    X.Satisfied = TheSpec.returnAllowed(X.Method, X.Args, X.Ret);
     if (T0)
       Stats.SpecNanos += telemetryNowNanos() - T0;
     OpenObservers.push_back(Ev.E);
@@ -544,13 +532,6 @@ void RefinementChecker::processCommit(Event &Ev) {
   bool SpecOk = TheSpec.applyMutator(X.Method, X.Args, X.Ret, ViewS);
   if (SpecT0)
     Stats.SpecNanos += telemetryNowNanos() - SpecT0;
-  if (SpecOk) {
-    // The spec state moved: cached observer verdicts are now stale (they
-    // stay in the memo table keyed by the old version and are simply
-    // never consulted again).
-    ++SpecVersion;
-    ++Stats.SpecVersionBumps;
-  }
   if (!SpecOk) {
     std::string Msg = "specification cannot execute " +
                       std::string(X.Method.str()) + "(";
@@ -612,10 +593,7 @@ void RefinementChecker::retryFailedMutators(uint64_t Seq) {
       continue;
     }
     // The signature is enabled here: apply it (recovering the spec state)
-    // and annotate the original violation. The recovery mutated the spec,
-    // so cached observer verdicts must be invalidated too.
-    ++SpecVersion;
-    ++Stats.SpecVersionBumps;
+    // and annotate the original violation.
     Violations[ViolationIdx].Message +=
         "; diagnosis: the signature became enabled after the commit at #" +
         std::to_string(Seq) +
@@ -627,88 +605,14 @@ void RefinementChecker::retryFailedMutators(uint64_t Seq) {
     Stats.SpecNanos += telemetryNowNanos() - T0;
 }
 
-RefinementChecker::MemoSlot &RefinementChecker::memoSlotFor(const Exec &X) {
-  if (ObsMemo.empty())
-    ObsMemo.resize(256);
-  // Bound the table: a workload with unbounded distinct signatures would
-  // otherwise grow it forever. Resetting loses only cache warmth.
-  if (ObsMemoUsed >= Config.MemoMaxEntries) {
-    std::fill(ObsMemo.begin(), ObsMemo.end(), MemoSlot());
-    ObsMemoUsed = 0;
-  } else if (ObsMemoUsed * 4 >= ObsMemo.size() * 3) {
-    growMemo(ObsMemo.size() * 2);
-  }
-  size_t Mask = ObsMemo.size() - 1;
-  size_t I = static_cast<size_t>(X.ArgsHash ^ (X.RetHash * 0x9e3779b9) ^
-                                 (uint64_t(X.Method.id()) << 32)) &
-             Mask;
-  // The hashes route the probe; occupancy is decided by equality of the
-  // stored signature, so colliding signatures occupy distinct slots.
-  while (ObsMemo[I].Used &&
-         !(ObsMemo[I].Method == X.Method && ObsMemo[I].ArgsHash == X.ArgsHash &&
-           ObsMemo[I].RetHash == X.RetHash && ObsMemo[I].Args == X.Args &&
-           ObsMemo[I].Ret == X.Ret))
-    I = (I + 1) & Mask;
-  return ObsMemo[I];
-}
-
-void RefinementChecker::growMemo(size_t NewSlots) {
-  std::vector<MemoSlot> Old;
-  Old.swap(ObsMemo);
-  ObsMemo.resize(NewSlots);
-  size_t Mask = NewSlots - 1;
-  for (MemoSlot &S : Old) {
-    if (!S.Used)
-      continue;
-    size_t I = static_cast<size_t>(S.ArgsHash ^ (S.RetHash * 0x9e3779b9) ^
-                                   (uint64_t(S.Method.id()) << 32)) &
-               Mask;
-    while (ObsMemo[I].Used)
-      I = (I + 1) & Mask;
-    ObsMemo[I] = std::move(S);
-  }
-}
-
-bool RefinementChecker::observerAllowed(Exec &X) {
-  X.LastEvalVersion = SpecVersion;
-  if (!Config.MemoizeObservers)
-    return TheSpec.returnAllowed(X.Method, X.Args, X.Ret);
-  MemoSlot &E = memoSlotFor(X);
-  if (E.Used && E.Version == SpecVersion) {
-    ++Stats.ObsMemoHits;
-    return E.Allowed;
-  }
-  ++Stats.ObsMemoMisses;
-  if (!E.Used) {
-    E.Used = true;
-    E.Method = X.Method;
-    E.Args = X.Args;
-    E.Ret = X.Ret;
-    E.ArgsHash = X.ArgsHash;
-    E.RetHash = X.RetHash;
-    ++ObsMemoUsed;
-  }
-  E.Version = SpecVersion;
-  E.Allowed = TheSpec.returnAllowed(X.Method, X.Args, X.Ret);
-  return E.Allowed;
-}
-
 void RefinementChecker::evalOpenObservers() {
   if (OpenObservers.empty())
     return;
   uint64_t T0 = tickIf(Config.CollectTimings);
   for (ExecPtr &ObsP : OpenObservers) {
     Exec &Obs = *ObsP;
-    if (Obs.Satisfied)
-      continue;
-    if (Config.MemoizeObservers && Obs.LastEvalVersion == SpecVersion) {
-      // Already answered (negatively) at this exact spec state — e.g. the
-      // commit's applyMutator failed, so the state did not move. Counts as
-      // a hit: the unmemoized checker would have re-asked the spec here.
-      ++Stats.ObsMemoHits;
-      continue;
-    }
-    Obs.Satisfied = observerAllowed(Obs);
+    if (!Obs.Satisfied)
+      Obs.Satisfied = TheSpec.returnAllowed(Obs.Method, Obs.Args, Obs.Ret);
   }
   if (T0)
     Stats.SpecNanos += telemetryNowNanos() - T0;
@@ -769,9 +673,6 @@ RefinementChecker::ExecPtr RefinementChecker::acquireExec() {
     X.InBlock = false;
     X.Satisfied = false;
     X.OpenAtCommit = 0;
-    X.ArgsHash = 0;
-    X.RetHash = 0;
-    X.LastEvalVersion = ~uint64_t(0);
     X.BlockWrites.clear();        // clear() keeps the buffer capacity —
     X.CommitBlockWrites.clear();  // that is the point of pooling Execs
     return E;
@@ -840,7 +741,7 @@ void RefinementChecker::runAudit(uint64_t Seq) {
 // spec/replayer blobs serialize sorted — equivalent checker states produce
 // byte-identical cores, which is what lets the epoch baseline audit
 // byte-compare a re-derived core against the next sidecar's.
-static constexpr uint64_t CheckerBlobVersion = 1;
+static constexpr uint64_t CheckerBlobVersion = 2;
 
 namespace {
 
@@ -867,9 +768,6 @@ void writeStats(ByteWriter &W, const CheckerStats &S) {
   W.varint(S.ReplayNanos);
   W.varint(S.SpecNanos);
   W.varint(S.ViewCompareNanos);
-  W.varint(S.ObsMemoHits);
-  W.varint(S.ObsMemoMisses);
-  W.varint(S.SpecVersionBumps);
 }
 
 bool readStats(ByteReader &R, CheckerStats &S) {
@@ -883,9 +781,6 @@ bool readStats(ByteReader &R, CheckerStats &S) {
   S.ReplayNanos = R.varint();
   S.SpecNanos = R.varint();
   S.ViewCompareNanos = R.varint();
-  S.ObsMemoHits = R.varint();
-  S.ObsMemoMisses = R.varint();
-  S.SpecVersionBumps = R.varint();
   return R.ok() && R.atEnd();
 }
 
@@ -901,7 +796,6 @@ bool RefinementChecker::saveState(ByteWriter &W) const {
 
   ByteWriter Core;
   Core.u8(static_cast<uint8_t>(Config.Mode));
-  Core.varint(SpecVersion);
   Core.varint(CommitsSinceAudit);
 
   {
@@ -998,11 +892,6 @@ bool RefinementChecker::saveState(ByteWriter &W) const {
       Flags |= XF_IsOpen;
     Core.u8(Flags);
     Core.varint(X.OpenAtCommit);
-    // LastEvalVersion compresses to one bit: either the observer was
-    // evaluated at the *current* spec state (the only fact the memo skip
-    // in evalOpenObservers relies on) or it counts as never evaluated.
-    // The signature hashes are process-local and recomputed on restore.
-    Core.u8(X.LastEvalVersion == SpecVersion ? 1 : 0);
     WriteActions(X.BlockWrites);
     WriteActions(X.CommitBlockWrites);
   }
@@ -1055,7 +944,6 @@ bool RefinementChecker::restoreState(ByteReader &R) {
   ByteReader C(CoreBytes.data(), CoreBytes.size());
   if (static_cast<CheckMode>(C.u8()) != Config.Mode || !C.ok())
     return false; // snapshot taken under a different check mode
-  uint64_t NewSpecVersion = C.varint();
   uint64_t NewCommitsSinceAudit = C.varint();
   if (!C.ok())
     return false;
@@ -1124,7 +1012,6 @@ bool RefinementChecker::restoreState(ByteReader &R) {
     X.CallSeq = C.varint();
     uint8_t Flags = C.u8();
     X.OpenAtCommit = C.varint();
-    uint8_t EvalNow = C.u8();
     if (!C.ok())
       return false;
     X.IsObserver = Flags & XF_IsObserver;
@@ -1134,11 +1021,6 @@ bool RefinementChecker::restoreState(ByteReader &R) {
     X.BlockDone = Flags & XF_BlockDone;
     X.InBlock = Flags & XF_InBlock;
     X.Satisfied = Flags & XF_Satisfied;
-    X.LastEvalVersion = EvalNow ? NewSpecVersion : ~uint64_t(0);
-    if (X.IsObserver && X.HasRet) {
-      X.ArgsHash = X.Args.hash();
-      X.RetHash = X.Ret.hash();
-    }
     if (!ReadActions(X.BlockWrites) || !ReadActions(X.CommitBlockWrites))
       return false;
     OpenFlags.push_back((Flags & XF_IsOpen) != 0);
@@ -1190,18 +1072,14 @@ bool RefinementChecker::restoreState(ByteReader &R) {
     if (OpenFlags[I])
       insertOpenExec(Table[I]->Tid, Table[I]);
 
-  // Caches and diagnostics reset rather than restore: the memo table
-  // rebuilds on demand, and the recent-actions ring loses pre-snapshot
-  // context (bounded diagnostic loss, see docs/SNAPSHOTS.md).
+  // Diagnostics reset rather than restore: the recent-actions ring loses
+  // pre-snapshot context (bounded diagnostic loss, see docs/SNAPSHOTS.md).
   FailedMutators.clear();
   Violations.clear();
   ForensicBundles.clear();
   RecentActions.clear();
-  ObsMemo.clear();
-  ObsMemoUsed = 0;
   ExecPool.clear();
   Finished = false;
-  SpecVersion = NewSpecVersion;
   CommitsSinceAudit = NewCommitsSinceAudit;
   Stats = NewStats;
 
@@ -1238,13 +1116,6 @@ void RefinementChecker::finish() {
   if (Finished)
     return;
   Finished = true;
-  if (telemetryCompiledIn() && Telem) {
-    TelemetryCell &C = Telem->cell();
-    if (Stats.ObsMemoHits)
-      C.count(Counter::C_ObsMemoHits, Stats.ObsMemoHits);
-    if (Stats.ObsMemoMisses)
-      C.count(Counter::C_ObsMemoMisses, Stats.ObsMemoMisses);
-  }
   if (Config.AllowIncompleteTail)
     return;
   if (!Events.empty()) {

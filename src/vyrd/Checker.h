@@ -92,22 +92,6 @@ struct CheckerConfig {
   /// and friends). Off by default: it adds two clock reads around every
   /// replayed write, driven spec transition and view comparison.
   bool CollectTimings = false;
-  /// Memoize observer evaluation (the checker hot path's dominant spec
-  /// cost, see docs/ARCHITECTURE.md "The checker hot path"): the spec
-  /// state carries a version that advances on every successful mutator
-  /// transition, and `returnAllowed` results are cached per
-  /// (version, method, args, ret) signature, so N open observers with the
-  /// same signature cost one spec call per state and no observer is
-  /// re-asked while the state is unchanged. Semantically invisible: the
-  /// spec is deterministic, returnAllowed is const, and memo entries
-  /// store the full (Args, Ret) signature and are matched by *equality*
-  /// (the hashes only route table probing), so a hash collision cannot
-  /// alias two signatures. Switch off for A/B benches and audit runs.
-  bool MemoizeObservers = true;
-  /// Upper bound on distinct signatures the observer memo table holds;
-  /// the table is reset when it would exceed this (bounds memory on
-  /// adversarial workloads with unbounded distinct signatures).
-  size_t MemoMaxEntries = 1 << 14;
 };
 
 /// Counters exposed for the benchmarks.
@@ -134,15 +118,10 @@ struct CheckerStats {
   /// ... and time computing/comparing views plus invariant checks (incl.
   /// audits and full recomputes when those ablations are on).
   uint64_t ViewCompareNanos = 0;
-  /// Observer evaluations answered from the memo table (including
-  /// "already evaluated at this spec-state version" skips) vs answered by
-  /// an actual Spec::returnAllowed call. Hits + misses = evaluations the
-  /// unmemoized checker would have sent to the spec.
+  /// Never written: the observer memo they counted is gone. Kept until
+  /// perfbench stops reading them (`checker.obs_memo_hit_ratio`).
   uint64_t ObsMemoHits = 0;
   uint64_t ObsMemoMisses = 0;
-  /// Spec-state version advances (successful mutator transitions,
-  /// including diagnosis recoveries).
-  uint64_t SpecVersionBumps = 0;
 
   /// Accumulates \p Other into this: counters and timings sum,
   /// MaxQueueDepth takes the maximum. Used by the multi-object Verifier to
@@ -189,9 +168,8 @@ public:
   /// queue, and cumulative stats. Only a *clean* checker snapshots:
   /// \returns false when violations have been recorded, after finish(), or
   /// when the Spec/Replayer does not implement state serialization. The
-  /// observer memo table is intentionally dropped (it is a cache; the
-  /// restored checker rebuilds it), as is the recent-actions context ring
-  /// (bounded diagnostic loss for violations shortly after a restore).
+  /// recent-actions context ring is intentionally dropped (bounded
+  /// diagnostic loss for violations shortly after a restore).
   bool saveState(ByteWriter &W) const;
 
   /// Restores state written by saveState into this checker, which must be
@@ -204,7 +182,7 @@ public:
   /// Locates the core (resumable-state) section inside a saveState blob.
   /// Equivalent checker states serialize to byte-identical cores, while
   /// the stats section legitimately differs between a from-zero and a
-  /// resumed run (memo hits/misses depend on where checking started) —
+  /// resumed run (the phase timings depend on where checking started) —
   /// the epoch baseline audit therefore byte-compares cores only.
   static bool coreSection(const uint8_t *Data, size_t Size, size_t &Off,
                           size_t &Len);
@@ -231,12 +209,6 @@ private:
     /// Number of executions open at the commit's log position (including
     /// this one); 1 means the commit happened at a quiescent point.
     size_t OpenAtCommit = 0;
-    /// Observer memoization state: the signature hashes (computed once,
-    /// when the return value becomes known) and the spec-state version
-    /// this observer was last evaluated at (~0 = never evaluated).
-    uint64_t ArgsHash = 0;
-    uint64_t RetHash = 0;
-    uint64_t LastEvalVersion = ~uint64_t(0);
     /// Writes of the currently open commit block.
     std::vector<Action> BlockWrites;
     /// Writes of the block that contained the commit action, sealed when
@@ -268,9 +240,6 @@ private:
   void processCommit(Event &Ev);
   /// Retries failed mutators (commit-point diagnosis) after a commit.
   void retryFailedMutators(uint64_t Seq);
-  /// Memo-aware Spec::returnAllowed for observer \p X at the current
-  /// spec-state version. Stamps X.LastEvalVersion.
-  bool observerAllowed(Exec &X);
   /// Re-evaluates still-unsatisfied open observers against the current
   /// spec state (after a commit / recovery may have changed it).
   void evalOpenObservers();
@@ -327,38 +296,6 @@ private:
   View ViewS;
   uint64_t CommitsSinceAudit = 0;
   bool Finished = false;
-
-  /// Monotonic version of the specification state: advances on every
-  /// successful applyMutator (commit processing and diagnosis
-  /// recoveries). Two evaluations at the same version see the same spec
-  /// state — the fact the observer memo table relies on.
-  uint64_t SpecVersion = 0;
-
-  /// Observer memo table: signature -> verdict at a spec-state version.
-  /// An entry answers repeat queries of the same signature until the
-  /// version moves on; stale entries are overwritten in place. Stored as
-  /// an open-addressing (linear-probe, power-of-two) slot array rather
-  /// than a node-based map so steady-state misses never touch the heap:
-  /// the only allocations are the rare capacity doublings during warmup
-  /// (plus any string/bytes payload copied when a *new* signature is
-  /// inserted — inline int/bool signatures, the common case, copy free).
-  /// A slot owns a copy of the actual Args/Ret: probing routes on the
-  /// hashes but a hit requires full equality, so a 128-bit hash collision
-  /// degrades to an extra spec call, never to a wrong cached verdict.
-  struct MemoSlot {
-    Name Method;
-    ValueList Args;
-    Value Ret;
-    uint64_t ArgsHash = 0;
-    uint64_t RetHash = 0;
-    uint64_t Version = ~uint64_t(0);
-    bool Used = false;
-    bool Allowed = false;
-  };
-  MemoSlot &memoSlotFor(const Exec &X);
-  void growMemo(size_t NewSlots);
-  std::vector<MemoSlot> ObsMemo;
-  size_t ObsMemoUsed = 0;
 
   /// Retired Execs awaiting reuse (bounded). An entry is reusable once
   /// nothing but the pool references it (use_count == 1).

@@ -56,8 +56,8 @@ struct SliceResult {
 };
 
 /// True when two checker blobs carry the same core. Stats sections
-/// legitimately differ — memo hits depend on where the checker started —
-/// which is why only the cores are compared.
+/// legitimately differ — the phase timings depend on where the checker
+/// started — which is why only the cores are compared.
 bool sameCore(const SnapshotObject *A, const SnapshotObject *B) {
   size_t AOff = 0, ALen = 0, BOff = 0, BLen = 0;
   return A && B &&

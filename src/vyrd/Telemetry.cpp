@@ -50,10 +50,6 @@ const char *vyrd::counterName(Counter C) {
     return "lag_samples";
   case Counter::C_WatchdogStalls:
     return "watchdog_stalls";
-  case Counter::C_ObsMemoHits:
-    return "obs_memo_hits";
-  case Counter::C_ObsMemoMisses:
-    return "obs_memo_misses";
   case Counter::C_BlockedAppends:
     return "blocked_appends";
   case Counter::C_SegmentsCreated:

@@ -86,11 +86,6 @@ enum class Counter : uint8_t {
   C_LagSamples,
   /// Watchdog stall reports (consumer quiet too long with work pending).
   C_WatchdogStalls,
-  /// Observer evaluations answered from the checker's memo table (incl.
-  /// same-version skips) vs answered by an actual Spec::returnAllowed
-  /// call. Flushed once per checker at finish().
-  C_ObsMemoHits,
-  C_ObsMemoMisses,
   /// Appends that had to wait for queue space (bounded pipeline).
   C_BlockedAppends,
   /// Log segment files created / reclaimed (SegmentSink rotation and

@@ -113,15 +113,6 @@ void ValueList::grow(size_t MinCap) {
   Cap = static_cast<uint32_t>(NewCap);
 }
 
-uint64_t ValueList::hash() const {
-  // Length-seeded chain of the per-value hashes; order-sensitive so
-  // f(1, 2) and f(2, 1) memoize separately.
-  uint64_t H = 0x8cb0d9f2d8b4a37bULL ^ (uint64_t(Count) << 32);
-  for (uint32_t I = 0; I < Count; ++I)
-    H = mix64(H ^ data()[I].hash());
-  return H;
-}
-
 namespace vyrd {
 
 bool operator<(const Value &L, const Value &R) { return L.Data < R.Data; }

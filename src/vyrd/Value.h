@@ -219,10 +219,6 @@ public:
     return !(L == R);
   }
 
-  /// Stable 64-bit hash of the whole list (order-sensitive, built from
-  /// Value::hash). Used as a memoization key by the checker.
-  uint64_t hash() const;
-
 private:
   Value *data() { return Heap ? Heap.get() : InlineElems; }
   const Value *data() const { return Heap ? Heap.get() : InlineElems; }

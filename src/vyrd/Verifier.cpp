@@ -192,9 +192,6 @@ static std::string statsJson(const CheckerStats &S) {
   Out += ",\"replay_ns\":" + std::to_string(S.ReplayNanos);
   Out += ",\"spec_ns\":" + std::to_string(S.SpecNanos);
   Out += ",\"view_compare_ns\":" + std::to_string(S.ViewCompareNanos);
-  Out += ",\"obs_memo_hits\":" + std::to_string(S.ObsMemoHits);
-  Out += ",\"obs_memo_misses\":" + std::to_string(S.ObsMemoMisses);
-  Out += ",\"spec_version_bumps\":" + std::to_string(S.SpecVersionBumps);
   Out += "}";
   return Out;
 }

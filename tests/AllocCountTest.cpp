@@ -121,7 +121,7 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   };
 
   // Warm-up: grows the log's queue chunks, the batch vector, the
-  // checker's event queue, exec pool and memo table to steady state.
+  // checker's event queue and exec pool to steady state.
   constexpr int WarmupEpochs = 200;
   for (int E = 0; E < WarmupEpochs; ++E) {
     appendEpoch(Log, S, E % 7);

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Exercises the checker on scripted logs against a tiny register
-/// specification: Set(x) is a mutator (state := x), Get() an observer
-/// returning the state. The scripts mirror the paper's figures: witness
-/// ordering by commit actions (Fig. 3), the observer window rule (Fig. 7),
-/// and commit-block atomicity (Sec. 5.2).
+/// specification: Set(x) and Cas(a, b) are mutators (state := x; state :=
+/// b iff it is a), Get() an observer returning the state. The scripts
+/// mirror the paper's figures: witness ordering by commit actions
+/// (Fig. 3), the observer window rule (Fig. 7), commit-block atomicity
+/// (Sec. 5.2) and commit-point diagnosis (Sec. 4.1).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,22 +24,27 @@ using namespace vyrd::test;
 
 namespace {
 
-/// Tiny register spec: Set(x) -> true sets the state; Get() -> x allowed
-/// iff x is the current state. View: one ("reg", state) entry.
+/// Tiny register spec: Set(x) -> true sets the state; Cas(a, b) -> true
+/// sets it to b iff it is a; Get() -> x allowed iff x is the current
+/// state. View: one ("reg", state) entry.
 class RegisterSpec : public Spec {
 public:
   RegisterSpec()
-      : SetM(name("Set")), GetM(name("Get")), State(Value(0)) {}
+      : SetM(name("Set")), CasM(name("Cas")), GetM(name("Get")),
+        State(Value(0)) {}
 
   bool isObserver(Name Method) const override { return Method == GetM; }
 
   bool applyMutator(Name Method, const ValueList &Args, const Value &Ret,
                     View &ViewS) override {
-    if (Method != SetM || Args.size() != 1 || !Ret.isBool() ||
-        !Ret.asBool())
+    if (!Ret.isBool() || !Ret.asBool())
+      return false;
+    bool IsSet = Method == SetM && Args.size() == 1;
+    bool IsCas = Method == CasM && Args.size() == 2 && State == Args[0];
+    if (!IsSet && !IsCas)
       return false;
     ViewS.remove(Value("reg"), State);
-    State = Args[0];
+    State = Args.back();
     ViewS.add(Value("reg"), State);
     return true;
   }
@@ -53,7 +59,7 @@ public:
     Out.add(Value("reg"), State);
   }
 
-  Name SetM, GetM;
+  Name SetM, CasM, GetM;
   Value State;
 };
 
@@ -91,6 +97,7 @@ struct Fixture {
   RegisterSpec Spec;
   RegisterReplayer Replay;
   Name Set = name("Set");
+  Name Cas = name("Cas");
   Name Get = name("Get");
   Name Reg = name("reg");
 
@@ -537,4 +544,93 @@ TEST(CheckerTest, ViolationRecordsMethodsChecked) {
   ASSERT_TRUE(C->hasViolation());
   EXPECT_EQ(C->violations()[0].MethodsChecked, 2u)
       << "two methods checked before the bad one";
+}
+
+TEST(CheckerTest, RecoveryStateSatisfiesOpenObserver) {
+  // A Sec. 4.1 recovery changes the spec state from inside the retry pass
+  // of a commit whose own transition FAILED; the open observer must be
+  // evaluated at the recovered state too.
+  //
+  // Timeline (register starts at 0):
+  //   1. t3: Cas(1,2) commits -> fails at 0, parked for diagnosis.
+  //   2. t0: Cas(5,1) commits -> fails at 0, parked.
+  //   3. t1: Get() -> 2 opens (state 0: unsatisfied).
+  //   4. t2: Set(5) commits: state 5; retries run in park order:
+  //      Cas(1,2) still fails, Cas(5,1) recovers -> state 1. The
+  //      observer re-evaluates at state 1: still unsatisfied.
+  //   5. t4: Cas(9,9) commits -> fails at 1; the retry pass now recovers
+  //      Cas(1,2) -> state 2, where Get() -> 2 is finally allowed.
+  Fixture F;
+  auto C = F.make(CheckMode::CM_IORefinement);
+  runScript(*C, {
+                    Action::call(3, F.Cas, {Value(1), Value(2)}),
+                    Action::commit(3),
+                    Action::call(0, F.Cas, {Value(5), Value(1)}),
+                    Action::commit(0),
+                    Action::call(1, F.Get, {}),
+                    Action::call(2, F.Set, {Value(5)}),
+                    Action::commit(2),
+                    Action::ret(2, F.Set, Value(true)),
+                    Action::call(4, F.Cas, {Value(9), Value(9)}),
+                    Action::commit(4),
+                    Action::ret(4, F.Cas, Value(true)),
+                    Action::ret(3, F.Cas, Value(true)),
+                    Action::ret(0, F.Cas, Value(true)),
+                    Action::ret(1, F.Get, Value(2)),
+                });
+  // The three failed Cas commits are mutator mismatches; the observer
+  // must NOT be one of the violations: the recovered state 2 satisfied it.
+  for (const Violation &V : C->violations())
+    EXPECT_NE(V.Kind, ViolationKind::VK_ObserverMismatch) << V.str();
+  EXPECT_EQ(C->violations().size(), 3u);
+}
+
+TEST(CheckerTest, ObserversClosingOutOfOrder) {
+  // Three observers open in order A, B, C and close B, C, A — the middle
+  // close exercises the swap (C moves into B's slot), the next close
+  // removes C from its new position. Each verdict must follow the
+  // observer's own window, not its slot.
+  Fixture F;
+  auto C = F.make(CheckMode::CM_IORefinement);
+  runScript(*C, concat({
+                    {Action::call(1, F.Get, {}),  // A: Get() -> 1 (never true)
+                     Action::call(2, F.Get, {}),  // B: Get() -> 2
+                     Action::call(3, F.Get, {})}, // C: Get() -> 3
+                    F.setOk(0, 2),
+                    {Action::ret(2, F.Get, Value(2))}, // B closes satisfied
+                    F.setOk(0, 3),
+                    {Action::ret(3, F.Get, Value(3)),  // C closes satisfied
+                     Action::ret(1, F.Get, Value(1))}, // A: 1 never held
+                }));
+  ASSERT_EQ(C->violations().size(), 1u);
+  EXPECT_EQ(C->violations()[0].Kind, ViolationKind::VK_ObserverMismatch);
+  EXPECT_EQ(C->violations()[0].Tid, 1u) << "the wrong observer was blamed";
+}
+
+TEST(CheckerTest, FailedMutatorsRetiringOutOfOrder) {
+  // Two parked mutators; the FIRST recovers (swap-and-pop moves the last
+  // entry into slot 0) and the second must still be retried and receive
+  // its "likely genuine" annotation at its return.
+  Fixture F;
+  auto C = F.make(CheckMode::CM_IORefinement);
+  runScript(*C, concat({
+                    {Action::call(0, F.Cas, {Value(5), Value(6)}), // at 5
+                     Action::commit(0),
+                     Action::call(1, F.Cas, {Value(77), Value(78)}), // never
+                     Action::commit(1)},
+                    F.setOk(2, 5),
+                    {Action::ret(0, F.Cas, Value(true)),
+                     Action::ret(1, F.Cas, Value(true))},
+                }));
+  ASSERT_EQ(C->violations().size(), 2u);
+  bool SawTooEarly = false, SawGenuine = false;
+  for (const Violation &V : C->violations()) {
+    EXPECT_EQ(V.Kind, ViolationKind::VK_MutatorMismatch);
+    if (V.Message.find("likely too early") != std::string::npos)
+      SawTooEarly = true;
+    if (V.Message.find("likely a genuine") != std::string::npos)
+      SawGenuine = true;
+  }
+  EXPECT_TRUE(SawTooEarly) << "recovered mutator lost its annotation";
+  EXPECT_TRUE(SawGenuine) << "unrecovered mutator lost its annotation";
 }

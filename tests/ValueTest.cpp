@@ -215,14 +215,12 @@ TEST(ValueListTest, MoveOfInlineListKeepsDestinationStorage) {
       << "moving an inline list must reuse the recycled heap buffer";
 }
 
-TEST(ValueListTest, EqualityAndHash) {
+TEST(ValueListTest, EqualityIsOrderAndLengthSensitive) {
   ValueList A = {Value(1), Value("x")};
   ValueList B = {Value(1), Value("x")};
   ValueList C = {Value("x"), Value(1)};
   EXPECT_EQ(A, B);
   EXPECT_NE(A, C) << "order matters";
-  EXPECT_EQ(A.hash(), B.hash());
-  EXPECT_NE(A.hash(), C.hash()) << "hash must be order-sensitive";
 
   // Inline vs spilled representation of the same contents must agree.
   ValueList Spilled;
@@ -232,12 +230,11 @@ TEST(ValueListTest, EqualityAndHash) {
     Spilled.pop_back();
   ValueList Inline = {Value(0), Value(1)};
   EXPECT_EQ(Spilled, Inline);
-  EXPECT_EQ(Spilled.hash(), Inline.hash());
 
-  // Length participates: a prefix must not collide.
+  // Length participates: a prefix is a different list.
   ValueList Prefix = {Value(0)};
-  EXPECT_NE(Prefix.hash(), Inline.hash());
-  EXPECT_NE(ValueList().hash(), Prefix.hash());
+  EXPECT_NE(Prefix, Inline);
+  EXPECT_NE(ValueList(), Prefix);
 }
 
 TEST(ValueListTest, PopBackReleasesPayload) {

@@ -13,8 +13,8 @@ Fails (exit 1) when any metric regressed by more than the factor:
 
 The wide default factor absorbs host-to-host variance (CI runners are
 noisy and slower than the reference machine); it is meant to catch
-order-of-magnitude regressions like losing the sharded append fast path
-or the observer memo, not single-digit drift. Metrics present in only
+order-of-magnitude regressions like losing the sharded append fast path,
+not single-digit drift. Metrics present in only
 one side are reported but do not fail the check, so adding or renaming
 bench configs does not break CI before the baseline is regenerated.
 
