@@ -70,7 +70,7 @@ void ArrayMultisetImpl::releaseSlot(int I) {
   assert(I >= 0 && static_cast<size_t>(I) < Slots.size());
   Slot &S = Slots[I];
   LockGuard Lock(S.M);
-  assert(!S.Valid && "releasing a published slot");
+  assert((!S.Valid || Opts.BuggyFindSlot) && "releasing a published slot");
   S.Elt = Empty;
 }
 

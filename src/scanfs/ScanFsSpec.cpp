@@ -138,13 +138,18 @@ Bytes ScanFsReplayer::fileContents(uint32_t Idx) const {
   return Out;
 }
 
-void ScanFsReplayer::refreshFile(const std::string &Name, uint32_t Idx,
-                                 View &ViewI) {
-  // Entry value transitions are computed by the callers around mutations;
-  // here we recompute and swap in the new value. Remove whatever is
-  // currently recorded under the name and add the fresh value.
-  ViewI.removeKey(Value(Name));
-  ViewI.add(Value(Name), Value(fileContents(Idx)));
+void ScanFsReplayer::showFile(const std::string &Name, uint32_t Idx,
+                              View &ViewI) {
+  hideFile(Name, ViewI);
+  auto It = Shown.emplace(Name, Value(fileContents(Idx))).first;
+  ViewI.add(Value(Name), It->second);
+}
+
+void ScanFsReplayer::hideFile(const std::string &Name, View &ViewI) {
+  if (auto It = Shown.find(Name); It != Shown.end()) {
+    ViewI.remove(Value(Name), It->second);
+    Shown.erase(It);
+  }
 }
 
 void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
@@ -161,7 +166,7 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
     for (const auto &[Name, Idx] : Dir.Entries) {
       auto It = New.Entries.find(Name);
       if (It == New.Entries.end()) {
-        ViewI.removeKey(Value(Name));
+        hideFile(Name, ViewI);
         InodeName.erase(Idx);
       }
     }
@@ -171,8 +176,7 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
         if (It != Dir.Entries.end())
           InodeName.erase(It->second);
         InodeName[Idx] = Name;
-        ViewI.removeKey(Value(Name));
-        ViewI.add(Value(Name), Value(fileContents(Idx)));
+        showFile(Name, Idx, ViewI);
       }
     }
     Dir = std::move(New);
@@ -195,7 +199,7 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
     Inodes[Idx] = std::move(New);
     auto NameIt = InodeName.find(Idx);
     if (NameIt != InodeName.end())
-      refreshFile(NameIt->second, Idx, ViewI);
+      showFile(NameIt->second, Idx, ViewI);
     return;
   }
 
@@ -207,7 +211,7 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
     if (OwnerIt != BlockOwner.end()) {
       auto NameIt = InodeName.find(OwnerIt->second);
       if (NameIt != InodeName.end())
-        refreshFile(NameIt->second, OwnerIt->second, ViewI);
+        showFile(NameIt->second, OwnerIt->second, ViewI);
     }
     return;
   }

@@ -60,7 +60,9 @@ private:
   /// Current contents of the file stored in inode \p Idx.
   Bytes fileContents(uint32_t Idx) const;
   /// Replaces the view entry for the file named \p Name (inode \p Idx).
-  void refreshFile(const std::string &Name, uint32_t Idx, View &ViewI);
+  void showFile(const std::string &Name, uint32_t Idx, View &ViewI);
+  /// Removes the view entry last shown for \p Name, if any.
+  void hideFile(const std::string &Name, View &ViewI);
 
   FsVocab V;
   Directory Dir;
@@ -70,6 +72,8 @@ private:
   std::unordered_map<uint32_t, std::string> InodeName;
   /// Reverse index: block handle -> inode referencing it.
   std::unordered_map<uint64_t, uint32_t> BlockOwner;
+  /// View entry value last added per name (what a removal must remove).
+  std::unordered_map<std::string, Value> Shown;
 };
 
 } // namespace scanfs

@@ -60,8 +60,8 @@ struct CheckerConfig {
   /// points are rare in realistic runs and errors get overwritten or
   /// found late; this switch lets the benchmarks quantify that.
   bool QuiescentOnly = false;
-  /// Deep-compare incrementally maintained views against freshly rebuilt
-  /// ones every N commits (0 = never). Guards the incremental fast path.
+  /// Compare the incremental view digests against rebuilt views every N
+  /// commits (0 = never). Guards the incremental fast path.
   unsigned AuditPeriod = 0;
   /// Stop recording (and checking views) after the first violation.
   bool StopAtFirstViolation = false;
@@ -187,10 +187,6 @@ public:
   static bool coreSection(const uint8_t *Data, size_t Size, size_t &Off,
                           size_t &Len);
 
-  /// Current views (valid in view mode; for tests and diagnostics).
-  const View &viewI() const { return ViewI; }
-  const View &viewS() const { return ViewS; }
-
 private:
   /// Per-method-execution bookkeeping (Sec. 3.2's executions).
   struct Exec {
@@ -250,7 +246,13 @@ private:
   void recycleExec(ExecPtr E);
   void applyUpdate(const Action &A);
   void compareViews(const Exec &X, uint64_t Seq);
+  /// Builds both views, reports \p K with their diff unless they are equal
+  /// (\returns whether they are) and re-seeds both digests from them.
+  bool rebuildViews(ViolationKind K, uint64_t Seq, ThreadId Tid, Name Method,
+                    const char *Prefix);
   void runAudit(uint64_t Seq);
+  /// Names the digests in \p OldI / \p OldS that the rebuild corrected.
+  std::string describeDrift(const View &OldI, const View &OldS) const;
   void report(ViolationKind K, uint64_t Seq, ThreadId Tid, Name Method,
               std::string Message);
   /// Renders the flight-recorder bundle for \p V (see forensics()).
@@ -292,8 +294,8 @@ private:
   std::vector<std::string> ForensicBundles;
   /// Ring of recently fed records for violation context and forensics.
   RingQueue<Action> RecentActions;
-  View ViewI;
-  View ViewS;
+  View ViewI = View::digestOnly();
+  View ViewS = View::digestOnly();
   uint64_t CommitsSinceAudit = 0;
   bool Finished = false;
 

@@ -46,13 +46,14 @@ public:
   virtual bool loadState(ByteReader &R);
 
   /// Applies one logged Write or ReplayOp record to the shadow state,
-  /// incrementally updating \p ViewI with any entry adds/removes the update
-  /// causes. ViewI is owned by the checker. Writes inside a commit block
-  /// are delivered back-to-back at the enclosing commit (Sec. 5.2).
+  /// incrementally updating the checker's digest-only \p ViewI with the
+  /// entry adds/removes the update causes: remove only an entry you added;
+  /// the checker's view cannot tell. Writes inside a commit block are
+  /// delivered back-to-back at the enclosing commit (Sec. 5.2).
   virtual void applyUpdate(const Action &A, View &ViewI) = 0;
 
-  /// Rebuilds the canonical view of the shadow state from scratch (used by
-  /// audits and the full-recompute ablation).
+  /// Rebuilds the canonical view of the shadow state from scratch into
+  /// \p Out, materialised or digest-only (clear it first).
   virtual void buildView(View &Out) const = 0;
 
   /// Evaluates data-structure invariants over the shadow state at a commit

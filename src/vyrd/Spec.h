@@ -56,8 +56,8 @@ public:
   /// specification has no such transition — an I/O refinement violation.
   ///
   /// Implementations must keep \p ViewS up to date incrementally: apply the
-  /// entry adds/removes this transition causes. ViewS is owned by the
-  /// checker and is never rebuilt from scratch on the fast path.
+  /// entry adds/removes this transition causes. ViewS is the checker's
+  /// digest-only view: remove only an entry you added; it cannot tell.
   virtual bool applyMutator(Name Method, const ValueList &Args,
                             const Value &Ret, View &ViewS) = 0;
 
@@ -65,8 +65,8 @@ public:
   virtual bool returnAllowed(Name Method, const ValueList &Args,
                              const Value &Ret) const = 0;
 
-  /// Rebuilds the canonical view of the current state from scratch (used by
-  /// audits and the full-recompute ablation).
+  /// Rebuilds the canonical view of the current state from scratch into
+  /// \p Out, materialised or digest-only (clear it first).
   virtual void buildView(View &Out) const = 0;
 };
 

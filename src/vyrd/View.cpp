@@ -19,65 +19,42 @@ static uint64_t remix(uint64_t X) {
   return X ^ (X >> 29);
 }
 
-static uint64_t entryHash(const ViewEntry &E) {
+static uint64_t entryHash(const Value &Key, const Value &Val) {
   // Combine key and value hashes asymmetrically.
-  uint64_t HK = E.Key.hash();
-  uint64_t HV = E.Val.hash();
-  return remix(HK * 0x9e3779b97f4a7c15ULL + HV);
+  return remix(Key.hash() * 0x9e3779b97f4a7c15ULL + Val.hash());
 }
 
-void View::hashToggle(const ViewEntry &E, size_t OldCount, size_t NewCount) {
-  uint64_t H = entryHash(E);
-  uint64_t Delta = static_cast<uint64_t>(NewCount) - OldCount; // mod 2^64
-  H1 += Delta * H;
-  H2 += Delta * remix(H);
+View View::digestOnly(const View &Seed) {
+  View V;
+  V.Total = Seed.Total;
+  V.H1 = Seed.H1;
+  V.H2 = Seed.H2;
+  V.Materialised = false;
+  return V;
 }
 
 void View::add(const Value &Key, const Value &Val) {
-  ViewEntry E{Key, Val};
-  size_t &C = Entries[E];
-  hashToggle(E, C, C + 1);
-  ++C;
+  if (Materialised)
+    ++Entries[ViewEntry{Key, Val}];
+  uint64_t H = entryHash(Key, Val);
+  H1 += H;
+  H2 += remix(H);
   ++Total;
 }
 
 bool View::remove(const Value &Key, const Value &Val) {
-  ViewEntry E{Key, Val};
-  auto It = Entries.find(E);
-  if (It == Entries.end())
-    return false;
-  hashToggle(E, It->second, It->second - 1);
-  if (--It->second == 0)
-    Entries.erase(It);
+  if (Materialised) {
+    auto It = Entries.find(ViewEntry{Key, Val});
+    if (It == Entries.end())
+      return false;
+    if (--It->second == 0)
+      Entries.erase(It);
+  }
+  uint64_t H = entryHash(Key, Val);
+  H1 -= H;
+  H2 -= remix(H);
   --Total;
   return true;
-}
-
-size_t View::removeKey(const Value &Key) {
-  auto It = Entries.lower_bound(ViewEntry{Key, Value()});
-  size_t Removed = 0;
-  while (It != Entries.end() && It->first.Key == Key) {
-    hashToggle(It->first, It->second, 0);
-    Removed += It->second;
-    Total -= It->second;
-    It = Entries.erase(It);
-  }
-  return Removed;
-}
-
-size_t View::count(const Value &Key, const Value &Val) const {
-  auto It = Entries.find(ViewEntry{Key, Val});
-  return It == Entries.end() ? 0 : It->second;
-}
-
-size_t View::countKey(const Value &Key) const {
-  auto It = Entries.lower_bound(ViewEntry{Key, Value()});
-  size_t N = 0;
-  while (It != Entries.end() && It->first.Key == Key) {
-    N += It->second;
-    ++It;
-  }
-  return N;
 }
 
 void View::clear() {

@@ -11,11 +11,13 @@
 /// (viewS) and the replayer (viewI) maintain their View incrementally as
 /// methods commit; the checker compares the two at every mutator commit.
 ///
-/// Comparison is O(1) in the common (equal) case: each View maintains two
-/// independent order-insensitive 64-bit hash accumulators that are updated
-/// on every insert/remove (Sec. 6.4, incremental computation and comparison
-/// of views). On hash mismatch the checker performs a full diff to produce a
-/// precise report; a configurable periodic audit guards the fast path.
+/// Every View keeps its size and two independent order-insensitive 64-bit
+/// hash accumulators, updated on every add/remove, so comparison is O(1)
+/// (Sec. 6.4, incremental computation and comparison of views). Only a
+/// *materialised* View (the default) also keeps its entries. The checker's
+/// incremental views are *digest-only*; buildView materialises the spec or
+/// shadow state when a digest mismatch needs an exact answer and a diff.
+/// A digest cannot tell that a removed entry was never added.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +26,7 @@
 
 #include "vyrd/Value.h"
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -51,24 +54,25 @@ struct ViewEntry {
 /// A multiset of ViewEntry with incrementally maintained hashes.
 class View {
 public:
+  /// A materialised view: entries and digest.
+  View() = default;
+
+  /// A digest-only view: size and hashes, no entries. Starts empty, or
+  /// with the digest of \p Seed.
+  static View digestOnly() { return digestOnly(View()); }
+  static View digestOnly(const View &Seed);
+
   /// Adds one occurrence of (\p Key, \p Val).
   void add(const Value &Key, const Value &Val);
 
-  /// Removes one occurrence of (\p Key, \p Val).
-  /// \returns false if the entry was not present (view unchanged).
+  /// Removes one occurrence of (\p Key, \p Val), which must have been added.
+  /// \returns false if a materialised view lacks it (view unchanged).
   bool remove(const Value &Key, const Value &Val);
 
-  /// Removes every entry with key \p Key. \returns how many were removed.
-  size_t removeKey(const Value &Key);
-
-  /// Number of occurrences of (\p Key, \p Val).
-  size_t count(const Value &Key, const Value &Val) const;
-
-  /// Number of entries (with multiplicity) under \p Key.
-  size_t countKey(const Value &Key) const;
-
+  /// Empties the view; a digest-only view stays digest-only.
   void clear();
 
+  bool materialised() const { return Materialised; }
   size_t size() const { return Total; }
   bool empty() const { return Total == 0; }
 
@@ -76,34 +80,32 @@ public:
   /// views collide with probability ~2^-128 per comparison.
   std::pair<uint64_t, uint64_t> digest() const { return {H1, H2}; }
 
-  /// Fast equality: size + double hash. Sound up to hash collision; use
-  /// deepEquals for an exact answer.
+  /// Fast equality: size + double hash, for any two views. Sound up to
+  /// hash collision; use deepEquals for an exact answer.
   friend bool operator==(const View &L, const View &R) {
     return L.Total == R.Total && L.H1 == R.H1 && L.H2 == R.H2;
   }
   friend bool operator!=(const View &L, const View &R) { return !(L == R); }
 
-  /// Exact structural equality (full scan).
-  bool deepEquals(const View &Other) const { return Entries == Other.Entries; }
+  /// Exact structural equality (full scan) of two materialised views.
+  bool deepEquals(const View &Other) const {
+    assert(Materialised && Other.Materialised && "needs materialised views");
+    return Entries == Other.Entries;
+  }
 
-  /// Renders up to \p MaxEntries entries for diagnostics.
+  /// Renders up to \p MaxEntries entries of a materialised view.
   std::string str(size_t MaxEntries = 16) const;
 
-  /// Describes the difference between two views (entries only in L, only in
-  /// R); used to produce violation reports.
+  /// Describes the difference between two materialised views (entries
+  /// only in L, only in R); used to produce violation reports.
   static std::string diff(const View &L, const View &R, size_t MaxEntries = 8);
 
-  /// Iteration (sorted order) for audits and diffs.
-  using Map = std::map<ViewEntry, size_t>;
-  const Map &entries() const { return Entries; }
-
 private:
-  void hashToggle(const ViewEntry &E, size_t OldCount, size_t NewCount);
-
-  Map Entries;
+  std::map<ViewEntry, size_t> Entries;
   size_t Total = 0;
   uint64_t H1 = 0;
   uint64_t H2 = 0;
+  bool Materialised = true;
 };
 
 } // namespace vyrd

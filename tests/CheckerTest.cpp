@@ -93,6 +93,20 @@ public:
   bool FailInvariant = false;
 };
 
+/// Replays every write into its shadow but skips the view update of the
+/// SkipAt-th one, so its incremental digest drifts from buildView while
+/// the shadow state stays right.
+class DriftingReplayer : public RegisterReplayer {
+public:
+  void applyUpdate(const Action &A, View &ViewI) override {
+    View Discard = View::digestOnly();
+    RegisterReplayer::applyUpdate(A, ++Applied == SkipAt ? Discard : ViewI);
+  }
+
+  unsigned SkipAt = 2;
+  unsigned Applied = 0;
+};
+
 struct Fixture {
   RegisterSpec Spec;
   RegisterReplayer Replay;
@@ -417,6 +431,31 @@ TEST(CheckerTest, AuditPassesOnConsistentReplayer) {
   runScript(*C, concat({F.setOk(0, 1), F.setOk(0, 2)}));
   EXPECT_FALSE(C->hasViolation()) << C->violations()[0].str();
   EXPECT_EQ(C->stats().Audits, 2u);
+}
+
+TEST(CheckerTest, DriftingReplayerIsInstrumentationFault) {
+  // The implementation matches the spec; only the replayer's digest is
+  // wrong. That is an instrumentation fault, found either by the commit's
+  // digest comparison (settled on rebuilt views) or by the audit, and
+  // reported once: the digests are re-seeded from the rebuilt views.
+  for (unsigned Audit : {0u, 1u}) {
+    SCOPED_TRACE("AuditPeriod " + std::to_string(Audit));
+    Fixture F;
+    DriftingReplayer Drift;
+    CheckerConfig CC;
+    CC.Mode = CheckMode::CM_ViewRefinement;
+    CC.AuditPeriod = Audit;
+    RefinementChecker C(F.Spec, &Drift, CC);
+    runScript(C, concat({F.setOk(0, 1), F.setOk(0, 2), F.setOk(0, 3)}));
+    ASSERT_EQ(C.violations().size(), 1u);
+    const Violation &V = C.violations()[0];
+    EXPECT_EQ(V.Kind, ViolationKind::VK_Instrumentation) << V.str();
+    EXPECT_FALSE(hasViolation(C, ViolationKind::VK_ViewMismatch));
+    EXPECT_NE(V.Message.find("viewI"), std::string::npos) << V.Message;
+    EXPECT_EQ(V.Message.find("viewS"), std::string::npos) << V.Message;
+    EXPECT_EQ(V.Message.rfind("audit: ", 0) == 0, Audit == 1) << V.Message;
+    EXPECT_EQ(C.stats().Audits, Audit ? 3u : 0u);
+  }
 }
 
 TEST(CheckerTest, FullRecomputeModeAgreesWithIncremental) {

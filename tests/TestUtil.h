@@ -15,9 +15,12 @@
 #include "vyrd/Checker.h"
 #include "vyrd/Names.h"
 
+#include <gtest/gtest.h>
+
 #include <cctype>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace vyrd {
@@ -43,6 +46,34 @@ inline bool hasViolation(const RefinementChecker &C, ViolationKind K) {
 }
 
 inline Name name(const char *S) { return internName(S); }
+
+/// A materialised view holding exactly \p Entries.
+inline View viewOf(std::initializer_list<std::pair<Value, Value>> Entries) {
+  View V;
+  for (const auto &[K, Val] : Entries)
+    V.add(K, Val);
+  return V;
+}
+
+/// Checks an incrementally maintained (digest-only) view: its digest must
+/// equal the expected materialised view's, and so must the digest of what
+/// \p Side (a Spec or Replayer) rebuilds, whose entries must be exactly
+/// \p Expected.
+template <typename SideT>
+::testing::AssertionResult viewMatches(const View &Inc, const View &Expected,
+                                       const SideT &Side) {
+  View Fresh;
+  Side.buildView(Fresh);
+  if (Inc != Expected)
+    return ::testing::AssertionFailure()
+           << "incremental digest (" << Inc.size()
+           << " entries) differs from the expected " << Expected.str();
+  if (!Fresh.deepEquals(Expected))
+    return ::testing::AssertionFailure()
+           << "rebuilt view differs from the expected one: "
+           << View::diff(Fresh, Expected);
+  return ::testing::AssertionSuccess();
+}
 
 namespace json_detail {
 
