@@ -6,7 +6,7 @@
 //
 // Extracted verbatim from the monolithic Verifier: the demux, the checker
 // pool, violation publication, forensics and snapshot cuts moved here so
-// the same machinery can run behind a SegmentTransport in a separate
+// the same machinery can run behind a SocketTransport in a separate
 // checker process (vyrd-checkd). Operation order is preserved exactly —
 // the in-process composition must keep record streams and reports
 // bit-identical to the pre-split engine.
@@ -15,6 +15,7 @@
 
 #include "vyrd/CheckerService.h"
 
+#include "vyrd/Log.h"
 #include "vyrd/Ring.h"
 #include "vyrd/Serialize.h"
 #include "vyrd/Verifier.h"
@@ -453,9 +454,29 @@ uint64_t CheckerService::checkedWatermark(uint64_t Upper) {
   return Pool ? Pool->checkedWatermark(Upper) : Upper;
 }
 
-void CheckerService::quiesce() {
-  if (Pool)
-    Pool->quiesce();
+CheckerService::LogFeed CheckerService::feedLog(const std::string &Path,
+                                                uint64_t EndSeq) {
+  constexpr size_t FeedBatch = 256; ///< records per routeRange call
+  LogFeed Out;
+  LogFileReader Reader(Path);
+  std::vector<Action> Batch;
+  Batch.reserve(FeedBatch);
+  while (true) {
+    Batch.emplace_back();
+    if (!Reader.next(Batch.back()) || Batch.back().Seq >= EndSeq) {
+      Batch.pop_back();
+      break;
+    }
+    Out.SeqHwm = std::max(Out.SeqHwm, Batch.back().Seq + 1);
+    if (Batch.size() == FeedBatch) {
+      routeRange(Batch, 0, Batch.size(), nullptr);
+      Batch.clear();
+    }
+  }
+  routeRange(Batch, 0, Batch.size(), nullptr);
+  Out.Malformed = Reader.malformed();
+  Out.Unopenable = !Reader.valid() && !Out.Malformed;
+  return Out;
 }
 
 void CheckerService::takeSnapshot(uint64_t SegIndex, uint64_t CutSeq) {

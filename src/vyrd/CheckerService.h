@@ -12,9 +12,10 @@
 /// publication and forensic bundles, and the final per-object report.
 /// It knows nothing about where records come from: the in-process
 /// Verifier's pump feeds it straight from the shared log (the historical
-/// single-process pipeline, bit-for-bit), while `vyrd-checkd` feeds it
-/// from segments arriving over a SegmentTransport in another process
-/// entirely (docs/SHIPPING.md).
+/// single-process pipeline, bit-for-bit), `vyrd-checkd` feeds it from
+/// segments arriving over a SocketTransport in another process entirely
+/// (docs/SHIPPING.md), and epochCheck and the shipping degrade path feed
+/// it a recorded chain through feedLog.
 ///
 /// Threading contract (inherited from the monolithic Verifier): one
 /// driving thread — the pump — calls addObject (before any routing),
@@ -123,9 +124,25 @@ public:
   /// Drives BufferedLog::reclaimCheckedPrefix.
   uint64_t checkedWatermark(uint64_t Upper);
 
-  /// Waits until every dispatched batch has been fed (no-op without a
-  /// pool). The pool keeps running.
-  void quiesce();
+  /// What feedLog found: the feed frontier and whether the file could be
+  /// read to its end.
+  struct LogFeed {
+    /// Highest Seq fed + 1 (0 when nothing was fed).
+    uint64_t SeqHwm = 0;
+    /// The file could not be opened.
+    bool Unopenable = false;
+    /// A header or record did not decode; records before it were fed.
+    bool Malformed = false;
+
+    bool ok() const { return !Unopenable && !Malformed; }
+  };
+
+  /// Reads the recorded log or segment chain at \p Path (walking the
+  /// chain onward from that file) and routes every record with Seq below
+  /// \p EndSeq, in batches, through routeRange. The one path from a
+  /// recording to the checkers: epoch slices and the shipping degrade
+  /// path's local re-check both feed through it.
+  LogFeed feedLog(const std::string &Path, uint64_t EndSeq);
 
   /// Aligns every checker on the cut (quiescing the pool), serializes
   /// the checkers and writes the sidecar for segment \p SegIndex next to
@@ -136,7 +153,7 @@ public:
   /// at this point to \p SF's objects. A checker that cannot be
   /// serialized (violation recorded, or a spec / replayer without
   /// snapshot support) is left out. \returns true when every object made
-  /// it into the cut. Without a pool, or after quiesce().
+  /// it into the cut. Without a pool, or once the pool is quiescent.
   bool cutSnapshot(SnapshotFile &SF);
 
   /// Seeds every checker from \p Snap (a v5 sidecar) before any record

@@ -6,7 +6,6 @@
 
 #include "vyrd/Epoch.h"
 
-#include "vyrd/Serialize.h"
 #include "vyrd/Snapshot.h"
 
 #include <algorithm>
@@ -16,9 +15,6 @@
 using namespace vyrd;
 
 namespace {
-
-/// Records per routeRange call while feeding a slice.
-constexpr size_t SliceBatch = 256;
 
 /// One snapshot-delimited slice of the chain.
 struct EpochSlice {
@@ -101,27 +97,13 @@ SliceResult runSlice(const EpochSlice &E, bool Final,
     if (Opts.Telem)
       Opts.Telem->count(Counter::C_SnapshotLoads, NumObjects);
   }
-  LogFileReader Reader(Segs[E.SegPos].Path);
-  std::vector<Action> Batch;
-  Batch.reserve(SliceBatch);
-  while (true) {
-    Batch.emplace_back();
-    if (!Reader.next(Batch.back()) || Batch.back().Seq >= E.EndSeq) {
-      Batch.pop_back();
-      break;
-    }
-    Res.SeqHwm = std::max(Res.SeqHwm, Batch.back().Seq + 1);
-    if (Batch.size() == SliceBatch) {
-      Svc.routeRange(Batch, 0, Batch.size(), nullptr);
-      Batch.clear();
-    }
-  }
-  Svc.routeRange(Batch, 0, Batch.size(), nullptr);
-  if (!Reader.valid()) {
+  CheckerService::LogFeed Feed = Svc.feedLog(Segs[E.SegPos].Path, E.EndSeq);
+  Res.SeqHwm = Feed.SeqHwm;
+  if (!Feed.ok()) {
     Violation V;
     V.Kind = ViolationKind::VK_Instrumentation;
-    V.Seq = Reader.malformed() ? Res.SeqHwm : E.StartSeq;
-    V.Message = Reader.malformed()
+    V.Seq = Feed.Malformed ? Res.SeqHwm : E.StartSeq;
+    V.Message = Feed.Malformed
                     ? "malformed log record in epoch slice (chain " +
                           Segs[E.SegPos].Path + "...)"
                     : "cannot open log segment " + Segs[E.SegPos].Path;

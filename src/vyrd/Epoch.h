@@ -16,9 +16,9 @@
 ///
 /// epochCheck() checks the epochs on a small thread pool, one task per
 /// epoch. A task is one CheckerService over every object — the consumer
-/// the Verifier, ShipServer and InProcessTransport share — seeded from
-/// the epoch's sidecar and fed its slice in batches from one pass of a
-/// LogFileReader, so each record is decoded once. Epochs parallelize
+/// the Verifier and ShipServer share — seeded from the epoch's sidecar
+/// and fed its slice by CheckerService::feedLog, in batches from one pass
+/// of a LogFileReader, so each record is decoded once. Epochs parallelize
 /// *within* one object — the dimension the online pool's object-affine
 /// scheduling cannot touch — so a chain dominated by a single hot object
 /// still checks on all cores. Stitching is per object and pessimistic
@@ -52,8 +52,9 @@ struct EpochCheckOptions {
   bool UseSnapshots = true;
   /// Cold-restart mode (`vyrd-check --resume`): only the front segment's
   /// sidecar seeds the check; later sidecars are ignored, so the chain
-  /// runs as one epoch from the oldest live record to its end. Also sets G_RestartLag (records between the resume watermark
-  /// and the chain's end) when a hub is attached.
+  /// runs as one epoch from the oldest live record to its end. Also sets
+  /// G_RestartLag (records between the resume watermark and the chain's
+  /// end) when a hub is attached.
   bool ResumeOnly = false;
   /// Optional hub for C_SnapshotLoads / C_EpochsChecked /
   /// G_EpochsInFlight accounting; may be null.

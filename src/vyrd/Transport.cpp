@@ -7,7 +7,6 @@
 #include "vyrd/Transport.h"
 
 #include "vyrd/Backpressure.h"
-#include "vyrd/CheckerService.h"
 #include "vyrd/Serialize.h"
 #include "vyrd/Snapshot.h"
 #include "vyrd/Telemetry.h"
@@ -196,10 +195,8 @@ bool wire::FrameParser::next(Frame &Out) {
 }
 
 //===----------------------------------------------------------------------===//
-// SegmentTransport / InProcessTransport
+// SocketTransport
 //===----------------------------------------------------------------------===//
-
-SegmentTransport::~SegmentTransport() = default;
 
 namespace {
 
@@ -221,78 +218,7 @@ bool readFileImage(const std::string &Path, std::vector<uint8_t> &Out) {
   return N == Out.size();
 }
 
-/// Decodes a whole segment (or plain-log) image into \p Batch. \returns
-/// false on a bad header or a record that does not decode (a truncated
-/// tail); records decoded up to that point are kept.
-bool decodeSegmentImage(const std::vector<uint8_t> &Img,
-                        std::vector<Action> &Batch, LogSegmentInfo &SegInfo) {
-  ByteReader R(Img.data(), Img.size());
-  uint32_t V = readLogHeader(R, &SegInfo);
-  if (V == 0)
-    return false;
-  ActionDecoder D;
-  D.setVersion(V);
-  Action A;
-  while (D.decode(R, A))
-    Batch.push_back(A);
-  return R.atEnd();
-}
-
 } // namespace
-
-InProcessTransport::InProcessTransport(CheckerService &Svc) : Svc(Svc) {}
-
-bool InProcessTransport::shipSegment(const ShipSegmentInfo &Seg) {
-  if (!Healthy)
-    return false;
-  std::vector<uint8_t> Img;
-  if (!readFileImage(Seg.Path, Img)) {
-    Healthy = false;
-    return false;
-  }
-  std::vector<Action> Batch;
-  LogSegmentInfo SegInfo;
-  bool Clean = decodeSegmentImage(Img, Batch, SegInfo);
-  if (First) {
-    First = false;
-    if (SegInfo.FirstSeq > 0) {
-      // Mid-chain start: the records before this segment are gone, so
-      // the checkers must be seeded from the sidecar or the feed would
-      // be unsound.
-      SnapshotFile SF;
-      std::string Err;
-      if (Seg.SnapPath.empty() || !readSnapshotFile(Seg.SnapPath, SF) ||
-          !Svc.restoreFromSnapshot(SF, Err)) {
-        Healthy = false;
-        return false;
-      }
-    }
-  }
-  if (!Batch.empty()) {
-    uint64_t End = Batch.back().Seq + 1;
-    Svc.routeRange(Batch, 0, Batch.size(), nullptr);
-    Acked.store(End, std::memory_order_release);
-    ++St.Acks;
-  }
-  ++St.Segments;
-  St.Bytes += Img.size();
-  if (!Clean) {
-    Healthy = false;
-    return false;
-  }
-  return true;
-}
-
-bool InProcessTransport::shipClose(uint64_t FinalSeqExclusive, unsigned) {
-  Svc.finishChecking();
-  Acked.store(FinalSeqExclusive, std::memory_order_release);
-  ++St.Acks;
-  return Healthy;
-}
-
-//===----------------------------------------------------------------------===//
-// SocketTransport
-//===----------------------------------------------------------------------===//
 
 SocketTransport::SocketTransport(const ShipperOptions &O, Telemetry *Telem)
     : Opts(O), Telem(Telem) {
@@ -587,7 +513,7 @@ bool SocketTransport::waitForAck(uint64_t Target, unsigned TimeoutMs) {
   }
 }
 
-SegmentTransport::Stats SocketTransport::stats() const {
+SocketTransport::Stats SocketTransport::stats() const {
   std::lock_guard Lock(M);
   return St;
 }
@@ -596,7 +522,7 @@ SegmentTransport::Stats SocketTransport::stats() const {
 // SegmentShipper / shipChain
 //===----------------------------------------------------------------------===//
 
-SegmentShipper::SegmentShipper(SegmentTransport &T, const std::string &Base,
+SegmentShipper::SegmentShipper(SocketTransport &T, const std::string &Base,
                                Telemetry *Telem)
     : T(T), Base(Base), Telem(Telem) {}
 
@@ -640,7 +566,7 @@ bool SegmentShipper::finish(uint64_t FinalSeqExclusive, unsigned TimeoutMs) {
   return T.shipClose(FinalSeqExclusive, TimeoutMs);
 }
 
-bool vyrd::shipChain(const std::string &Base, SegmentTransport &T,
+bool vyrd::shipChain(const std::string &Base, SocketTransport &T,
                      uint64_t FinalSeqExclusive, unsigned CloseTimeoutMs,
                      std::string &Err) {
   std::vector<ChainSegment> Chain;
@@ -655,12 +581,12 @@ bool vyrd::shipChain(const std::string &Base, SegmentTransport &T,
     if (C.HasSnapshot)
       Info.SnapPath = snapshotSidecarPath(Base, C.Index);
     if (!T.shipSegment(Info)) {
-      Err = "shipping " + C.Path + " to " + T.describe() + " failed";
+      Err = "shipping " + C.Path + " failed";
       return false;
     }
   }
   if (!T.shipClose(FinalSeqExclusive, CloseTimeoutMs)) {
-    Err = "close/final ack from " + T.describe() + " failed";
+    Err = "close/final ack failed";
     return false;
   }
   return true;

@@ -10,19 +10,17 @@
 /// (CheckerService): docs/SHIPPING.md. The segmented chain (LOGFORMAT v4)
 /// already makes every closed segment a self-contained unit — its own
 /// header and name table — and v5 sidecars let a checker pick a chain up
-/// cold; a SegmentTransport moves those files somewhere a CheckerService
-/// can consume them and carries the checker's watermark acks back so the
-/// producer can reclaim its checked prefix. Three shapes:
+/// cold; a SocketTransport moves those files to a CheckerService in
+/// another process and carries the checker's watermark acks back so the
+/// producer can reclaim its checked prefix. Two shapes:
 ///
 ///  * The *inline* composition — the historical single-process Verifier —
 ///    is the degenerate transport: pump and checkers share an address
 ///    space, records flow by reference, no framing. It is not represented
-///    by a SegmentTransport object (that would add a copy to a path whose
+///    by a transport object (that would add a copy to a path whose
 ///    behavior must stay bit-identical); Verifier wires the halves
-///    directly.
-///  * InProcessTransport feeds a CheckerService from closed segment files
-///    through the same decode path the remote service uses. It backs the
-///    local re-check degrade path and lets tests assert wire == inline.
+///    directly. A recorded chain re-checked in this process (epochCheck,
+///    the shipping degrade path) is read by CheckerService::feedLog.
 ///  * SocketTransport frames segment files (plus .snap sidecars) over a
 ///    unix or TCP socket to a `vyrd-checkd` service, with CRC-protected
 ///    length-framed chunks, capped-exponential-backoff reconnects, and an
@@ -49,9 +47,7 @@
 
 namespace vyrd {
 
-class CheckerService;
 class Telemetry;
-class TraceRecorder;
 
 /// Producer-side shipping configuration (VerifierConfig::Shipping).
 struct ShipperOptions {
@@ -190,34 +186,40 @@ struct ShipSegmentInfo {
   std::string SnapPath;  ///< sidecar path, "" when none exists
 };
 
-/// Moves closed segments to a CheckerService — remote or local — and
-/// reports the checker's progress back. Implementations are driven from
-/// one shipper thread (shipSegment/shipClose are not thread-safe);
-/// ackedWatermark/healthy are safe from any thread.
-class SegmentTransport {
+/// Moves closed segments over a unix/TCP socket to a vyrd-checkd service
+/// and reports the checker's progress back. Owns the connection
+/// (established lazily, re-established with capped exponential backoff,
+/// Hello re-sent after every reconnect). Acks are drained
+/// opportunistically after every send and waited on in waitForAck — the
+/// shipping pump is the transport's only driver, so no reader thread is
+/// needed. Driven from one shipper thread (shipSegment/shipClose are not
+/// thread-safe); ackedWatermark/healthy/stats are safe from any thread.
+class SocketTransport {
 public:
-  virtual ~SegmentTransport();
-
-  /// Human-readable destination ("unix:/run/vyrd.sock", "in-process").
-  virtual std::string describe() const = 0;
+  /// \p O must carry a parseable Endpoint (validate() guarantees it when
+  /// reached through a Verifier). \p Telem may be null.
+  SocketTransport(const ShipperOptions &O, Telemetry *Telem);
+  ~SocketTransport();
 
   /// Ships one closed segment (and its sidecar when present). \returns
   /// false when the segment could not be delivered within the retry
   /// budget — the transport is unhealthy from then on.
-  virtual bool shipSegment(const ShipSegmentInfo &Seg) = 0;
+  bool shipSegment(const ShipSegmentInfo &Seg);
 
   /// Ends the stream: the checker finishes, acks \p FinalSeqExclusive
   /// and writes its report. \returns false when the close could not be
   /// delivered or the final ack did not arrive in time.
-  virtual bool shipClose(uint64_t FinalSeqExclusive, unsigned TimeoutMs) = 0;
+  bool shipClose(uint64_t FinalSeqExclusive, unsigned TimeoutMs);
 
   /// The checker-side watermark (exclusive): every record below it has
-  /// been fed remotely. Monotone; drives BufferedLog::reclaimCheckedPrefix on
-  /// the producer.
-  virtual uint64_t ackedWatermark() const = 0;
+  /// been fed remotely. Monotone; drives BufferedLog::reclaimCheckedPrefix
+  /// on the producer.
+  uint64_t ackedWatermark() const {
+    return Acked.load(std::memory_order_acquire);
+  }
 
   /// False once delivery failed past the retry budget.
-  virtual bool healthy() const = 0;
+  bool healthy() const { return Healthy.load(std::memory_order_acquire); }
 
   /// Delivery accounting (exact, transport-side).
   struct Stats {
@@ -226,60 +228,7 @@ public:
     uint64_t Acks = 0;
     uint64_t Retries = 0;
   };
-  virtual Stats stats() const = 0;
-};
-
-/// SegmentTransport into a CheckerService in this process: reads each
-/// segment file, decodes it through the same v4 path the remote service
-/// uses, and feeds the service. Acks are immediate (the feed is
-/// synchronous). Used by the local re-check degrade path and by tests
-/// asserting wire == inline verdicts.
-class InProcessTransport : public SegmentTransport {
-public:
-  explicit InProcessTransport(CheckerService &Svc);
-
-  std::string describe() const override { return "in-process"; }
-  bool shipSegment(const ShipSegmentInfo &Seg) override;
-  bool shipClose(uint64_t FinalSeqExclusive, unsigned TimeoutMs) override;
-  uint64_t ackedWatermark() const override {
-    return Acked.load(std::memory_order_acquire);
-  }
-  bool healthy() const override { return Healthy; }
-  Stats stats() const override { return St; }
-
-private:
-  CheckerService &Svc;
-  std::atomic<uint64_t> Acked{0};
-  bool Healthy = true;
-  /// First segment not yet seen: a mid-chain first segment (FirstSeq > 0)
-  /// must carry a sidecar to seed the checkers.
-  bool First = true;
-  Stats St;
-};
-
-/// SegmentTransport over a unix/TCP socket to a vyrd-checkd service.
-/// Owns the connection (established lazily, re-established with capped
-/// exponential backoff, Hello re-sent after every reconnect). Acks are
-/// drained opportunistically after every send and waited on in
-/// waitForAck — the shipping pump is the transport's only driver, so no
-/// reader thread is needed.
-class SocketTransport : public SegmentTransport {
-public:
-  /// \p O must carry a parseable Endpoint (validate() guarantees it when
-  /// reached through a Verifier). \p Telem may be null.
-  SocketTransport(const ShipperOptions &O, Telemetry *Telem);
-  ~SocketTransport() override;
-
-  std::string describe() const override { return Opts.Endpoint; }
-  bool shipSegment(const ShipSegmentInfo &Seg) override;
-  bool shipClose(uint64_t FinalSeqExclusive, unsigned TimeoutMs) override;
-  uint64_t ackedWatermark() const override {
-    return Acked.load(std::memory_order_acquire);
-  }
-  bool healthy() const override {
-    return Healthy.load(std::memory_order_acquire);
-  }
-  Stats stats() const override;
+  Stats stats() const;
 
   /// Acks observed so far / a bounded wait for the watermark to reach
   /// \p Target (finish uses it for the final ack).
@@ -316,7 +265,7 @@ private:
 class SegmentShipper {
 public:
   /// \p Base is the chain base path (VerifierConfig::LogFilePath).
-  SegmentShipper(SegmentTransport &T, const std::string &Base,
+  SegmentShipper(SocketTransport &T, const std::string &Base,
                  Telemetry *Telem);
 
   /// A rotation into segment \p CutIndex happened: segment CutIndex - 1
@@ -335,7 +284,7 @@ public:
 private:
   void shipIndex(uint64_t Index);
 
-  SegmentTransport &T;
+  SocketTransport &T;
   std::string Base;
   Telemetry *Telem;
   /// The currently open (active, unshippable) segment's index.
@@ -349,7 +298,7 @@ private:
 /// offline counterpart of a live shipping Verifier; tests and tools use
 /// it to re-ship a surviving chain. \returns false when enumeration or
 /// any ship step failed (\p Err says which).
-bool shipChain(const std::string &Base, SegmentTransport &T,
+bool shipChain(const std::string &Base, SocketTransport &T,
                uint64_t FinalSeqExclusive, unsigned CloseTimeoutMs,
                std::string &Err);
 

@@ -9,7 +9,7 @@
 // delegates all checking to a CheckerService (CheckerService.cpp). The
 // pump here either feeds the service directly (the historical in-process
 // pipeline, bit-for-bit) or ships closed segments to a remote service
-// through a SegmentTransport (docs/SHIPPING.md).
+// through a SocketTransport (docs/SHIPPING.md).
 //
 //===----------------------------------------------------------------------===//
 
@@ -544,20 +544,21 @@ bool Verifier::degradeShipping(VerifierReport &R,
   // re-checked (shipped runs write no sidecars), so its unacked suffix is
   // noted as unverified.
   std::vector<ChainSegment> Chain;
-  bool CanLocal = enumerateChain(Config.LogFilePath, Chain) &&
-                  !Chain.empty() &&
-                  (Chain.front().Index <= 1 || Chain.front().HasSnapshot);
-  if (CanLocal) {
-    InProcessTransport Local(*Svc);
-    std::string Err;
-    if (shipChain(Config.LogFilePath, Local, FinalSeqExclusive, 0, Err)) {
+  if (enumerateChain(Config.LogFilePath, Chain) && !Chain.empty() &&
+      Chain.front().Index <= 1) {
+    CheckerService::LogFeed Feed =
+        Svc->feedLog(Chain.front().Path, FinalSeqExclusive);
+    if (Feed.ok()) {
       R.Notes.push_back("shipping degraded: checker fleet at " +
                         Config.Shipping.Endpoint +
                         " unreachable; surviving chain re-checked locally, "
                         "the verdict below is sound");
       return true;
     }
-    R.Notes.push_back("shipping degraded: local re-check failed: " + Err);
+    R.Notes.push_back("shipping degraded: local re-check failed: " +
+                      std::string(Feed.Malformed ? "malformed record in "
+                                                 : "cannot open ") +
+                      Chain.front().Path);
   }
   R.Notes.push_back(
       std::string(violationKindName(ViolationKind::VK_Degraded)) + ": " +
@@ -597,7 +598,7 @@ VerifierReport Verifier::finish() {
     } else {
       LocalFallbackRan = degradeShipping(R, FinalSeq);
     }
-    SegmentTransport::Stats TS = Transport->stats();
+    SocketTransport::Stats TS = Transport->stats();
     R.Shipping.SegmentsShipped = TS.Segments;
     R.Shipping.BytesShipped = TS.Bytes;
     R.Shipping.Acks = TS.Acks;

@@ -331,7 +331,7 @@ private:
   /// after Telem/Tracer, which its pipelines borrow.
   std::unique_ptr<CheckerService> Svc;
   /// Shipping mode only (Config.Shipping.enabled()).
-  std::unique_ptr<SegmentTransport> Transport;
+  std::unique_ptr<SocketTransport> Transport;
   std::unique_ptr<SegmentShipper> Shipper;
   std::thread VerifyThread;
   bool Started = false;

@@ -5,13 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pins the producer/checker split behind SegmentTransport
+/// Pins the producer/checker split behind SocketTransport
 /// (docs/SHIPPING.md): the framed wire protocol (CRC, resync), endpoint
-/// parsing and config validation, verdict equivalence between the
-/// in-process pipeline, InProcessTransport re-checks and a real
-/// ShipServer fed over a unix socket, ack-gated producer-side segment
-/// reclamation, producer-crash recovery at the receiver, and the local
-/// re-check degrade path when the fleet is unreachable.
+/// parsing and config validation, verdict equivalence between a
+/// from-zero check and a real ShipServer fed over a unix socket,
+/// ack-gated producer-side segment reclamation, producer-crash recovery
+/// at the receiver, and both degrade paths when the fleet is unreachable:
+/// the local re-check of a complete chain and the unverified-suffix note
+/// for a partially reclaimed one.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,10 +32,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <sys/socket.h>
@@ -110,29 +114,15 @@ EpochReport fromZero(const std::string &Base, size_t NumObjects,
   return epochCheck(Base, NumObjects, F, Zero);
 }
 
-/// Re-checks a chain through a CheckerService fed by an
-/// InProcessTransport — the local re-check degrade path, and the
-/// structural reference the socket tests compare against.
-struct LocalShip {
-  bool Ok = false;
-  std::string Err;
-  VerifierReport R;
-};
-
-LocalShip shipChainInProcess(const std::string &Base, size_t NumObjects,
-                             PipelineFactory F, uint64_t FinalSeq) {
-  LocalShip Out;
-  CheckerService Svc(CheckerServiceOptions{});
-  if (!Svc.addObjects(NumObjects, F, CheckerConfig(), Out.Err))
-    return Out;
-  InProcessTransport T(Svc);
-  if (!shipChain(Base, T, FinalSeq, /*CloseTimeoutMs=*/1000, Out.Err))
-    return Out;
-  Svc.finishChecking();
-  Svc.buildReport(Out.R);
-  Out.R.LogRecords = FinalSeq;
-  Out.Ok = true;
-  return Out;
+/// (Seq, object, kind) of every violation, in one canonical order: the
+/// report sorts by Seq alone, the live list is in publication order.
+std::vector<std::tuple<uint64_t, uint32_t, int>>
+violationKeys(const std::vector<Violation> &Vs) {
+  std::vector<std::tuple<uint64_t, uint32_t, int>> Keys;
+  for (const Violation &V : Vs)
+    Keys.emplace_back(V.Seq, V.Obj, static_cast<int>(V.Kind));
+  std::sort(Keys.begin(), Keys.end());
+  return Keys;
 }
 
 /// Minimal field scraping for the server-side report JSON (the report is
@@ -144,22 +134,6 @@ uint64_t jsonUint(const std::string &J, const std::string &Key,
   if (P == std::string::npos)
     return ~0ull;
   return std::strtoull(J.c_str() + P + Needle.size(), nullptr, 10);
-}
-
-/// The "records" count of the object named \p Name in a report JSON.
-uint64_t jsonObjectRecords(const std::string &J, const std::string &Name) {
-  size_t P = J.find("\"name\":\"" + Name + "\"");
-  if (P == std::string::npos)
-    return ~0ull;
-  return jsonUint(J, "records", P);
-}
-
-uint64_t jsonObjectViolations(const std::string &J,
-                              const std::string &Name) {
-  size_t P = J.find("\"name\":\"" + Name + "\"");
-  if (P == std::string::npos)
-    return ~0ull;
-  return jsonUint(J, "violations", P);
 }
 
 bool readFileBytes(const std::string &Path, std::string &Out) {
@@ -413,14 +387,13 @@ TEST(ShippingTest, ConfigValidationRejectsOverlongMonitorSocket) {
 }
 
 //===----------------------------------------------------------------------===//
-// Verdict equivalence: inline == InProcessTransport == socket fleet
+// Verdict equivalence: from-zero check == socket fleet
 //===----------------------------------------------------------------------===//
 
 // A recorded buggy composite chain must produce the identical verdict,
-// attribution and per-object stats when re-checked (a) from zero, (b)
-// through InProcessTransport into a CheckerService, and (c) shipped over
-// a real unix socket into a ShipServer session.
-TEST(ShippingTest, ShippedVerdictMatchesInProcessCheck) {
+// attribution and per-object stats when checked from zero and when
+// shipped over a real unix socket into a ShipServer session.
+TEST(ShippingTest, ShippedVerdictMatchesFromZeroCheck) {
   std::string Base = tempBase("equiv");
   VerifierReport Rec = recordCompositeChain(Base, /*Buggy=*/true);
   ASSERT_FALSE(Rec.Violations.empty())
@@ -430,33 +403,14 @@ TEST(ShippingTest, ShippedVerdictMatchesInProcessCheck) {
   ASSERT_TRUE(loadLogFile(Base, Records));
   uint64_t FinalSeq = Records.size();
 
-  // (a) The serial from-zero reference.
+  // The serial from-zero reference.
   EpochReport Zero = fromZero(Base, 4, makeCompositePipeline(true));
   ASSERT_TRUE(Zero.Error.empty()) << Zero.Error;
   ASSERT_FALSE(Zero.Report.Violations.empty());
+  ASSERT_EQ(Zero.Report.Objects.size(), 4u);
 
-  // (b) InProcessTransport == from-zero, field by field.
-  LocalShip Local =
-      shipChainInProcess(Base, 4, makeCompositePipeline(true), FinalSeq);
-  ASSERT_TRUE(Local.Ok) << Local.Err;
-  ASSERT_EQ(Local.R.Violations.size(), Zero.Report.Violations.size());
-  for (size_t I = 0; I < Local.R.Violations.size(); ++I) {
-    EXPECT_EQ(Local.R.Violations[I].Seq, Zero.Report.Violations[I].Seq);
-    EXPECT_EQ(Local.R.Violations[I].Kind, Zero.Report.Violations[I].Kind);
-    EXPECT_EQ(Local.R.Violations[I].Obj, Zero.Report.Violations[I].Obj);
-  }
-  ASSERT_EQ(Local.R.Objects.size(), 4u);
-  for (size_t O = 0; O < 4; ++O) {
-    EXPECT_EQ(Local.R.Objects[O].Name, Zero.Report.Objects[O].Name);
-    EXPECT_EQ(Local.R.Objects[O].Records, Zero.Report.Objects[O].Records);
-    EXPECT_EQ(Local.R.Objects[O].Stats.ActionsFed,
-              Zero.Report.Objects[O].Stats.ActionsFed);
-    EXPECT_EQ(Local.R.Objects[O].Stats.ViewComparisons,
-              Zero.Report.Objects[O].Stats.ViewComparisons);
-  }
-
-  // (c) The socket fleet: SocketTransport -> ShipServer over a real
-  // unix socket, then compare its session report.
+  // The socket fleet: SocketTransport -> ShipServer over a real unix
+  // socket, then compare its session report field by field.
   std::string Sock = tempSock("equiv");
   std::remove(Sock.c_str());
   ShipServerOptions O;
@@ -478,26 +432,30 @@ TEST(ShippingTest, ShippedVerdictMatchesInProcessCheck) {
   ASSERT_TRUE(Server.waitForSessionEnd("equiv", 10000));
   std::string J = Server.sessionReportJson("equiv");
   ASSERT_FALSE(J.empty());
-  EXPECT_EQ(jsonUint(J, "violations"), Local.R.Violations.size());
+  EXPECT_EQ(jsonUint(J, "violations"), Zero.Report.Violations.size());
   EXPECT_EQ(jsonUint(J, "log_records"), FinalSeq);
-  EXPECT_EQ(jsonUint(J, "actions_fed"), Local.R.Stats.ActionsFed);
-  for (const char *Name : {"multiset", "cache", "blinktree", "queue"}) {
-    const ObjectReport *Ref = nullptr;
-    for (const ObjectReport &OR : Local.R.Objects)
-      if (OR.Name == Name)
-        Ref = &OR;
-    ASSERT_NE(Ref, nullptr) << Name;
-    EXPECT_EQ(jsonObjectRecords(J, Name), Ref->Records) << Name;
-    EXPECT_EQ(jsonObjectViolations(J, Name), Ref->Violations.size())
+  EXPECT_EQ(jsonUint(J, "actions_fed"), Zero.Report.Stats.ActionsFed);
+  for (const ObjectReport &Ref : Zero.Report.Objects) {
+    const std::string &Name = Ref.Name;
+    size_t P = J.find("\"name\":\"" + Name + "\"");
+    ASSERT_NE(P, std::string::npos) << Name;
+    EXPECT_EQ(jsonUint(J, "records", P), Ref.Records) << Name;
+    EXPECT_EQ(jsonUint(J, "violations", P), Ref.Violations.size()) << Name;
+    EXPECT_EQ(jsonUint(J, "actions_fed", P), Ref.Stats.ActionsFed) << Name;
+    EXPECT_EQ(jsonUint(J, "view_comparisons", P), Ref.Stats.ViewComparisons)
         << Name;
   }
 
   // The session registered with the monitor registry and stays
-  // resolvable after completion (a bound vyrd-mon keeps working).
+  // resolvable after completion (a bound vyrd-mon keeps working); its
+  // published violations carry the reference's seqs, objects and kinds.
   std::vector<std::string> Names = Registry.names();
   ASSERT_EQ(Names.size(), 1u);
   EXPECT_EQ(Names[0], "equiv");
-  EXPECT_NE(Registry.resolve("equiv"), nullptr);
+  std::shared_ptr<MonitorSource> Session = Registry.resolve("equiv");
+  ASSERT_NE(Session, nullptr);
+  EXPECT_EQ(violationKeys(Session->liveViolations()),
+            violationKeys(Zero.Report.Violations));
   EXPECT_EQ(Registry.resolve("nope"), nullptr);
 
   Server.stop();
@@ -753,6 +711,79 @@ TEST(ShippingTest, LocalCheckDegradeCatchesViolationLocally) {
   removeChainAll(Base);
 }
 
+// When the fleet acked (and the producer reclaimed) a prefix before it
+// went away, the surviving chain cannot seed a local checker: finish()
+// re-checks nothing and names the unacked suffix as unverified.
+TEST(ShippingTest, PartiallyReclaimedChainDegradesToUnverifiedNote) {
+  std::string Base = tempBase("degrade-partial");
+  std::string Sock = tempSock("partial");
+  removeChainAll(Base);
+  std::remove(Sock.c_str());
+
+  ShipServerOptions O;
+  O.Listen = "unix:" + Sock;
+  O.ReportDir = "";
+  ShipServer Server(O, testResolver, nullptr);
+  ASSERT_TRUE(Server.valid()) << Server.error();
+
+  ScenarioOptions SO;
+  SO.Prog = Program::P_MultisetVector;
+  SO.Mode = RunMode::RM_OnlineView;
+  SO.LogPath = Base;
+  SO.Backpressure.SegmentBytes = 4 * 1024;
+  SO.Backpressure.ReclaimSegments = true;
+  SO.Shipping.Endpoint = "unix:" + Sock;
+  SO.Shipping.StreamName = "partial";
+  SO.Shipping.MaxRetries = 1;
+  SO.Shipping.BackoffInitialMs = 1;
+  SO.Shipping.BackoffCapMs = 2;
+  SO.Shipping.FinalAckTimeoutMs = 10;
+  Scenario S = makeScenario(SO);
+  WorkloadOptions WO;
+  WO.Threads = 4;
+  WO.OpsPerThread = 200;
+  WO.KeyPoolSize = 16;
+  WO.Seed = 17;
+
+  // The fleet's acks reclaim the front of the chain while the run is
+  // live. The pump reads acks only when it ships a segment, so the
+  // program keeps running (a bounded number of rounds) until segment 1
+  // is gone.
+  std::string Seg1 = logSegmentPath(Base, 1);
+  bool Reclaimed = false;
+  for (int Round = 0; Round < 100 && !Reclaimed; ++Round, ++WO.Seed) {
+    runWorkload(WO, S.Op);
+    usleep(10 * 1000);
+    FILE *F = std::fopen(Seg1.c_str(), "rb");
+    Reclaimed = F == nullptr;
+    if (F)
+      std::fclose(F);
+  }
+  ASSERT_TRUE(Reclaimed) << "segment 1 was never acked and reclaimed";
+
+  Server.stop(); // the fleet goes away before the final ack
+  VerifierReport R = S.Finish();
+  ASSERT_TRUE(R.Shipping.Enabled);
+  EXPECT_TRUE(R.Shipping.Degraded);
+  EXPECT_FALSE(R.Shipping.FinalAckOk);
+  EXPECT_EQ(R.Shipping.FallbackRecords, 0u)
+      << "a reclaimed prefix must not be re-checked from its suffix";
+  ASSERT_LT(R.Shipping.AckedWatermark, R.LogRecords);
+  std::string Unverified =
+      std::to_string(R.LogRecords - R.Shipping.AckedWatermark) +
+      " record(s) unverified";
+  size_t Naming = 0;
+  for (const std::string &N : R.Notes)
+    if (N.find(Unverified) != std::string::npos)
+      ++Naming;
+  EXPECT_EQ(Naming, 1u) << R.str();
+  EXPECT_EQ(R.ok(), R.Violations.empty())
+      << "notes are advisories, not violations";
+
+  std::remove(Sock.c_str());
+  removeChainAll(Base);
+}
+
 // The retry budget: a transport pointed at nothing burns exactly
 // MaxRetries retries with capped backoff, then reports unhealthy and
 // stops trying.
@@ -772,7 +803,7 @@ TEST(ShippingTest, RetryBudgetAndBackoffAccounting) {
   Seg.Path = "/tmp/vyrd-shiptest-does-not-exist.bin";
   EXPECT_FALSE(T.shipSegment(Seg));
   EXPECT_FALSE(T.healthy());
-  SegmentTransport::Stats St = T.stats();
+  SocketTransport::Stats St = T.stats();
   EXPECT_EQ(St.Retries, 3u);
   EXPECT_EQ(St.Segments, 0u);
 
