@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 //
 // google-benchmark microbenchmarks of the hot paths: log append, record
-// encode/decode, incremental view updates, hash-based view comparison,
-// and end-to-end checker feed throughput.
+// encode/decode, record move and copy, incremental view updates,
+// hash-based view comparison, and end-to-end checker feed throughput.
 //
 //===----------------------------------------------------------------------===//
 
@@ -52,6 +52,58 @@ static void BM_ActionRoundTrip(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
 }
 BENCHMARK(BM_ActionRoundTrip);
+
+/// A batch of 256 records in a composite-replay-like mix: calls with an
+/// int or a 16-byte payload argument, returns of a bool or a payload,
+/// commits, int writes, and replay ops carrying (handle, payload).
+static std::vector<Action> recordBatch() {
+  Name Insert = internName("bench.insert"), Put = internName("bench.put");
+  Name Var = internName("bench.var"), Op = internName("bench.copy");
+  std::vector<Action> Batch;
+  for (int I = 0; Batch.size() < 256; ++I) {
+    Value Payload(Value::Bytes(16, static_cast<uint8_t>(I)));
+    Batch.push_back(Action::call(0, Insert, {Value(I)}));
+    Batch.push_back(Action::write(0, Var, Value(I)));
+    Batch.push_back(Action::commit(0));
+    Batch.push_back(Action::ret(0, Insert, Value(true)));
+    Batch.push_back(Action::call(1, Put, {Value(I), Payload}));
+    Batch.push_back(Action::replayOp(1, Op, {Value(I), Payload}));
+    Batch.push_back(Action::commit(1));
+    Batch.push_back(Action::ret(1, Put, Payload));
+  }
+  return Batch;
+}
+
+/// Moves a batch from one vector into another and destroys the moved-from
+/// records: the per-record cost of every pipeline hand-off.
+static void BM_ActionMove(benchmark::State &State) {
+  std::vector<Action> Src = recordBatch(), Dst;
+  Dst.reserve(Src.size());
+  for (auto _ : State) {
+    for (Action &A : Src)
+      Dst.push_back(std::move(A));
+    Src.clear();
+    std::swap(Src, Dst);
+    benchmark::DoNotOptimize(Src.data());
+  }
+  State.SetItemsProcessed(State.iterations() * Src.size());
+}
+BENCHMARK(BM_ActionMove);
+
+/// Copies a batch and destroys the copies: what the checker pays to keep
+/// a record in its event queue and open executions.
+static void BM_ActionCopy(benchmark::State &State) {
+  std::vector<Action> Src = recordBatch(), Dst;
+  Dst.reserve(Src.size());
+  for (auto _ : State) {
+    for (const Action &A : Src)
+      Dst.push_back(A);
+    benchmark::DoNotOptimize(Dst.data());
+    Dst.clear();
+  }
+  State.SetItemsProcessed(State.iterations() * Src.size());
+}
+BENCHMARK(BM_ActionCopy);
 
 /// The checker's incremental views are digest-only: this is the per-update
 /// cost every replayed write and spec mutation pays.

@@ -35,19 +35,20 @@ bool BLinkSpec::applyMutator(Name Method, const ValueList &Args,
         !Success)
       return false; // insert always succeeds
     int64_t K = Args[0].asInt();
+    std::span<const uint8_t> Data = Args[1].asBytes();
     auto It = M.find(K);
     if (It == M.end()) {
       BData D;
       D.Version = 1;
-      D.Data = Args[1].asBytes();
+      D.Data.assign(Data.begin(), Data.end());
       M.emplace(K, D);
-      ViewS.add(Args[0], versionedValue(1, Args[1].asBytes()));
+      ViewS.add(Args[0], versionedValue(1, D.Data));
       return true;
     }
     ViewS.remove(Args[0], versionedValue(It->second.Version,
                                          It->second.Data));
     ++It->second.Version;
-    It->second.Data = Args[1].asBytes();
+    It->second.Data.assign(Data.begin(), Data.end());
     ViewS.add(Args[0], versionedValue(It->second.Version,
                                       It->second.Data));
     return true;
@@ -112,7 +113,8 @@ void BLinkReplayer::applyUpdate(const Action &A, View &ViewI) {
     uint64_t DH = static_cast<uint64_t>(A.Args[0].asInt());
     BData New;
     New.Version = static_cast<uint64_t>(A.Args[1].asInt());
-    New.Data = A.Args[2].asBytes();
+    std::span<const uint8_t> Data = A.Args[2].asBytes();
+    New.Data.assign(Data.begin(), Data.end());
     auto It = DataNodes.find(DH);
     Value Old = entryValue(DH);
     Value NewVal = versionedValue(New.Version, New.Data);

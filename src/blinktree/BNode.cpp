@@ -56,7 +56,7 @@ Bytes BNode::serialize() const {
   return W.buffer();
 }
 
-bool BNode::deserialize(const Bytes &B, BNode &Out) {
+bool BNode::deserialize(std::span<const uint8_t> B, BNode &Out) {
   ByteReader R(B.data(), B.size());
   uint8_t Flags = R.u8();
   Out.IsLeaf = (Flags & 1) != 0;
@@ -86,7 +86,7 @@ Bytes BData::serialize() const {
   return W.buffer();
 }
 
-bool BData::deserialize(const Bytes &B, BData &Out) {
+bool BData::deserialize(std::span<const uint8_t> B, BData &Out) {
   ByteReader R(B.data(), B.size());
   Out.Version = R.varint();
   uint64_t N = R.varint();
@@ -99,9 +99,18 @@ bool BData::deserialize(const Bytes &B, BData &Out) {
 }
 
 Value vyrd::blinktree::versionedValue(uint64_t Version, const Bytes &Data) {
-  Value::Bytes Out(8 + Data.size());
+  // Small payloads are assembled on the stack, so the Value's own blob is
+  // the only allocation.
+  uint8_t Small[64];
+  Bytes Large;
+  size_t Size = 8 + Data.size();
+  uint8_t *Out = Small;
+  if (Size > sizeof(Small)) {
+    Large.resize(Size);
+    Out = Large.data();
+  }
   for (unsigned I = 0; I < 8; ++I)
     Out[I] = static_cast<uint8_t>(Version >> (8 * I));
-  std::copy(Data.begin(), Data.end(), Out.begin() + 8);
-  return Value(std::move(Out));
+  std::copy(Data.begin(), Data.end(), Out + 8);
+  return bytesValue(Out, Size);
 }

@@ -26,6 +26,7 @@
 #include "vyrd/Serialize.h"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace vyrd {
@@ -67,7 +68,7 @@ struct BNode {
 
   Bytes serialize() const;
   /// \returns false on malformed input.
-  static bool deserialize(const Bytes &B, BNode &Out);
+  static bool deserialize(std::span<const uint8_t> B, BNode &Out);
 };
 
 /// Data node payload: value bytes plus a version number.
@@ -76,7 +77,7 @@ struct BData {
   Bytes Data;
 
   Bytes serialize() const;
-  static bool deserialize(const Bytes &B, BData &Out);
+  static bool deserialize(std::span<const uint8_t> B, BData &Out);
 };
 
 /// Encodes (version, bytes) into the canonical view value (also the

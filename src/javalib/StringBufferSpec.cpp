@@ -43,7 +43,7 @@ bool StringBufferSpec::applyMutator(Name Method, const ValueList &Args,
   if (Method == V.Append) {
     if (Args.size() != 2 || !Args[1].isStr())
       return false;
-    setBuf(I, S[I] + Args[1].asStr(), ViewS);
+    setBuf(I, S[I] + std::string(Args[1].asStr()), ViewS);
     return true;
   }
 
@@ -107,7 +107,8 @@ void StringBufferReplayer::applyUpdate(const Action &A, View &ViewI) {
 
   std::string NewVal;
   if (A.Var == V.OpAppend) {
-    NewVal = Shadow[I] + A.Args[1].asStr();
+    NewVal = Shadow[I];
+    NewVal += A.Args[1].asStr();
   } else if (A.Var == V.OpSetLen) {
     NewVal = Shadow[I].substr(
         0, static_cast<size_t>(A.Args[1].asInt()));

@@ -42,7 +42,7 @@ Bytes Inode::serialize() const {
   return W.buffer();
 }
 
-bool Inode::deserialize(const Bytes &B, Inode &Out) {
+bool Inode::deserialize(std::span<const uint8_t> B, Inode &Out) {
   ByteReader R(B.data(), B.size());
   Out.Used = R.u8() != 0;
   Out.Size = R.varint();
@@ -65,7 +65,7 @@ Bytes Directory::serialize() const {
   return W.buffer();
 }
 
-bool Directory::deserialize(const Bytes &B, Directory &Out) {
+bool Directory::deserialize(std::span<const uint8_t> B, Directory &Out) {
   ByteReader R(B.data(), B.size());
   uint64_t N = R.varint();
   if (!R.ok() || N > (1u << 16))

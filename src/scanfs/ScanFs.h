@@ -40,6 +40,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,7 +65,7 @@ struct Inode {
   std::vector<uint64_t> Blocks;
 
   Bytes serialize() const;
-  static bool deserialize(const Bytes &B, Inode &Out);
+  static bool deserialize(std::span<const uint8_t> B, Inode &Out);
 };
 
 /// On-"disk" directory image: sorted name -> inode index.
@@ -72,7 +73,7 @@ struct Directory {
   std::map<std::string, uint32_t> Entries;
 
   Bytes serialize() const;
-  static bool deserialize(const Bytes &B, Directory &Out);
+  static bool deserialize(std::span<const uint8_t> B, Directory &Out);
 };
 
 /// The uninstrumented file-system core (trailing-AutoContext protocol).

@@ -6,6 +6,7 @@
 
 #include "scanfs/ScanFsSpec.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace vyrd;
@@ -33,7 +34,7 @@ bool ScanFsSpec::applyMutator(Name Method, const ValueList &Args,
   bool Success = Ret.asBool();
   if (Args.empty() || !Args[0].isStr())
     return false;
-  const std::string &Name = Args[0].asStr();
+  std::string Name(Args[0].asStr());
 
   if (Method == V.Create) {
     if (Args.size() != 1)
@@ -68,11 +69,9 @@ bool ScanFsSpec::applyMutator(Name Method, const ValueList &Args,
     auto It = Files.find(Name);
     if (It == Files.end())
       return false;
-    Bytes NewContents = Method == V.Write ? Args[1].asBytes() : It->second;
-    if (Method == V.Append) {
-      const Bytes &Tail = Args[1].asBytes();
-      NewContents.insert(NewContents.end(), Tail.begin(), Tail.end());
-    }
+    std::span<const uint8_t> Arg = Args[1].asBytes();
+    Bytes NewContents = Method == V.Write ? Bytes() : It->second;
+    NewContents.insert(NewContents.end(), Arg.begin(), Arg.end());
     ViewS.remove(Value(Name), Value(It->second));
     It->second = std::move(NewContents);
     ViewS.add(Value(Name), Value(It->second));
@@ -87,10 +86,10 @@ bool ScanFsSpec::returnAllowed(Name Method, const ValueList &Args,
   if (Method == V.Read) {
     if (Args.size() != 1 || !Args[0].isStr())
       return false;
-    auto It = Files.find(Args[0].asStr());
+    auto It = Files.find(std::string(Args[0].asStr()));
     if (It == Files.end())
       return Ret.isNull();
-    return Ret.isBytes() && Ret.asBytes() == It->second;
+    return Ret.isBytes() && std::ranges::equal(Ret.asBytes(), It->second);
   }
   if (Method == V.List) {
     if (!Args.empty() || !Ret.isStr())
@@ -206,7 +205,8 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
   if (A.Var == V.OpBlock) {
     assert(A.Args.size() == 2 && A.Args[0].isInt() && A.Args[1].isBytes());
     uint64_t BH = static_cast<uint64_t>(A.Args[0].asInt());
-    BlockData[BH] = A.Args[1].asBytes();
+    std::span<const uint8_t> Data = A.Args[1].asBytes();
+    BlockData[BH].assign(Data.begin(), Data.end());
     auto OwnerIt = BlockOwner.find(BH);
     if (OwnerIt != BlockOwner.end()) {
       auto NameIt = InodeName.find(OwnerIt->second);

@@ -62,7 +62,9 @@ const char *actionKindName(ActionKind K);
 /// One log record. Field order packs the five small scalars ahead of the
 /// payloads, and Return/Write share one Value slot (no record kind uses
 /// both): records travel by move/copy through every pipeline stage, so
-/// sizeof(Action) is itself a hot-path quantity.
+/// sizeof(Action) is itself a hot-path quantity. With 16-byte Values it is
+/// 96 bytes: 32 of scalars and Seq, 48 of Args (two inline Values) and 16
+/// of Ret. A copy shares string and byte payloads instead of allocating.
 struct Action {
   ActionKind Kind = ActionKind::AK_Call;
   ThreadId Tid = 0;
@@ -86,8 +88,9 @@ struct Action {
   // Records travel by move through the whole pipeline (shard ring ->
   // reorder ring -> consumer batch -> demux route -> checker event
   // queue). The defaulted moves are member-wise and noexcept (`= default`
-  // would fail to compile otherwise), so vector/deque growth relocates
-  // records instead of copying them.
+  // would fail to compile otherwise), so vector growth relocates records
+  // instead of copying them; a move copies 96 bytes and nulls the
+  // source's payload words, with no branch on the value kinds.
   Action() = default;
   Action(const Action &) = default;
   Action(Action &&) noexcept = default;
@@ -148,6 +151,8 @@ struct Action {
     return A;
   }
 };
+
+static_assert(sizeof(Action) <= 96, "Action must stay a 96-byte record");
 
 } // namespace vyrd
 

@@ -81,15 +81,19 @@ bool ByteReader::bytes(void *Out, size_t N) {
   return true;
 }
 
-std::string ByteReader::str() {
-  uint64_t N = varint();
-  if (!Ok || Pos + N > Size) {
+std::span<const uint8_t> ByteReader::take(uint64_t N) {
+  if (!Ok || N > Size - Pos) {
     Ok = false;
-    return "";
+    return {};
   }
-  std::string S(reinterpret_cast<const char *>(Data + Pos), N);
+  std::span<const uint8_t> S(Data + Pos, N);
   Pos += N;
   return S;
+}
+
+std::string ByteReader::str() {
+  std::span<const uint8_t> S = take(varint());
+  return std::string(reinterpret_cast<const char *>(S.data()), S.size());
 }
 
 //===----------------------------------------------------------------------===//
@@ -171,7 +175,7 @@ void vyrd::writeValue(ByteWriter &W, const Value &V) {
     W.str(V.asStr());
     break;
   case ValueKind::VK_Bytes: {
-    const Value::Bytes &B = V.asBytes();
+    std::span<const uint8_t> B = V.asBytes();
     W.varint(B.size());
     W.bytes(B.data(), B.size());
     break;
@@ -191,13 +195,16 @@ Value vyrd::readValue(ByteReader &R) {
   case ValueKind::VK_Int:
     return Value(R.svarint());
   case ValueKind::VK_Str:
-    return Value(R.str());
   case ValueKind::VK_Bytes: {
-    uint64_t N = R.varint();
-    Value::Bytes B(N);
-    if (N && !R.bytes(B.data(), N))
+    // The payload is copied once, from the input straight into the
+    // Value's blob.
+    std::span<const uint8_t> P = R.take(R.varint());
+    if (!R.ok())
       return Value();
-    return Value(std::move(B));
+    if (Kind == static_cast<uint8_t>(ValueKind::VK_Bytes))
+      return bytesValue(P.data(), P.size());
+    return Value(std::string_view(reinterpret_cast<const char *>(P.data()),
+                                  P.size()));
   }
   }
   return Value();

@@ -37,6 +37,7 @@
 #include "vyrd/Action.h"
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -125,6 +126,9 @@ public:
   uint64_t varint();
   int64_t svarint();
   bool bytes(void *Out, size_t N);
+  /// Consumes the next \p N bytes and returns a view of them; on overrun
+  /// marks the reader failed and returns an empty view.
+  std::span<const uint8_t> take(uint64_t N);
   std::string str();
 
 private:

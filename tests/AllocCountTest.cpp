@@ -95,9 +95,30 @@ size_t appendEpoch(LogWriter &W, AllocRegisterSpec &S, int64_t X) {
   return 5;
 }
 
-} // namespace
+/// Heap payloads the epoch traffic below builds per record.
+constexpr double BytesEpochPayloadsPerRecord = 1.0 / 5.0;
 
-TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
+/// The same epoch with a 32-byte byte-array value: Set's argument and
+/// Get's return are copies of one bytes Value, the only payload the
+/// epoch builds. The spec stores the Value it is handed.
+size_t appendBytesEpoch(LogWriter &W, AllocRegisterSpec &S, int64_t X) {
+  uint8_t Raw[32];
+  for (size_t I = 0; I < sizeof(Raw); ++I)
+    Raw[I] = static_cast<uint8_t>(X + I);
+  Value P = bytesValue(Raw, sizeof(Raw));
+  W.append(Action::call(1, S.GetM, {}));
+  W.append(Action::call(0, S.SetM, {P}));
+  W.append(Action::commit(0));
+  W.append(Action::ret(0, S.SetM, Value(true)));
+  W.append(Action::ret(1, S.GetM, std::move(P)));
+  return 5;
+}
+
+/// Pushes warm-up and then measured epochs of \p Epoch traffic through
+/// append -> batch -> check, and returns the allocations per measured
+/// record.
+double allocsPerRecord(size_t (*Epoch)(LogWriter &, AllocRegisterSpec &,
+                                       int64_t)) {
   AllocRegisterSpec S;
   CheckerConfig CC;
   CC.Mode = CheckMode::CM_IORefinement;
@@ -124,7 +145,7 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   // checker's event queue and exec pool to steady state.
   constexpr int WarmupEpochs = 200;
   for (int E = 0; E < WarmupEpochs; ++E) {
-    appendEpoch(Log, S, E % 7);
+    Epoch(Log, S, E % 7);
     if (E % 4 == 0)
       Pump();
   }
@@ -136,7 +157,7 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   GAllocCount.store(0);
   GCountAllocs.store(true);
   for (int E = 0; E < MeasuredEpochs; ++E) {
-    Records += appendEpoch(Log, S, E % 7);
+    Records += Epoch(Log, S, E % 7);
     if (E % 4 == 0)
       Pump();
   }
@@ -148,7 +169,12 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   EXPECT_FALSE(C.hasViolation())
       << "traffic must be clean: " << C.violations().front().str();
   EXPECT_EQ(C.stats().ActionsFed, uint64_t(Records + WarmupEpochs * 5));
+  return double(Allocs) / double(Records);
+}
 
+} // namespace
+
+TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   // Budget: pre-overhaul this pipeline sat at ~2 allocations per record
   // (deque block churn in the log queue, event queue and context ring,
   // plus open-exec map nodes); the lean pipeline — RingQueue slot
@@ -156,7 +182,16 @@ TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   // at zero in steady state. The bound leaves headroom for
   // allocator/libstdc++ differences while still failing if any
   // per-record allocation sneaks back in.
-  double PerRecord = double(Allocs) / double(Records);
-  EXPECT_LT(PerRecord, 0.5) << Allocs << " allocations over " << Records
-                            << " records";
+  double PerRecord = allocsPerRecord(appendEpoch);
+  EXPECT_LT(PerRecord, 0.5) << PerRecord << " allocations per record";
+}
+
+TEST(AllocCountTest, HeapPayloadsAreNotCopiedByThePipeline) {
+  // Every copy of a record (into the checker's events and execs, into the
+  // spec's state) shares the payload blob: the only allocations left are
+  // the payloads the traffic itself builds. A stage that deep-copies a
+  // byte array adds one allocation per copied record.
+  double PerRecord = allocsPerRecord(appendBytesEpoch);
+  EXPECT_LE(PerRecord, BytesEpochPayloadsPerRecord + 0.05)
+      << PerRecord << " allocations per record";
 }
