@@ -7,17 +7,19 @@
 /// \file
 /// A FIFO queue over a power-of-two circular buffer whose slots survive
 /// pop_front: a popped element is not destroyed, so any heap storage it
-/// owns (a spilled ValueList, a long string) is reused when the slot is
-/// next assigned. std::deque is the wrong tool for the pipeline's
-/// Action-sized elements: at ~216 bytes libstdc++ fits two per 512-byte
-/// block, so steady push/pop traffic frees and reallocates a block every
-/// other element. RingQueue reaches steady state after at most
-/// log2(max-depth) capacity doublings and then never touches the heap.
+/// owns (a spilled ValueList's buffer) is reused when the slot is next
+/// assigned. std::deque is the wrong tool for the pipeline's Action-sized
+/// elements: at 96 bytes libstdc++ fits five per 512-byte block, so
+/// steady push/pop traffic frees and reallocates a block every fifth
+/// element. RingQueue reaches steady state after at most log2(max-depth)
+/// capacity doublings and then never touches the heap.
 ///
 /// Holding popped slots alive is a deliberate trade: memory stays bounded
 /// by capacity x payload, but an element with observable ownership (e.g.
 /// a shared_ptr keeping a pooled object pinned) must be reset by the
-/// caller before pop_front if the reference itself has side effects.
+/// caller before pop_front if the reference itself has side effects. A
+/// popped Action likewise keeps its string and byte payloads (shared,
+/// immutable blobs; see Value.h) referenced until its slot is reassigned.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,9 +102,9 @@ private:
 /// heap traffic, while a deep burst degrades gracefully to one
 /// allocation per ChunkElems elements (never a whole-queue copy).
 /// Slots are never destroyed on pop — like RingQueue, a recycled slot's
-/// heap storage (a spilled ValueList, a string) is reused by the next
+/// heap storage (a spilled ValueList's buffer) is reused by the next
 /// element assigned into it, with the same caveat about resettable
-/// ownership (see the file comment).
+/// ownership and retained payloads (see the file comment).
 template <typename T> class ChunkQueue {
   static constexpr size_t ChunkElems = sizeof(T) >= 128 ? 32 : 256;
   static constexpr size_t MaxFreeChunks = 8;
