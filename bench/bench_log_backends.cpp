@@ -306,8 +306,8 @@ Throughput measureShipped(const std::string &Base, const std::string &Sock,
     O.ShardCapacity = 4096;
     O.FilePath = Base;
     O.RetainRecords = false;
-    O.Backpressure.SegmentBytes = 256 * 1024;
-    O.Backpressure.ReclaimSegments = false;
+    O.SegmentBytes = 256 * 1024;
+    O.ReclaimSegments = false;
     BufferedLog L(std::move(O));
     ShipperOptions SO;
     SO.Endpoint = "unix:" + Sock;

@@ -14,6 +14,8 @@
 /// makes room, and the wait propagates back to the producers. No record
 /// is dropped, so every appended record is checked. A blocked producer
 /// needs a concurrent consumer, hence the bound requires Online mode.
+/// Each stage takes a plain record bound; the Verifier turns a disabled
+/// config into SIZE_MAX, which no queue meets.
 ///
 /// SegmentSink implements the disk half of the ceiling: instead of one
 /// file that accretes forever, output rotates into numbered segment files
@@ -48,8 +50,8 @@ enum class BackpressurePolicy : uint8_t {
 /// rounds and the checker pool's pending queues. Part of VerifierConfig;
 /// validated there.
 struct BackpressureConfig {
-  /// Master switch. Disabled (the default) keeps the historical
-  /// unbounded behavior of every stage.
+  /// Master switch. Disabled (the default), every stage gets a bound of
+  /// SIZE_MAX instead of MaxPendingRecords.
   bool Enabled = false;
   /// Ceiling on records pending in any one stage's in-memory queue.
   /// Must be >= 1 when Enabled.

@@ -320,8 +320,7 @@ BufferedLog::BufferedLog(Options O) : I(std::make_unique<Impl>()) {
   if (!I->Opts.FilePath.empty()) {
     // Plain file or rotated segment chain, header(s) included — see
     // SegmentSink (docs/LOGFORMAT.md).
-    Valid = I->Sink.open(I->Opts.FilePath,
-                         I->Opts.Backpressure.SegmentBytes);
+    Valid = I->Sink.open(I->Opts.FilePath, I->Opts.SegmentBytes);
     I->HasFile = Valid;
   }
   I->FlusherThread = std::thread([this] { flusherMain(); });
@@ -402,15 +401,12 @@ void BufferedLog::park(Action &&A) {
 
 uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
                                   bool &Blocked) {
-  const BackpressureConfig &BP = I->Opts.Backpressure;
-  if (!BP.Enabled)
-    return S;
+  const uint64_t Bound = I->Opts.MaxPendingRecords;
   Telemetry *T = telemetry();
   // The queue as it will stand after this round's pushes. The reader can
   // only shrink it before they happen, so the bound holds.
   uint64_t Pending = I->Q.size();
-  uint64_t Room =
-      Pending < BP.MaxPendingRecords ? BP.MaxPendingRecords - Pending : 0;
+  uint64_t Room = Pending < Bound ? Bound - Pending : 0;
   uint64_t End = First + std::min(S - First, Room);
   if (End != First && I->BlockedSince) {
     uint64_t Waited = telemetryNowNanos() - I->BlockedSince;
@@ -421,7 +417,7 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
   }
   if (End != S) {
     // The record at End waits parked: for the reader to drain the queue
-    // (its own next round), or for the flusher's waitForRoom.
+    // (its own next round), or for the flusher to wait for room.
     if (!I->BlockedSince) {
       ++I->Stats.BlockedAppends;
       I->BlockedSince = telemetryNowNanos();
@@ -436,8 +432,6 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
 void BufferedLog::publishLocked(uint64_t First, uint64_t S) {
   for (uint64_t Ti = First; Ti != S; ++Ti)
     I->Q.push_back(std::move(I->Reorder[Ti & I->ReorderMask]));
-  if (!I->Opts.Backpressure.Enabled)
-    return;
   I->Stats.PendingRecordsHwm =
       std::max<uint64_t>(I->Stats.PendingRecordsHwm, I->Q.size());
   if (Telemetry *T = telemetry(); telemetryCompiledIn() && T)
@@ -512,13 +506,6 @@ BufferedLog::mergeRound(bool Reader, std::vector<Action> *Out, size_t Max) {
   return R;
 }
 
-void BufferedLog::waitForRoom() {
-  const BackpressureConfig &BP = I->Opts.Backpressure;
-  std::unique_lock Lock(I->QM);
-  I->QSpaceCV.wait(Lock,
-                   [&] { return I->Q.size() < BP.MaxPendingRecords; });
-}
-
 bool BufferedLog::shardsHold(uint64_t N, std::memory_order MO) const {
   for (ThreadLogShard *S = I->Shards.load(MO); S; S = S->NextShard)
     if (S->Head.load(MO) - S->Tail.load(std::memory_order_acquire) >= N)
@@ -526,9 +513,7 @@ bool BufferedLog::shardsHold(uint64_t N, std::memory_order MO) const {
   return false;
 }
 
-void BufferedLog::awaitRecords(std::vector<Action> *Out, size_t Max) {
-  if (mergeRound(/*Reader=*/true, Out, Max).Emitted)
-    return;
+void BufferedLog::awaitRecords() {
   // Every park costs the process a barrier on each running thread, and
   // the next append a wake-up: spin a little first, in case a record is
   // on its way. The caller runs another round when this returns.
@@ -568,15 +553,19 @@ void BufferedLog::flusherMain() {
       WakeReader(); // the queue changed under a reader that may be parked
     if (ClosedNow && R.CaughtUp)
       break;
-    if (R.Blocked)
-      waitForRoom();
-    else if (!R.Drained && !R.Emitted)
+    if (R.Blocked) {
+      // Wait for the reader to make room below the bound.
+      std::unique_lock Lock(I->QM);
+      I->QSpaceCV.wait(
+          Lock, [this] { return I->Q.size() < I->Opts.MaxPendingRecords; });
+    } else if (!R.Drained && !R.Emitted) {
       I->Flusher.park(
           [this] {
             return I->Closed.load(std::memory_order_seq_cst) ||
                    shardsHold(I->ShardHalf);
           },
           [] {});
+    }
   }
   if (I->HasFile)
     I->Sink.sync();
@@ -603,58 +592,45 @@ void BufferedLog::dequeuedLocked(size_t N) {
   I->QSpaceCV.notify_one();
 }
 
-bool BufferedLog::tryNextLocked(Action &Out, bool &End) {
-  if (I->Q.empty()) {
-    End = I->Finished;
-    return false;
-  }
-  Out = std::move(I->Q.front());
-  I->Q.pop_front();
-  if (I->Opts.Backpressure.Enabled)
-    dequeuedLocked(1);
-  End = false;
-  return true;
-}
-
 bool BufferedLog::next(Action &Out) {
-  std::unique_lock Lock(I->QM);
-  for (;;) {
-    bool End = false;
-    if (tryNextLocked(Out, End))
-      return true;
-    if (End)
-      return false;
-    Lock.unlock();
+  bool End = false;
+  while (!tryNext(Out, End) && !End)
     awaitRecords();
-    Lock.lock();
-  }
+  return !End;
 }
 
 bool BufferedLog::tryNext(Action &Out, bool &End) {
   std::unique_lock Lock(I->QM);
-  if (tryNextLocked(Out, End))
-    return true;
-  if (End)
+  if (I->Q.empty() && !I->Finished) {
+    Lock.unlock();
+    mergeRound(/*Reader=*/true);
+    Lock.lock();
+  }
+  End = I->Q.empty() && I->Finished;
+  if (I->Q.empty())
     return false;
-  Lock.unlock();
-  mergeRound(/*Reader=*/true);
-  Lock.lock();
-  return tryNextLocked(Out, End);
+  Out = std::move(I->Q.front());
+  I->Q.pop_front();
+  dequeuedLocked(1);
+  return true;
 }
 
-bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
+bool BufferedLog::tryNextBatch(std::vector<Action> &Out, size_t Max,
+                               bool &End) {
   Out.clear();
   if (Max == 0)
     Max = 1; // the Log::nextBatch contract
   std::unique_lock Lock(I->QM);
-  while (I->Q.empty() && !I->Finished) {
+  if (I->Q.empty() && !I->Finished) {
     Lock.unlock();
     // A round that finds the queue empty delivers straight into Out.
-    awaitRecords(&Out, Max);
+    mergeRound(/*Reader=*/true, &Out, Max);
+    End = false;
     if (!Out.empty())
       return true;
     Lock.lock();
   }
+  End = I->Q.empty() && I->Finished;
   // The queue holds what flusher rounds emitted while this reader was
   // away: take it in one pass, with one gauge update and wake-up for the
   // whole batch.
@@ -663,9 +639,16 @@ bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
     Out.push_back(std::move(I->Q.front()));
     I->Q.pop_front();
   }
-  if (I->Opts.Backpressure.Enabled && N)
+  if (N)
     dequeuedLocked(N);
   return N != 0;
+}
+
+bool BufferedLog::nextBatch(std::vector<Action> &Out, size_t Max) {
+  bool End = false;
+  while (!tryNextBatch(Out, Max, End) && !End)
+    awaitRecords();
+  return !End;
 }
 
 bool BufferedLog::asymmetricPublish() { return AsymmetricPublish; }
@@ -687,15 +670,13 @@ BackpressureStats BufferedLog::backpressureStats() const {
 }
 
 void BufferedLog::takeSegmentCuts(std::vector<SegmentCut> &Out) {
-  if (I->HasFile && I->Opts.Backpressure.SegmentBytes)
-    I->Sink.drainCuts(Out);
+  I->Sink.drainCuts(Out);
 }
 
 void BufferedLog::reclaimCheckedPrefix(uint64_t Watermark) {
-  const BackpressureConfig &BP = I->Opts.Backpressure;
-  if (!I->HasFile || !BP.SegmentBytes)
+  if (!I->HasFile || !I->Opts.SegmentBytes)
     return;
-  if (BP.ReclaimSegments)
+  if (I->Opts.ReclaimSegments)
     I->Sink.reclaimThrough(Watermark);
   if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
     T->gaugeSet(Gauge::G_SegmentsLive, I->Sink.liveSegments());

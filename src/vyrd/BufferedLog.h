@@ -56,23 +56,23 @@
 /// emits the contiguous ticket run to the file sink and to the reader
 /// queue's admission. Two kinds of thread run rounds:
 ///
-///  * the reader. Every reader entry point (nextBatch, next, tryNext) runs
-///    a round itself when its queue has nothing for it, so a record
-///    reaches the checker on the thread that checks it. A round run by
-///    nextBatch that finds the queue empty (under the queue mutex) hands
-///    the admitted run straight to the caller's batch, at most the
-///    batch's room, after writing it to the file sink; those records
-///    never enter the queue. Other reader rounds emit into the queue, at
-///    most its free room. Either way a reader-side round admits at most
-///    the queue bound, so it never has to wait on its own queue; what
-///    does not fit stays parked for the next round. When a round finds
+///  * the reader. Every reader entry point (nextBatch, tryNextBatch, next,
+///    tryNext) runs a round itself when its queue has nothing for it, so a
+///    record reaches the checker on the thread that checks it. A round run
+///    by a batch reader that finds the queue empty (under the queue
+///    mutex) hands the admitted run straight to the caller's batch, at
+///    most the batch's room, after writing it to the file sink; those
+///    records never enter the queue. Other reader rounds emit into the
+///    queue, at most its free room. Either way a reader-side round admits
+///    at most the queue bound, so it never has to wait on its own queue;
+///    what does not fit stays parked for the next round. When a round finds
 ///    nothing, the reader spins briefly on the shard heads, then parks on
 ///    an eventcount until a producer publishes.
 ///  * the flusher thread, for the logs nobody reads online: log-only and
 ///    offline runs, and a reader busy or blocked downstream (checker-pool
 ///    admission). It sleeps on its own eventcount until close(), or until
 ///    a producer's ring passes half full. Awake, it runs rounds until one
-///    finds nothing. On a bounded log it waits for queue room between
+///    finds nothing. At the queue bound it waits for room between
 ///    rounds, never inside one, so the merge mutex is never held across a
 ///    wait.
 ///
@@ -145,10 +145,10 @@
 /// Backpressure: shards are bounded. A producer whose ring is full wakes
 /// the flusher and waits (yield, then short sleeps) until a merge round
 /// makes room, so memory for unmerged records is capped at ShardCapacity
-/// per thread. With Options::Backpressure enabled the reader queue is
-/// bounded too: a merge round emits no record past MaxPendingRecords
-/// queued ones, so the rest waits parked in the reorder ring and then in
-/// the shards, and the producers wait with it.
+/// per thread. So is the reader queue, by Options::MaxPendingRecords: a
+/// merge round emits no record past that many queued ones, so the rest
+/// waits parked in the reorder ring and then in the shards, and the
+/// producers wait with it. The default bound, SIZE_MAX, is never met.
 ///
 /// Thread registration: shards are keyed by the dense thread id
 /// (currentTid()) and created the first time a thread with that id calls
@@ -225,19 +225,21 @@ public:
     size_t ShardCapacity = 1024;
     /// When non-empty, merge rounds serialize every emitted run to this
     /// file (docs/LOGFORMAT.md; readable with loadLogFile). With
-    /// Backpressure.SegmentBytes > 0 the output rotates into a segment
-    /// chain instead of one file.
+    /// SegmentBytes > 0 the output rotates into a segment chain instead
+    /// of one file.
     std::string FilePath;
+    /// BackpressureConfig's segment rotation and reclamation settings.
+    uint64_t SegmentBytes = 0;
+    bool ReclaimSegments = true;
     /// Keep flushed records in memory for next()/tryNext()/nextBatch().
     /// Disable for logging-only runs where nothing consumes the log; the
     /// reader then reports end of log only after close().
     bool RetainRecords = true;
-    /// Bound for the merged reader queue. The shard rings are already
-    /// bounded (ShardCapacity per thread); this bounds the downstream
-    /// stage merge rounds feed. A round stops at the bound and parks the
-    /// *flusher* until the reader makes room (shards then fill and
-    /// producers hit the ring-full backoff, so the pressure propagates).
-    BackpressureConfig Backpressure;
+    /// Bound on the merged reader queue, in records (>= 1). A round stops
+    /// at it and parks the *flusher* until the reader makes room (shards
+    /// then fill and producers hit the ring-full backoff, so the pressure
+    /// propagates). SIZE_MAX, the default, is no bound.
+    size_t MaxPendingRecords = SIZE_MAX;
   };
 
   BufferedLog();
@@ -258,11 +260,15 @@ public:
   bool next(Action &Out) override;
   bool tryNext(Action &Out, bool &End) override;
   bool nextBatch(std::vector<Action> &Out, size_t Max) override;
+  /// nextBatch without the wait: takes what is queued, or what one merge
+  /// round finds. \returns false when nothing was ready, with \p End set
+  /// once the log is closed and fully read.
+  bool tryNextBatch(std::vector<Action> &Out, size_t Max, bool &End);
   uint64_t appendCount() const override;
   uint64_t byteCount() const override;
 
-  /// Admission counters of the bounded reader queue, merged with the
-  /// segment sink's counters. All zero for unbounded configurations.
+  /// Admission counters of the reader queue (waits at the bound, the
+  /// queue's high-water mark), merged with the segment sink's counters.
   BackpressureStats backpressureStats() const;
 
   /// Checked-prefix reclamation: every record with Seq < \p Watermark has
@@ -323,26 +329,22 @@ private:
   /// Decides queue admission for the run [\p First, \p S) in ticket
   /// order. \returns the end of the admitted prefix: \p S, or the first
   /// record that met a full queue and has to wait (then a flusher round
-  /// sets \p Blocked). A wait counts once in BlockedAppends; its length
+  /// sets \p Blocked and waits for room before its next round). A wait counts once in BlockedAppends; its length
   /// goes to BlockedNanos when the record is admitted.
   uint64_t admitLocked(uint64_t First, uint64_t S, bool Reader,
                        bool &Blocked);
   /// Pushes the records of [\p First, \p S) into the reader queue.
   void publishLocked(uint64_t First, uint64_t S);
-  /// Flusher after a blocked round: waits until the queue has room.
-  void waitForRoom();
-  /// Reader with nothing queued: runs one round (delivering into \p Out
-  /// when given, as mergeRound) and, when it emitted nothing, parks until
-  /// a producer or a merge round wakes it.
-  void awaitRecords(std::vector<Action> *Out = nullptr, size_t Max = 0);
+  /// Reader whose own round found nothing: spins briefly, then parks
+  /// until a producer or a merge round wakes it.
+  void awaitRecords();
   /// True when some shard holds at least \p N published records not yet
   /// drained. The sleepers' recheck loads every Head with seq_cst (the
   /// fallback protocol needs it); the reader's spin uses acquire.
   bool shardsHold(uint64_t N,
                   std::memory_order MO = std::memory_order_seq_cst) const;
-  bool tryNextLocked(Action &Out, bool &End);
-  /// Accounts for \p N records leaving the queue (bounded queues only):
-  /// the gauge, and a wake-up for a flusher waiting for room.
+  /// Accounts for \p N records leaving the queue: the gauge, and a
+  /// wake-up for a flusher waiting for room.
   void dequeuedLocked(size_t N);
 
   struct Impl;

@@ -373,8 +373,9 @@ void RefinementChecker::feed(const Action &A) {
     X->InBlock = false;
     if (X->HasCommit && X->CommitInBlock && !X->BlockDone) {
       // This block contained the commit: seal its writes; they are applied
-      // atomically at the commit event, which may now proceed.
-      X->CommitBlockWrites = std::move(X->BlockWrites);
+      // atomically at the commit event, which may now proceed. A swap, not
+      // a move, so BlockWrites keeps the emptied buffer's capacity.
+      std::swap(X->CommitBlockWrites, X->BlockWrites);
       X->BlockWrites.clear();
       X->BlockDone = true;
       break;

@@ -79,7 +79,7 @@ struct CheckerService::ObjectState {
 class CheckerService::CheckerPool {
 public:
   CheckerPool(CheckerService &S, unsigned NumWorkers)
-      : S(S), BP(S.Opts.Backpressure) {
+      : S(S), Bound(S.Opts.MaxPendingRecords) {
     Workers.reserve(NumWorkers);
     for (unsigned I = 0; I < NumWorkers; ++I)
       Workers.emplace_back([this] { workerMain(); });
@@ -92,24 +92,37 @@ public:
   /// and the workers circulate a bounded set of batch buffers instead of
   /// allocating a fresh one per dispatch.
   ///
-  /// With backpressure enabled the total records pending across objects
-  /// are bounded by MaxPendingRecords: a batch that meets the bound parks
-  /// the pump until workers drain below it, so the pressure propagates
-  /// back into the log. Admission is sliced
-  /// at the free room, so occupancy never exceeds the bound (a
-  /// batch-granular path would overshoot by up to a whole pump batch).
+  /// The total records pending across objects are bounded by
+  /// MaxPendingRecords: a batch that meets the bound parks the pump until
+  /// workers drain below it, so the pressure propagates back into the
+  /// log. Admission is sliced at the free room, so occupancy never
+  /// exceeds the bound (a batch-granular path would overshoot by up to a
+  /// whole pump batch). An unbounded pool (SIZE_MAX) never waits.
   void dispatch(ObjectState &O, std::vector<Action> &Batch) {
     std::unique_lock Lock(M);
     const size_t Total = Batch.size();
     size_t Begin = 0;
     bool MovedWhole = false;
-    // Enqueues Batch[Begin, Begin + N) and makes the object runnable.
-    // A whole-batch slice moves the vector itself (the recycled-buffer
-    // protocol with the pump); a partial slice moves the records into a
-    // freelist buffer so the next slice can still wait for room.
-    auto EnqueueLocked = [&](size_t N) {
+    while (Begin < Total) {
+      if (PendingRecs >= Bound) {
+        uint64_t T0 = telemetryNowNanos();
+        SpaceCV.wait(Lock, [&] { return PendingRecs < Bound; });
+        uint64_t Waited = telemetryNowNanos() - T0;
+        ++Stats.BlockedAppends;
+        Stats.BlockedNanos += Waited;
+        if (S.Telem) {
+          S.Telem->count(Counter::C_BlockedAppends);
+          S.Telem->cell().record(Histo::H_BlockedNs, Waited);
+        }
+      }
+      // Enqueue the slice that fits the free room and make the object
+      // runnable. A whole-batch slice moves the vector itself (the
+      // recycled-buffer protocol with the pump); a partial slice moves the
+      // records into a freelist buffer so the next slice can still wait
+      // for room.
+      size_t N = std::min<uint64_t>(Total - Begin, Bound - PendingRecs);
       std::vector<Action> Slice;
-      if (Begin == 0 && N == Total) {
+      if (N == Total) {
         Slice = std::move(Batch);
         if (FreeBatches.empty()) {
           Batch = std::vector<Action>();
@@ -140,26 +153,6 @@ public:
         Runnable.push_back(&O);
         WorkCV.notify_one();
       }
-    };
-    while (Begin < Total) {
-      size_t N = Total - Begin;
-      if (BP.Enabled) {
-        if (PendingRecs >= BP.MaxPendingRecords) {
-          uint64_t T0 = telemetryNowNanos();
-          SpaceCV.wait(Lock,
-                       [&] { return PendingRecs < BP.MaxPendingRecords; });
-          uint64_t Waited = telemetryNowNanos() - T0;
-          ++Stats.BlockedAppends;
-          Stats.BlockedNanos += Waited;
-          if (S.Telem) {
-            S.Telem->count(Counter::C_BlockedAppends);
-            S.Telem->cell().record(Histo::H_BlockedNs, Waited);
-          }
-          continue; // re-decide: room may be partial
-        }
-        N = std::min<size_t>(N, BP.MaxPendingRecords - PendingRecs);
-      }
-      EnqueueLocked(N);
       Begin += N;
     }
     if (!MovedWhole)
@@ -251,8 +244,7 @@ private:
           PendingRecs -= BatchN;
           if (S.Telem)
             S.Telem->gaugeSub(Gauge::G_PendingRecords, BatchN);
-          if (BP.Enabled)
-            SpaceCV.notify_one();
+          SpaceCV.notify_one();
         }
         if (FreeBatches.size() < MaxFreeBatches)
           FreeBatches.push_back(std::move(Batch));
@@ -261,11 +253,11 @@ private:
   }
 
   CheckerService &S;
-  const BackpressureConfig BP;
+  const uint64_t Bound; ///< CheckerServiceOptions::MaxPendingRecords
   mutable std::mutex M;
   std::condition_variable WorkCV; ///< workers wait for runnable objects
   std::condition_variable IdleCV; ///< drainAndJoin waits for quiescence
-  std::condition_variable SpaceCV; ///< bounded: pump waits for room
+  std::condition_variable SpaceCV; ///< pump waits for room at Bound
   BackpressureStats Stats;         ///< admission accounting (guarded by M)
   /// Records pending across all objects (dispatched, not yet fed).
   uint64_t PendingRecs = 0;

@@ -65,9 +65,10 @@ using PipelineFactory = std::function<bool(
 /// needs; the Verifier copies these fields over, vyrd-checkd fills them
 /// from its command line).
 struct CheckerServiceOptions {
-  /// Record bound of the pool's per-object batch queues
-  /// (the log-side half of the same config lives with the log).
-  BackpressureConfig Backpressure;
+  /// Bound on the records pending across the pool's per-object batch
+  /// queues (>= 1; the log's reader queue has its own). SIZE_MAX, the
+  /// default, is no bound.
+  size_t MaxPendingRecords = SIZE_MAX;
   /// Forensic bundle prefix; empty disables bundles (see
   /// VerifierConfig::ForensicPrefix for the full contract).
   std::string ForensicPrefix;

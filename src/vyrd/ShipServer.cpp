@@ -316,9 +316,7 @@ ShipServer::bindSession(const std::string &Name, const std::string &Program,
   S->Fd = Fd;
   Telemetry::Options TO;
   S->Telem = std::make_unique<Telemetry>(std::move(TO));
-  CheckerServiceOptions SO;
-  SO.Backpressure = Opts.Backpressure;
-  S->Svc = std::make_unique<CheckerService>(std::move(SO));
+  S->Svc = std::make_unique<CheckerService>(CheckerServiceOptions{});
   S->Svc->setTelemetry(S->Telem.get());
   CheckerConfig CC = Opts.Checker;
   CC.Mode = ViewLevel ? CheckMode::CM_ViewRefinement

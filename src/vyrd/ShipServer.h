@@ -73,8 +73,6 @@ struct ShipServerOptions {
   std::string ReportDir;
   /// Checker tunables for every session pipeline.
   CheckerConfig Checker;
-  /// Pool admission config for sessions with CheckerThreads > 1.
-  BackpressureConfig Backpressure;
 };
 
 /// The segment receiver service.

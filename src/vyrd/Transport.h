@@ -231,7 +231,8 @@ public:
   Stats stats() const;
 
   /// Acks observed so far / a bounded wait for the watermark to reach
-  /// \p Target (finish uses it for the final ack).
+  /// \p Target (finish uses it for the final ack, an idle pump for the
+  /// acks of what it shipped).
   bool waitForAck(uint64_t Target, unsigned TimeoutMs);
 
 private:

@@ -26,6 +26,8 @@ using namespace vyrd;
 
 /// Records the consumption loops take from the log per batch.
 static constexpr size_t PumpBatch = 256;
+/// Longest an idle shipping pump waits on the socket for acks.
+static constexpr unsigned AckPollMs = 10;
 
 //===----------------------------------------------------------------------===//
 // VerifierConfig
@@ -324,11 +326,17 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     std::fprintf(stderr, "vyrd: invalid VerifierConfig: %s\n", Err.c_str());
     std::abort();
   }
+  // The one place a disabled bound is decided: it is a bound of SIZE_MAX.
+  const size_t Bound = Config.Backpressure.Enabled
+                           ? Config.Backpressure.MaxPendingRecords
+                           : SIZE_MAX;
   {
     BufferedLog::Options BO;
     BO.ShardCapacity = Config.ShardCapacity;
     BO.FilePath = Config.LogFilePath;
-    BO.Backpressure = Config.Backpressure;
+    BO.SegmentBytes = Config.Backpressure.SegmentBytes;
+    BO.ReclaimSegments = Config.Backpressure.ReclaimSegments;
+    BO.MaxPendingRecords = Bound;
     TheLog = std::make_unique<BufferedLog>(std::move(BO));
     assert(TheLog->valid() && "cannot open log file");
   }
@@ -346,7 +354,7 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     Tracer = std::make_unique<TraceRecorder>();
   {
     CheckerServiceOptions SO;
-    SO.Backpressure = Config.Backpressure;
+    SO.MaxPendingRecords = Bound;
     SO.ForensicPrefix = Config.ForensicPrefix;
     SO.SnapshotBase = Config.LogFilePath;
     Svc = std::make_unique<CheckerService>(std::move(SO));
@@ -465,7 +473,7 @@ void Verifier::pump() {
     // record still pending on any object.
     if (Config.Backpressure.SegmentBytes)
       TheLog->reclaimCheckedPrefix(Svc->checkedWatermark(LastSeq + 1));
-    if (Tracer && Telem && Config.Backpressure.Enabled) {
+    if (Tracer && Telem) {
       Tracer->noteGauge(LastSeq, "pending_records",
                         Telem->gauge(Gauge::G_PendingRecords));
       if (Config.Backpressure.SegmentBytes)
@@ -490,14 +498,27 @@ void Verifier::shipPump() {
   std::vector<Action> Batch;
   Batch.reserve(PumpBatch);
   std::vector<SegmentCut> Cuts;
-  while (TheLog->nextBatch(Batch, PumpBatch)) {
-    uint64_t LastSeq = Batch.back().Seq;
-    TheLog->takeSegmentCuts(Cuts);
-    for (const SegmentCut &Cut : Cuts)
-      Shipper->noteCut(Cut.Index);
-    Cuts.clear();
-    if (Telem)
-      Telem->noteConsumed(LastSeq + 1);
+  uint64_t ShippedUpto = 0; ///< every record below it has been shipped
+  for (bool End = false; !End;) {
+    // While acks are due, wait on the socket rather than on the log, so
+    // acks that arrive after the program went quiet still reclaim segments.
+    if (Transport->healthy() && Transport->ackedWatermark() < ShippedUpto) {
+      if (!TheLog->tryNextBatch(Batch, PumpBatch, End) && !End)
+        Transport->waitForAck(ShippedUpto, AckPollMs);
+    } else {
+      End = !TheLog->nextBatch(Batch, PumpBatch);
+    }
+    if (!Batch.empty()) {
+      uint64_t LastSeq = Batch.back().Seq;
+      TheLog->takeSegmentCuts(Cuts);
+      for (const SegmentCut &Cut : Cuts) {
+        Shipper->noteCut(Cut.Index);
+        ShippedUpto = Cut.FirstSeq;
+      }
+      Cuts.clear();
+      if (Telem)
+        Telem->noteConsumed(LastSeq + 1);
+    }
     // Reclamation is gated on the REMOTE ack watermark, never the local
     // consumption frontier: a segment leaves this disk only after the
     // checker fleet confirmed it fed every record in it.

@@ -98,8 +98,8 @@ struct VerifierConfig {
   size_t ShardCapacity = 1024;
   /// Record bound for every queue between the hooks and the checkers:
   /// the log's reader queue and the checker pool's per-object batch
-  /// queues (see Backpressure.h). Disabled by default — the historical
-  /// unbounded pipeline.
+  /// queues (see Backpressure.h). Disabled by default: the constructor
+  /// then hands each stage a bound of SIZE_MAX, which it never meets.
   /// SegmentBytes > 0 additionally rotates the log file into a segment
   /// chain that is trimmed as checkers advance.
   BackpressureConfig Backpressure;

@@ -86,10 +86,11 @@ void removeChain(const std::string &Base) {
     std::remove(logSegmentPath(Base, I).c_str());
 }
 
-/// Options for an in-memory log bounded by \p BP.
-BufferedLog::Options bounded(const BackpressureConfig &BP) {
+/// Options for an in-memory log whose reader queue holds at most \p Max
+/// records.
+BufferedLog::Options bounded(size_t Max) {
   BufferedLog::Options O;
-  O.Backpressure = BP;
+  O.MaxPendingRecords = Max;
   return O;
 }
 
@@ -104,9 +105,12 @@ void spinFor(std::chrono::nanoseconds D) {
 /// outrun it and the bounded queues actually fill.
 class ThrottledRegisterSpec : public Spec {
 public:
-  explicit ThrottledRegisterSpec(unsigned ThrottleUs = 0)
+  /// Each spec call spins \p ThrottleUs; with a \p Gate, it first waits
+  /// until the gate opens.
+  explicit ThrottledRegisterSpec(unsigned ThrottleUs = 0,
+                                 const std::atomic<bool> *Gate = nullptr)
       : SetM(name("bp.Set")), GetM(name("bp.Get")), State(Value(0)),
-        ThrottleUs(ThrottleUs) {}
+        ThrottleUs(ThrottleUs), Gate(Gate) {}
 
   bool isObserver(Name Method) const override { return Method == GetM; }
 
@@ -133,10 +137,13 @@ public:
 
 private:
   void throttle() const {
+    while (Gate && !Gate->load(std::memory_order_acquire))
+      std::this_thread::yield();
     if (ThrottleUs)
       spinFor(std::chrono::microseconds(ThrottleUs));
   }
   unsigned ThrottleUs;
+  const std::atomic<bool> *Gate;
 };
 
 /// One correct Set(x) execution (3 records) through \p W.
@@ -193,10 +200,8 @@ TEST(BackpressureConfigTest, ValidateRejectsOfflineBound) {
 //===----------------------------------------------------------------------===//
 
 TEST(BufferedLogBackpressureTest, BlockBoundsTheQueue) {
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 4;
-  BufferedLog L(bounded(BP));
+  constexpr size_t Bound = 4;
+  BufferedLog L(bounded(Bound));
   constexpr int N = 300;
   std::thread Producer([&] {
     for (int I = 0; I < N; ++I)
@@ -214,7 +219,7 @@ TEST(BufferedLogBackpressureTest, BlockBoundsTheQueue) {
   Producer.join();
   EXPECT_EQ(Expected, static_cast<uint64_t>(N));
   BackpressureStats S = L.backpressureStats();
-  EXPECT_LE(S.PendingRecordsHwm, BP.MaxPendingRecords);
+  EXPECT_LE(S.PendingRecordsHwm, Bound);
   EXPECT_GT(S.BlockedAppends, 0u);
   EXPECT_GT(S.BlockedNanos, 0u);
 }
@@ -222,8 +227,7 @@ TEST(BufferedLogBackpressureTest, BlockBoundsTheQueue) {
 TEST(BufferedLogBackpressureTest, BlockParksFlusherAndPropagates) {
   BufferedLog::Options O;
   O.ShardCapacity = 64;
-  O.Backpressure.Enabled = true;
-  O.Backpressure.MaxPendingRecords = 32;
+  O.MaxPendingRecords = 32;
   BufferedLog L(O);
   ASSERT_TRUE(L.valid());
   constexpr int N = 4000;
@@ -257,7 +261,7 @@ TEST(BufferedLogBackpressureTest, BlockParksFlusherAndPropagates) {
   }
   EXPECT_EQ(Expected, static_cast<uint64_t>(N));
   BackpressureStats S = L.backpressureStats();
-  EXPECT_LE(S.PendingRecordsHwm, O.Backpressure.MaxPendingRecords);
+  EXPECT_LE(S.PendingRecordsHwm, O.MaxPendingRecords);
 }
 
 //===----------------------------------------------------------------------===//
@@ -379,6 +383,33 @@ TEST(VerifierBackpressureTest, BlockWithSegmentsReclaimsCheckedPrefix) {
   removeChain(Path);
 }
 
+TEST(VerifierBackpressureTest, UnboundedRunReportsItsBacklog) {
+  // Without a bound the log's reader queue is still the one admission
+  // path, with a bound nothing meets. The inline checker is held at its
+  // first spec call until every record is appended, so the flusher
+  // queues the backlog behind it: the report shows the queue's
+  // high-water mark, and no append ever waited.
+  std::atomic<bool> Open{false};
+  VerifierConfig C;
+  C.Checker.Mode = CheckMode::CM_IORefinement;
+  ThrottledRegisterSpec Script;
+  Verifier V(std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/1, &Open),
+             nullptr, std::move(C));
+  V.start();
+  LogWriter &W = V.log().writer();
+  for (int I = 0; I < 3000; ++I) {
+    appendSet(W, Script, I);
+    appendGet(W, Script, I);
+  }
+  Open.store(true, std::memory_order_release);
+  VerifierReport R = V.finish();
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
+  EXPECT_GT(R.Backpressure.PendingRecordsHwm, 0u)
+      << "a held checker must leave records queued";
+  EXPECT_EQ(R.Backpressure.BlockedAppends, 0u);
+}
+
 TEST(VerifierBackpressureTest, VerdictsMatchTheUnboundedRun) {
   // Same workload, bounded (block) vs historical unbounded: identical
   // check coverage and verdicts, including the seeded mutator violation.
@@ -461,8 +492,8 @@ int64_t peakHeapDelta(const std::function<void()> &Body) {
 /// A producer/slow-reader round through one in-memory log: N records with a
 /// heap payload each. Under a 256-record bound the queue pins ~tens of
 /// KB; unbounded it would pin N * ~200 bytes (tens of MB).
-void pumpRecords(const BackpressureConfig &BP, int N) {
-  BufferedLog L(bounded(BP));
+void pumpRecords(size_t Bound, int N) {
+  BufferedLog L(bounded(Bound));
   Name Obs = internName("bp.rss.obs");
   std::string Payload(48, 'p'); // defeats small-string storage
   std::thread Producer([&] {
@@ -487,10 +518,7 @@ void pumpRecords(const BackpressureConfig &BP, int N) {
 TEST(BackpressureHeapTest, PeakHeapStaysBoundedUnderEveryPolicy) {
   constexpr int N = 200000; // ~40 MB if the queue were unbounded
   constexpr int64_t Budget = 8 << 20;
-  BackpressureConfig BP;
-  BP.Enabled = true;
-  BP.MaxPendingRecords = 256;
-  int64_t Peak = peakHeapDelta([&] { pumpRecords(BP, N); });
+  int64_t Peak = peakHeapDelta([&] { pumpRecords(256, N); });
   EXPECT_LT(Peak, Budget)
       << "block: peak live heap must stay orders of magnitude under the "
          "~40 MB an unbounded queue would pin";

@@ -315,8 +315,7 @@ TEST(BufferedLogTest, ReaderRoundNeverWaitsOnItsOwnQueue) {
     SCOPED_TRACE(Bound);
     BufferedLog::Options O;
     O.ShardCapacity = 64;
-    O.Backpressure.Enabled = true;
-    O.Backpressure.MaxPendingRecords = Bound;
+    O.MaxPendingRecords = Bound;
     BufferedLog L(O);
     std::vector<Action> Got;
     size_t LargestBatch = 0;
@@ -352,8 +351,6 @@ TEST(BufferedLogTest, MixedDeliveryPathsKeepTicketOrder) {
   constexpr unsigned NumThreads = 4, Ops = 10000;
   BufferedLog::Options O;
   O.ShardCapacity = 16;
-  O.Backpressure.Enabled = true; // track the queue's high-water mark
-  O.Backpressure.MaxPendingRecords = 1 << 20;
   BufferedLog L(O);
   std::vector<Action> Got;
   std::atomic<bool> Done{false};
@@ -386,8 +383,7 @@ TEST(BufferedLogTest, QueueGaugesBalanceAfterDrain) {
   Telemetry T;
   BufferedLog::Options O;
   O.ShardCapacity = 64;
-  O.Backpressure.Enabled = true;
-  O.Backpressure.MaxPendingRecords = 512;
+  O.MaxPendingRecords = 512;
   BufferedLog L(O);
   L.setTelemetry(&T);
   uint64_t Read = 0;
@@ -421,8 +417,7 @@ TEST(BufferedLogTest, BoundedRoundsDeliverEveryRecordToASleepingReader) {
   constexpr unsigned NumThreads = 4, Execs = 3000;
   BufferedLog::Options O;
   O.ShardCapacity = 32;
-  O.Backpressure.Enabled = true;
-  O.Backpressure.MaxPendingRecords = 4;
+  O.MaxPendingRecords = 4;
   BufferedLog L(O);
   Name Obs = internName("obs"), Mut = internName("mut");
   std::vector<Action> Got;
@@ -473,10 +468,11 @@ TEST(BufferedLogTest, BoundedRoundsDeliverEveryRecordToASleepingReader) {
       const Action &A = *Rs[K++];
       ASSERT_EQ(A.Kind, Kind) << "thread " << T << " exec " << I;
       Value Id(static_cast<int64_t>(I));
-      if (Kind == ActionKind::AK_Call)
+      if (Kind == ActionKind::AK_Call) {
         EXPECT_EQ(A.Args[0], Id) << "thread " << T << " exec " << I;
-      else if (Kind == ActionKind::AK_Return)
+      } else if (Kind == ActionKind::AK_Return) {
         EXPECT_EQ(A.Ret, Id) << "thread " << T << " exec " << I;
+      }
     };
     for (unsigned I = 0; I < Execs && !HasFailure(); ++I) {
       Expect(ActionKind::AK_Call, I);

@@ -58,8 +58,8 @@ BufferedLog::Options segmented(const std::string &Base,
                                uint64_t SegmentBytes, bool Reclaim = false) {
   BufferedLog::Options O;
   O.FilePath = Base;
-  O.Backpressure.SegmentBytes = SegmentBytes;
-  O.Backpressure.ReclaimSegments = Reclaim;
+  O.SegmentBytes = SegmentBytes;
+  O.ReclaimSegments = Reclaim;
   return O;
 }
 

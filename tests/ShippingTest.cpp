@@ -545,6 +545,63 @@ TEST(ShippingTest, LiveRunReclaimsOnlyAckedSegments) {
   removeChainAll(Base);
 }
 
+// A producer that goes quiet after a burst still reads the fleet's acks:
+// while shipped records wait for theirs, the pump waits on the socket, so
+// the acked prefix is reclaimed without another append.
+TEST(ShippingTest, IdleProducerReclaimsAckedSegments) {
+  std::string Base = tempBase("idle");
+  std::string Sock = tempSock("idle");
+  removeChainAll(Base);
+  std::remove(Sock.c_str());
+
+  ShipServerOptions O;
+  O.Listen = "unix:" + Sock;
+  O.ReportDir = "";
+  ShipServer Server(O, testResolver, nullptr);
+  ASSERT_TRUE(Server.valid()) << Server.error();
+
+  ScenarioOptions SO;
+  SO.Prog = Program::P_MultisetVector;
+  SO.Mode = RunMode::RM_OnlineView;
+  SO.LogPath = Base;
+  SO.Backpressure.SegmentBytes = 4 * 1024;
+  SO.Backpressure.ReclaimSegments = true;
+  SO.Shipping.Endpoint = "unix:" + Sock;
+  SO.Shipping.StreamName = "idle";
+  Scenario S = makeScenario(SO);
+  WorkloadOptions WO;
+  WO.Threads = 1;
+  WO.OpsPerThread = 20;
+  WO.KeyPoolSize = 16;
+  WO.Seed = 5;
+
+  // The burst: small rounds until the chain rotates, so segment 1 is
+  // shipped and no later segment is.
+  std::string Seg1 = logSegmentPath(Base, 1), Seg2 = logSegmentPath(Base, 2);
+  bool Rotated = false;
+  for (int Round = 0; Round < 1000 && !Rotated; ++Round, ++WO.Seed) {
+    runWorkload(WO, S.Op);
+    Rotated = ::access(Seg2.c_str(), F_OK) == 0;
+  }
+  ASSERT_TRUE(Rotated) << "the burst never rotated";
+
+  // Idle: no further record, only the wait for the ack.
+  bool Reclaimed = false;
+  for (int Wait = 0; Wait < 500 && !Reclaimed; ++Wait) {
+    usleep(10 * 1000);
+    Reclaimed = ::access(Seg1.c_str(), F_OK) != 0;
+  }
+  EXPECT_TRUE(Reclaimed) << "an idle producer left acked segment 1 on disk";
+
+  VerifierReport R = S.Finish();
+  EXPECT_TRUE(R.Shipping.FinalAckOk) << R.str();
+  EXPECT_FALSE(R.Shipping.Degraded);
+
+  Server.stop();
+  std::remove(Sock.c_str());
+  removeChainAll(Base);
+}
+
 //===----------------------------------------------------------------------===//
 // Producer crash recovery and mid-stream garbage
 //===----------------------------------------------------------------------===//
@@ -746,8 +803,7 @@ TEST(ShippingTest, PartiallyReclaimedChainDegradesToUnverifiedNote) {
   WO.Seed = 17;
 
   // The fleet's acks reclaim the front of the chain while the run is
-  // live. The pump reads acks only when it ships a segment, so the
-  // program keeps running (a bounded number of rounds) until segment 1
+  // live: the program runs (a bounded number of rounds) until segment 1
   // is gone.
   std::string Seg1 = logSegmentPath(Base, 1);
   bool Reclaimed = false;
