@@ -483,9 +483,7 @@ int main(int Argc, char **Argv) {
   // (per-record counter update + sampled latency clock reads) must cost
   // <= 10% app-side at 4 producer threads; the detached path must stay
   // within noise of a telemetry-free build (EXPERIMENTS.md).
-  std::printf("\nTelemetry overhead (BufferedLog, concurrent consumer"
-              "%s):\n\n",
-              telemetryCompiledIn() ? "" : "; COMPILED OUT");
+  std::printf("\nTelemetry overhead (BufferedLog, concurrent consumer):\n\n");
   std::printf("%-8s %13s %13s %10s %10s %10s\n", "threads", "off app M/s",
               "on app M/s", "overhead", "parks/1k", "wakes/1k");
   hr();

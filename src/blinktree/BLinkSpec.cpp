@@ -38,19 +38,12 @@ bool BLinkSpec::applyMutator(Name Method, const ValueList &Args,
     std::span<const uint8_t> Data = Args[1].asBytes();
     auto It = M.find(K);
     if (It == M.end()) {
-      BData D;
-      D.Version = 1;
-      D.Data.assign(Data.begin(), Data.end());
-      M.emplace(K, D);
-      ViewS.add(Args[0], versionedValue(1, D.Data));
-      return true;
+      It = M.emplace(K, versionedValue(1, Data)).first;
+    } else {
+      ViewS.remove(Args[0], It->second);
+      It->second = versionedValue(versionOf(It->second) + 1, Data);
     }
-    ViewS.remove(Args[0], versionedValue(It->second.Version,
-                                         It->second.Data));
-    ++It->second.Version;
-    It->second.Data.assign(Data.begin(), Data.end());
-    ViewS.add(Args[0], versionedValue(It->second.Version,
-                                      It->second.Data));
+    ViewS.add(Args[0], It->second);
     return true;
   }
 
@@ -62,8 +55,7 @@ bool BLinkSpec::applyMutator(Name Method, const ValueList &Args,
       return It == M.end(); // failure iff the key is absent
     if (It == M.end())
       return false;
-    ViewS.remove(Args[0], versionedValue(It->second.Version,
-                                         It->second.Data));
+    ViewS.remove(Args[0], It->second);
     M.erase(It);
     return true;
   }
@@ -78,13 +70,13 @@ bool BLinkSpec::returnAllowed(Name Method, const ValueList &Args,
   auto It = M.find(Args[0].asInt());
   if (It == M.end())
     return Ret.isNull();
-  return Ret == versionedValue(It->second.Version, It->second.Data);
+  return Ret == It->second;
 }
 
 void BLinkSpec::buildView(View &Out) const {
   Out.clear();
   for (const auto &[K, D] : M)
-    Out.add(Value(K), versionedValue(D.Version, D.Data));
+    Out.add(Value(K), D);
 }
 
 //===----------------------------------------------------------------------===//
@@ -94,11 +86,11 @@ void BLinkSpec::buildView(View &Out) const {
 BLinkReplayer::BLinkReplayer(uint64_t FirstLeafHandle)
     : V(BltVocab::get()), FirstLeaf(FirstLeafHandle) {}
 
-Value BLinkReplayer::entryValue(uint64_t DataH) const {
+const Value &BLinkReplayer::entryValue(uint64_t DataH) const {
+  // A dangling reference contributes a null (a mismatch).
+  static const Value Dangling;
   auto It = DataNodes.find(DataH);
-  if (It == DataNodes.end())
-    return Value(); // dangling reference: contributes a null (mismatch)
-  return versionedValue(It->second.Version, It->second.Data);
+  return It == DataNodes.end() ? Dangling : It->second;
 }
 
 void BLinkReplayer::applyUpdate(const Action &A, View &ViewI) {
@@ -111,32 +103,25 @@ void BLinkReplayer::applyUpdate(const Action &A, View &ViewI) {
   if (A.Var == V.OpData) {
     assert(A.Args.size() == 3);
     uint64_t DH = static_cast<uint64_t>(A.Args[0].asInt());
-    BData New;
-    New.Version = static_cast<uint64_t>(A.Args[1].asInt());
-    std::span<const uint8_t> Data = A.Args[2].asBytes();
-    New.Data.assign(Data.begin(), Data.end());
-    auto It = DataNodes.find(DH);
-    Value Old = entryValue(DH);
-    Value NewVal = versionedValue(New.Version, New.Data);
+    Value New = versionedValue(static_cast<uint64_t>(A.Args[1].asInt()),
+                               A.Args[2].asBytes());
     // Update every live leaf entry referencing this data node.
     auto RefIt = DataRefs.find(DH);
     if (RefIt != DataRefs.end()) {
+      const Value &Old = entryValue(DH);
       for (int64_t Key : RefIt->second) {
         ViewI.remove(Value(Key), Old);
-        ViewI.add(Value(Key), NewVal);
+        ViewI.add(Value(Key), New);
       }
     }
-    if (It == DataNodes.end())
-      DataNodes.emplace(DH, std::move(New));
-    else
-      It->second = std::move(New);
+    DataNodes[DH] = std::move(New);
     return;
   }
 
   if (A.Var == V.OpNode) {
     assert(A.Args.size() == 2);
     uint64_t NH = static_cast<uint64_t>(A.Args[0].asInt());
-    BNode New;
+    BNode &New = Incoming;
     bool Ok = BNode::deserialize(A.Args[1].asBytes(), New);
     assert(Ok && "malformed node record");
     (void)Ok;
@@ -179,10 +164,11 @@ void BLinkReplayer::applyUpdate(const Action &A, View &ViewI) {
       }
     }
 
+    // The swap hands the old image's entry buffer to the next record.
     if (It == Leaves.end())
       Leaves.emplace(NH, std::move(New));
     else
-      It->second = std::move(New);
+      std::swap(It->second, New);
     return;
   }
 
@@ -212,38 +198,25 @@ void BLinkReplayer::buildView(View &Out) const {
 // Snapshot support
 //===----------------------------------------------------------------------===//
 
-bool BLinkSpec::saveState(ByteWriter &W) const {
-  W.varint(M.size());
-  for (const auto &[K, D] : M) {
-    W.svarint(K);
-    W.varint(D.Version);
-    W.varint(D.Data.size());
-    W.bytes(D.Data.data(), D.Data.size());
-  }
-  return true;
+namespace {
+
+/// A versionedValue as (version, byte count, bytes): the snapshot encoding
+/// of a key's or a data node's contents.
+void saveVersioned(ByteWriter &W, const Value &V) {
+  std::span<const uint8_t> Data = V.asBytes().subspan(8);
+  W.varint(versionOf(V));
+  W.varint(Data.size());
+  W.bytes(Data.data(), Data.size());
 }
 
-bool BLinkSpec::loadState(ByteReader &R) {
-  uint64_t N = R.varint();
-  if (!R.ok() || N > (1u << 24))
+bool loadVersioned(ByteReader &R, Value &V) {
+  uint64_t Version = R.varint();
+  uint64_t Size = R.varint();
+  if (!R.ok() || Size > (1u << 24))
     return false;
-  M.clear();
-  for (uint64_t I = 0; I < N; ++I) {
-    int64_t K = R.svarint();
-    BData D;
-    D.Version = R.varint();
-    uint64_t Size = R.varint();
-    if (!R.ok() || Size > (1u << 24))
-      return false;
-    D.Data.resize(Size);
-    if (Size && !R.bytes(D.Data.data(), Size))
-      return false;
-    M.emplace(K, std::move(D));
-  }
+  V = versionedValue(Version, R.take(Size));
   return R.ok();
 }
-
-namespace {
 
 template <typename MapT>
 std::vector<uint64_t> sortedKeys(const MapT &M) {
@@ -256,6 +229,30 @@ std::vector<uint64_t> sortedKeys(const MapT &M) {
 }
 
 } // namespace
+
+bool BLinkSpec::saveState(ByteWriter &W) const {
+  W.varint(M.size());
+  for (const auto &[K, D] : M) {
+    W.svarint(K);
+    saveVersioned(W, D);
+  }
+  return true;
+}
+
+bool BLinkSpec::loadState(ByteReader &R) {
+  uint64_t N = R.varint();
+  if (!R.ok() || N > (1u << 24))
+    return false;
+  M.clear();
+  for (uint64_t I = 0; I < N; ++I) {
+    int64_t K = R.svarint();
+    Value D;
+    if (!loadVersioned(R, D))
+      return false;
+    M.emplace(K, std::move(D));
+  }
+  return R.ok();
+}
 
 bool BLinkReplayer::saveState(ByteWriter &W) const {
   // Unordered storage, canonical blob: every map emits sorted by handle.
@@ -271,11 +268,8 @@ bool BLinkReplayer::saveState(ByteWriter &W) const {
 
   W.varint(DataNodes.size());
   for (uint64_t H : sortedKeys(DataNodes)) {
-    const BData &D = DataNodes.at(H);
     W.varint(H);
-    W.varint(D.Version);
-    W.varint(D.Data.size());
-    W.bytes(D.Data.data(), D.Data.size());
+    saveVersioned(W, DataNodes.at(H));
   }
 
   // DataRefs is semantically a multiset of keys per handle (only membership
@@ -324,13 +318,8 @@ bool BLinkReplayer::loadState(ByteReader &R) {
   DataNodes.clear();
   for (uint64_t I = 0; I < NData; ++I) {
     uint64_t H = R.varint();
-    BData D;
-    D.Version = R.varint();
-    uint64_t Size = R.varint();
-    if (!R.ok() || Size > (1u << 24))
-      return false;
-    D.Data.resize(Size);
-    if (Size && !R.bytes(D.Data.data(), Size))
+    Value D;
+    if (!loadVersioned(R, D))
       return false;
     DataNodes.emplace(H, std::move(D));
   }

@@ -27,7 +27,7 @@
 namespace vyrd {
 namespace blinktree {
 
-/// Specification state: key -> (version, bytes).
+/// Specification state: key -> versionedValue(version, bytes).
 class BLinkSpec : public Spec {
 public:
   BLinkSpec();
@@ -41,11 +41,9 @@ public:
   bool saveState(ByteWriter &W) const override;
   bool loadState(ByteReader &R) override;
 
-  size_t size() const { return M.size(); }
-
 private:
   BltVocab V;
-  std::map<int64_t, BData> M;
+  std::map<int64_t, Value> M;
 };
 
 /// Shadow state: leaf nodes (from `blt.node` records) and data nodes
@@ -61,14 +59,17 @@ public:
 
 private:
   /// The view value currently contributed for a (leaf entry) pair.
-  Value entryValue(uint64_t DataH) const;
+  const Value &entryValue(uint64_t DataH) const;
 
   BltVocab V;
   uint64_t FirstLeaf;
   /// Leaf images (non-leaf node records are ignored: the indexing
   /// structure is abstracted away).
   std::unordered_map<uint64_t, BNode> Leaves;
-  std::unordered_map<uint64_t, BData> DataNodes;
+  /// Decodes each `blt.node` record, reusing a replaced image's buffer.
+  BNode Incoming;
+  /// Data handle -> versionedValue of its last `blt.data` record.
+  std::unordered_map<uint64_t, Value> DataNodes;
   /// Data handle -> number of live leaf entries referencing it (the
   /// duplicated-data-nodes bug makes this exceed 1 across keys).
   std::unordered_map<uint64_t, std::vector<int64_t>> DataRefs;

@@ -98,7 +98,8 @@ bool BData::deserialize(std::span<const uint8_t> B, BData &Out) {
   return R.ok();
 }
 
-Value vyrd::blinktree::versionedValue(uint64_t Version, const Bytes &Data) {
+Value vyrd::blinktree::versionedValue(uint64_t Version,
+                                     std::span<const uint8_t> Data) {
   // Small payloads are assembled on the stack, so the Value's own blob is
   // the only allocation.
   uint8_t Small[64];
@@ -113,4 +114,13 @@ Value vyrd::blinktree::versionedValue(uint64_t Version, const Bytes &Data) {
     Out[I] = static_cast<uint8_t>(Version >> (8 * I));
   std::copy(Data.begin(), Data.end(), Out + 8);
   return bytesValue(Out, Size);
+}
+
+uint64_t vyrd::blinktree::versionOf(const Value &V) {
+  std::span<const uint8_t> B = V.asBytes();
+  assert(B.size() >= 8 && "not a versioned value");
+  uint64_t Version = 0;
+  for (unsigned I = 0; I < 8; ++I)
+    Version |= static_cast<uint64_t>(B[I]) << (8 * I);
+  return Version;
 }

@@ -83,7 +83,9 @@ struct BData {
 /// Encodes (version, bytes) into the canonical view value (also the
 /// Lookup return value): 8-byte little-endian version followed by the
 /// data bytes.
-Value versionedValue(uint64_t Version, const Bytes &Data);
+Value versionedValue(uint64_t Version, std::span<const uint8_t> Data);
+/// The version a versionedValue carries.
+uint64_t versionOf(const Value &V);
 
 } // namespace blinktree
 } // namespace vyrd

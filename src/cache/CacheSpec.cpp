@@ -8,7 +8,6 @@
 
 #include "vyrd/Serialize.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace vyrd;
@@ -21,7 +20,7 @@ using namespace vyrd::cache;
 CacheSpec::CacheSpec(const std::vector<uint64_t> &Handles)
     : V(CacheVocab::get()), Dynamic(false) {
   for (uint64_t H : Handles)
-    Store.emplace(H, Bytes());
+    Store.emplace(H, bytesValue(nullptr, 0));
 }
 
 CacheSpec::CacheSpec() : V(CacheVocab::get()), Dynamic(true) {}
@@ -38,14 +37,14 @@ bool CacheSpec::applyMutator(Name Method, const ValueList &Args,
     if (It == Store.end()) {
       if (!Dynamic)
         return false;
-      It = Store.emplace(Hd, Bytes()).first; // first use registers
+      // First use registers.
+      It = Store.emplace(Hd, bytesValue(nullptr, 0)).first;
     }
     if (viewVisible(It->second))
-      ViewS.remove(Args[0], Value(It->second));
-    std::span<const uint8_t> B = Args[1].asBytes();
-    It->second.assign(B.begin(), B.end());
+      ViewS.remove(Args[0], It->second);
+    It->second = Args[1];
     if (viewVisible(It->second))
-      ViewS.add(Args[0], Value(It->second));
+      ViewS.add(Args[0], It->second);
     return Ret.isBool() && Ret.asBool();
   }
   if (Method == V.Flush || Method == V.Evict) {
@@ -73,19 +72,19 @@ bool CacheSpec::returnAllowed(Name Method, const ValueList &Args,
       return Ret.isNull();
     return Ret.isNull() || (Ret.isBytes() && Ret.asBytes().empty());
   }
-  if (Dynamic && It->second.empty() && Ret.isNull())
+  if (Dynamic && It->second.asBytes().empty() && Ret.isNull())
     return true;
-  return Ret.isBytes() && std::ranges::equal(Ret.asBytes(), It->second);
+  return Ret == It->second;
 }
 
 void CacheSpec::buildView(View &Out) const {
   Out.clear();
   for (const auto &[H, B] : Store)
     if (viewVisible(B))
-      Out.add(Value(static_cast<int64_t>(H)), Value(B));
+      Out.add(Value(static_cast<int64_t>(H)), B);
 }
 
-const Bytes *CacheSpec::contents(uint64_t H) const {
+const Value *CacheSpec::contents(uint64_t H) const {
   auto It = Store.find(H);
   return It == Store.end() ? nullptr : &It->second;
 }
@@ -115,64 +114,55 @@ void CacheReplayer::refreshInvariants(uint64_t H, const HandleShadow &S) {
     BothLists.erase(H);
 }
 
-void CacheReplayer::mutate(uint64_t H, View &ViewI,
-                           const std::function<void(HandleShadow &)> &Fn) {
+void CacheReplayer::applyUpdate(const Action &A, View &ViewI) {
+  assert(A.Kind == ActionKind::AK_ReplayOp &&
+         "cache logs coarse-grained replay ops only");
+  assert(!A.Args.empty() && A.Args[0].isInt());
+  uint64_t H = static_cast<uint64_t>(A.Args[0].asInt());
   auto It = Handles.find(H);
   if (It == Handles.end()) {
     assert(Dynamic && "replay op on unknown handle (fixed mode)");
     It = Handles.emplace(H, HandleShadow()).first;
   }
   HandleShadow &S = It->second;
-  Bytes Before = visible(S);
-  Fn(S);
-  const Bytes &After = visible(S);
-  if (Before != After) {
-    if (viewVisible(Before))
-      ViewI.remove(Value(static_cast<int64_t>(H)), Value(Before));
-    if (viewVisible(After))
-      ViewI.add(Value(static_cast<int64_t>(H)), Value(After));
-  }
-  refreshInvariants(H, S);
-}
-
-void CacheReplayer::applyUpdate(const Action &A, View &ViewI) {
-  assert(A.Kind == ActionKind::AK_ReplayOp &&
-         "cache logs coarse-grained replay ops only");
-  assert(!A.Args.empty() && A.Args[0].isInt());
-  uint64_t H = static_cast<uint64_t>(A.Args[0].asInt());
+  Value Before = visible(S);
 
   if (A.Var == V.OpNewEntry) {
-    mutate(H, ViewI, [](HandleShadow &S) {
-      S.HasEntry = true;
-      S.Entry.clear();
-    });
+    S.HasEntry = true;
+    S.Entry = bytesValue(nullptr, 0);
   } else if (A.Var == V.OpCopy) {
     assert(A.Args.size() == 2 && A.Args[1].isBytes());
-    std::span<const uint8_t> B = A.Args[1].asBytes();
-    mutate(H, ViewI,
-           [&](HandleShadow &S) { S.Entry.assign(B.begin(), B.end()); });
+    S.Entry = A.Args[1];
   } else if (A.Var == V.OpAddClean) {
-    mutate(H, ViewI, [](HandleShadow &S) { S.InClean = true; });
+    S.InClean = true;
   } else if (A.Var == V.OpAddDirty) {
-    mutate(H, ViewI, [](HandleShadow &S) { S.InDirty = true; });
+    S.InDirty = true;
   } else if (A.Var == V.OpRemoveClean) {
-    mutate(H, ViewI, [](HandleShadow &S) { S.InClean = false; });
+    S.InClean = false;
   } else if (A.Var == V.OpRemoveDirty) {
-    mutate(H, ViewI, [](HandleShadow &S) { S.InDirty = false; });
+    S.InDirty = false;
   } else if (A.Var == V.OpCmWrite) {
     assert(A.Args.size() == 2 && A.Args[1].isBytes());
-    std::span<const uint8_t> B = A.Args[1].asBytes();
-    mutate(H, ViewI, [&](HandleShadow &S) { S.Cm.assign(B.begin(), B.end()); });
+    S.Cm = A.Args[1];
   } else {
     assert(false && "unknown cache replay op");
   }
+
+  const Value &After = visible(S);
+  if (Before != After) {
+    if (viewVisible(Before))
+      ViewI.remove(A.Args[0], Before);
+    if (viewVisible(After))
+      ViewI.add(A.Args[0], After);
+  }
+  refreshInvariants(H, S);
 }
 
 void CacheReplayer::buildView(View &Out) const {
   Out.clear();
   for (const auto &[H, S] : Handles)
     if (viewVisible(visible(S)))
-      Out.add(Value(static_cast<int64_t>(H)), Value(visible(S)));
+      Out.add(Value(static_cast<int64_t>(H)), visible(S));
 }
 
 bool CacheReplayer::checkInvariants(std::string &Message) const {
@@ -199,17 +189,19 @@ bool CacheReplayer::checkInvariants(std::string &Message) const {
 
 namespace {
 
-void saveBytes(ByteWriter &W, const Bytes &B) {
+void saveBytes(ByteWriter &W, const Value &V) {
+  std::span<const uint8_t> B = V.asBytes();
   W.varint(B.size());
   W.bytes(B.data(), B.size());
 }
 
-bool loadBytes(ByteReader &R, Bytes &B) {
+bool loadBytes(ByteReader &R, Value &V) {
   uint64_t N = R.varint();
   if (!R.ok() || N > (1u << 24))
     return false;
-  B.resize(N);
-  return N == 0 || R.bytes(B.data(), N);
+  std::span<const uint8_t> B = R.take(N);
+  V = bytesValue(B.data(), B.size());
+  return R.ok();
 }
 
 void saveHandleSet(ByteWriter &W, const std::set<uint64_t> &S) {
@@ -250,7 +242,7 @@ bool CacheSpec::loadState(ByteReader &R) {
   Store.clear();
   for (uint64_t I = 0; I < N; ++I) {
     uint64_t H = R.varint();
-    Bytes B;
+    Value B;
     if (!loadBytes(R, B))
       return false;
     Store.emplace(H, std::move(B));

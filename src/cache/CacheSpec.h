@@ -22,7 +22,6 @@
 #include "vyrd/Replayer.h"
 #include "vyrd/Spec.h"
 
-#include <functional>
 #include <map>
 #include <set>
 
@@ -57,15 +56,18 @@ public:
   bool saveState(ByteWriter &W) const override;
   bool loadState(ByteReader &R) override;
 
-  const Bytes *contents(uint64_t H) const;
+  const Value *contents(uint64_t H) const;
 
 private:
   /// Whether \p B contributes a view entry in the current mode.
-  bool viewVisible(const Bytes &B) const { return !Dynamic || !B.empty(); }
+  bool viewVisible(const Value &B) const {
+    return !Dynamic || !B.asBytes().empty();
+  }
 
   CacheVocab V;
   bool Dynamic;
-  std::map<uint64_t, Bytes> Store;
+  /// Handle -> the bytes Value of the write that set it.
+  std::map<uint64_t, Value> Store;
 };
 
 /// Shadow state: entry buffers, clean/dirty membership, Chunk Manager
@@ -85,21 +87,21 @@ public:
 
 private:
   struct HandleShadow {
-    Bytes Cm;         // Chunk Manager contents
-    Bytes Entry;      // cache entry contents (valid if HasEntry)
+    Value Cm = bytesValue(nullptr, 0);    // Chunk Manager contents
+    Value Entry = bytesValue(nullptr, 0); // cache entry (valid if HasEntry)
     bool HasEntry = false;
     bool InClean = false;
     bool InDirty = false;
   };
 
   /// The bytes an application currently observes for \p S.
-  static const Bytes &visible(const HandleShadow &S) {
+  static const Value &visible(const HandleShadow &S) {
     return (S.InClean || S.InDirty) ? S.Entry : S.Cm;
   }
-  void mutate(uint64_t H, View &ViewI,
-              const std::function<void(HandleShadow &)> &Fn);
   void refreshInvariants(uint64_t H, const HandleShadow &S);
-  bool viewVisible(const Bytes &B) const { return !Dynamic || !B.empty(); }
+  bool viewVisible(const Value &B) const {
+    return !Dynamic || !B.asBytes().empty();
+  }
 
   CacheVocab V;
   bool Dynamic;

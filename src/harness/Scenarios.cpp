@@ -519,7 +519,8 @@ Scenario makeScanFsScenario(const ScenarioOptions &O) {
   size_t MaxBytes =
       static_cast<size_t>(FO.MaxBlocksPerFile) * FO.BlockSize;
   S.Op = [F, MaxBytes](Rng &R, int64_t K1, int64_t K2, double) {
-    std::string Name = "f" + std::to_string(static_cast<uint64_t>(K1) % 20);
+    std::string Name = "f";
+    Name += std::to_string(static_cast<uint64_t>(K1) % 20);
     unsigned Dice = static_cast<unsigned>(R.range(100));
     if (Dice < 15) {
       F->create(Name);

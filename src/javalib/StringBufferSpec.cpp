@@ -17,17 +17,22 @@ using namespace vyrd::javalib;
 // StringBufferSpec
 //===----------------------------------------------------------------------===//
 
+namespace {
+
+/// Replaces buffer \p Key's contents \p Buf with \p New, view included.
+void setBuf(const Value &Key, Value &Buf, Value New, View &V) {
+  V.remove(Key, Buf);
+  Buf = std::move(New);
+  V.add(Key, Buf);
+}
+
+} // namespace
+
 StringBufferSpec::StringBufferSpec(size_t NumBuffers)
-    : V(SbVocab::get()), S(NumBuffers) {}
+    : V(SbVocab::get()), S(NumBuffers, Value(std::string_view())) {}
 
 bool StringBufferSpec::isObserver(Name Method) const {
   return Method == V.ToString || Method == V.Length;
-}
-
-void StringBufferSpec::setBuf(size_t I, std::string NewVal, View &ViewS) {
-  ViewS.remove(Value(static_cast<int64_t>(I)), Value(S[I]));
-  S[I] = std::move(NewVal);
-  ViewS.add(Value(static_cast<int64_t>(I)), Value(S[I]));
 }
 
 bool StringBufferSpec::applyMutator(Name Method, const ValueList &Args,
@@ -43,7 +48,8 @@ bool StringBufferSpec::applyMutator(Name Method, const ValueList &Args,
   if (Method == V.Append) {
     if (Args.size() != 2 || !Args[1].isStr())
       return false;
-    setBuf(I, S[I] + std::string(Args[1].asStr()), ViewS);
+    setBuf(Args[0], S[I],
+           Value(std::string(S[I].asStr()).append(Args[1].asStr())), ViewS);
     return true;
   }
 
@@ -54,7 +60,8 @@ bool StringBufferSpec::applyMutator(Name Method, const ValueList &Args,
     if (Src >= S.size())
       return false;
     // Atomic semantics: append src's *current* abstract contents.
-    setBuf(I, S[I] + S[Src], ViewS);
+    setBuf(Args[0], S[I],
+           Value(std::string(S[I].asStr()).append(S[Src].asStr())), ViewS);
     return true;
   }
 
@@ -62,8 +69,8 @@ bool StringBufferSpec::applyMutator(Name Method, const ValueList &Args,
     if (Args.size() != 2 || !Args[1].isInt())
       return false;
     size_t N = static_cast<size_t>(Args[1].asInt());
-    if (N < S[I].size())
-      setBuf(I, S[I].substr(0, N), ViewS);
+    if (N < S[I].asStr().size())
+      setBuf(Args[0], S[I], Value(S[I].asStr().substr(0, N)), ViewS);
     return true;
   }
 
@@ -79,16 +86,17 @@ bool StringBufferSpec::returnAllowed(Name Method, const ValueList &Args,
     return false;
 
   if (Method == V.ToString)
-    return Ret.isStr() && Ret.asStr() == S[I];
+    return Ret == S[I];
   if (Method == V.Length)
-    return Ret.isInt() && Ret.asInt() == static_cast<int64_t>(S[I].size());
+    return Ret.isInt() &&
+           Ret.asInt() == static_cast<int64_t>(S[I].asStr().size());
   return false;
 }
 
 void StringBufferSpec::buildView(View &Out) const {
   Out.clear();
   for (size_t I = 0; I < S.size(); ++I)
-    Out.add(Value(static_cast<int64_t>(I)), Value(S[I]));
+    Out.add(Value(static_cast<int64_t>(I)), S[I]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -96,7 +104,7 @@ void StringBufferSpec::buildView(View &Out) const {
 //===----------------------------------------------------------------------===//
 
 StringBufferReplayer::StringBufferReplayer(size_t NumBuffers)
-    : V(SbVocab::get()), Shadow(NumBuffers) {}
+    : V(SbVocab::get()), Shadow(NumBuffers, Value(std::string_view())) {}
 
 void StringBufferReplayer::applyUpdate(const Action &A, View &ViewI) {
   assert(A.Kind == ActionKind::AK_ReplayOp &&
@@ -105,44 +113,41 @@ void StringBufferReplayer::applyUpdate(const Action &A, View &ViewI) {
   size_t I = static_cast<size_t>(A.Args[0].asInt());
   assert(I < Shadow.size());
 
-  std::string NewVal;
+  std::string_view Old = Shadow[I].asStr();
   if (A.Var == V.OpAppend) {
-    NewVal = Shadow[I];
-    NewVal += A.Args[1].asStr();
+    setBuf(A.Args[0], Shadow[I],
+           Value(std::string(Old).append(A.Args[1].asStr())), ViewI);
   } else if (A.Var == V.OpSetLen) {
-    NewVal = Shadow[I].substr(
-        0, static_cast<size_t>(A.Args[1].asInt()));
+    setBuf(A.Args[0], Shadow[I],
+           Value(Old.substr(0, static_cast<size_t>(A.Args[1].asInt()))),
+           ViewI);
   } else {
     assert(false && "unknown string-buffer replay op");
-    return;
   }
-  ViewI.remove(Value(static_cast<int64_t>(I)), Value(Shadow[I]));
-  Shadow[I] = std::move(NewVal);
-  ViewI.add(Value(static_cast<int64_t>(I)), Value(Shadow[I]));
 }
 
 void StringBufferReplayer::buildView(View &Out) const {
   Out.clear();
   for (size_t I = 0; I < Shadow.size(); ++I)
-    Out.add(Value(static_cast<int64_t>(I)), Value(Shadow[I]));
+    Out.add(Value(static_cast<int64_t>(I)), Shadow[I]);
 }
 
 namespace {
 
-bool saveStrings(ByteWriter &W, const std::vector<std::string> &V) {
+bool saveStrings(ByteWriter &W, const std::vector<Value> &V) {
   W.varint(V.size());
-  for (const std::string &S : V)
-    W.str(S);
+  for (const Value &S : V)
+    W.str(S.asStr());
   return true;
 }
 
-bool loadStrings(ByteReader &R, std::vector<std::string> &V) {
+bool loadStrings(ByteReader &R, std::vector<Value> &V) {
   uint64_t N = R.varint();
   if (!R.ok() || N > (1u << 20))
     return false;
-  V.assign(N, std::string());
+  V.clear();
   for (uint64_t I = 0; I < N; ++I)
-    V[I] = R.str();
+    V.push_back(Value(R.str()));
   return R.ok();
 }
 

@@ -36,13 +36,11 @@ public:
   bool saveState(ByteWriter &W) const override;
   bool loadState(ByteReader &R) override;
 
-  const std::string &contents(size_t I) const { return S[I]; }
+  std::string_view contents(size_t I) const { return S[I].asStr(); }
 
 private:
-  void setBuf(size_t I, std::string NewVal, View &ViewS);
-
   SbVocab V;
-  std::vector<std::string> S;
+  std::vector<Value> S;
 };
 
 /// Shadow state: one string per buffer, from replay records.
@@ -57,7 +55,7 @@ public:
 
 private:
   SbVocab V;
-  std::vector<std::string> Shadow;
+  std::vector<Value> Shadow;
 };
 
 } // namespace javalib

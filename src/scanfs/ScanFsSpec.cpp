@@ -6,7 +6,6 @@
 
 #include "scanfs/ScanFsSpec.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace vyrd;
@@ -34,7 +33,7 @@ bool ScanFsSpec::applyMutator(Name Method, const ValueList &Args,
   bool Success = Ret.asBool();
   if (Args.empty() || !Args[0].isStr())
     return false;
-  std::string Name(Args[0].asStr());
+  const Value &Name = Args[0];
 
   if (Method == V.Create) {
     if (Args.size() != 1)
@@ -43,8 +42,8 @@ bool ScanFsSpec::applyMutator(Name Method, const ValueList &Args,
       return true; // exists or no free inode: always permitted
     if (Files.count(Name) || Files.size() >= MaxFiles)
       return false;
-    Files.emplace(Name, Bytes());
-    ViewS.add(Value(Name), Value(Bytes()));
+    auto It = Files.emplace(Name, bytesValue(nullptr, 0)).first;
+    ViewS.add(Name, It->second);
     return true;
   }
 
@@ -56,7 +55,7 @@ bool ScanFsSpec::applyMutator(Name Method, const ValueList &Args,
       return It == Files.end(); // unlink fails exactly when absent
     if (It == Files.end())
       return false;
-    ViewS.remove(Value(Name), Value(It->second));
+    ViewS.remove(Name, It->second);
     Files.erase(It);
     return true;
   }
@@ -69,12 +68,17 @@ bool ScanFsSpec::applyMutator(Name Method, const ValueList &Args,
     auto It = Files.find(Name);
     if (It == Files.end())
       return false;
-    std::span<const uint8_t> Arg = Args[1].asBytes();
-    Bytes NewContents = Method == V.Write ? Bytes() : It->second;
-    NewContents.insert(NewContents.end(), Arg.begin(), Arg.end());
-    ViewS.remove(Value(Name), Value(It->second));
-    It->second = std::move(NewContents);
-    ViewS.add(Value(Name), Value(It->second));
+    ViewS.remove(Name, It->second);
+    if (Method == V.Write) {
+      It->second = Args[1];
+    } else {
+      std::span<const uint8_t> Old = It->second.asBytes();
+      std::span<const uint8_t> Arg = Args[1].asBytes();
+      Bytes Joined(Old.begin(), Old.end());
+      Joined.insert(Joined.end(), Arg.begin(), Arg.end());
+      It->second = Value(Joined);
+    }
+    ViewS.add(Name, It->second);
     return true;
   }
 
@@ -86,10 +90,10 @@ bool ScanFsSpec::returnAllowed(Name Method, const ValueList &Args,
   if (Method == V.Read) {
     if (Args.size() != 1 || !Args[0].isStr())
       return false;
-    auto It = Files.find(std::string(Args[0].asStr()));
+    auto It = Files.find(Args[0]);
     if (It == Files.end())
       return Ret.isNull();
-    return Ret.isBytes() && std::ranges::equal(Ret.asBytes(), It->second);
+    return Ret == It->second;
   }
   if (Method == V.List) {
     if (!Args.empty() || !Ret.isStr())
@@ -99,7 +103,7 @@ bool ScanFsSpec::returnAllowed(Name Method, const ValueList &Args,
       (void)Contents;
       if (!Expect.empty())
         Expect += '\n';
-      Expect += Name;
+      Expect += Name.asStr();
     }
     return Ret.asStr() == Expect;
   }
@@ -109,11 +113,11 @@ bool ScanFsSpec::returnAllowed(Name Method, const ValueList &Args,
 void ScanFsSpec::buildView(View &Out) const {
   Out.clear();
   for (const auto &[Name, Contents] : Files)
-    Out.add(Value(Name), Value(Contents));
+    Out.add(Name, Contents);
 }
 
-const Bytes *ScanFsSpec::contents(const std::string &Name) const {
-  auto It = Files.find(Name);
+const Value *ScanFsSpec::contents(const std::string &Name) const {
+  auto It = Files.find(Value(Name));
   return It == Files.end() ? nullptr : &It->second;
 }
 
@@ -123,30 +127,37 @@ const Bytes *ScanFsSpec::contents(const std::string &Name) const {
 
 ScanFsReplayer::ScanFsReplayer() : V(FsVocab::get()) {}
 
-Bytes ScanFsReplayer::fileContents(uint32_t Idx) const {
+Value ScanFsReplayer::fileContents(uint32_t Idx) const {
   auto It = Inodes.find(Idx);
   if (It == Inodes.end() || !It->second.Used)
-    return Bytes();
-  Bytes Out;
+    return bytesValue(nullptr, 0);
+  Bytes Buf;
   for (uint64_t BH : It->second.Blocks) {
     auto BIt = BlockData.find(BH);
-    if (BIt != BlockData.end())
-      Out.insert(Out.end(), BIt->second.begin(), BIt->second.end());
+    if (BIt != BlockData.end()) {
+      std::span<const uint8_t> B = BIt->second.asBytes();
+      Buf.insert(Buf.end(), B.begin(), B.end());
+    }
   }
-  Out.resize(It->second.Size);
-  return Out;
+  Buf.resize(It->second.Size);
+  return Value(Buf);
 }
 
 void ScanFsReplayer::showFile(const std::string &Name, uint32_t Idx,
                               View &ViewI) {
-  hideFile(Name, ViewI);
-  auto It = Shown.emplace(Name, Value(fileContents(Idx))).first;
-  ViewI.add(Value(Name), It->second);
+  auto [It, New] = Shown.try_emplace(Name);
+  auto &[Key, Contents] = It->second;
+  if (New)
+    Key = Value(Name);
+  else
+    ViewI.remove(Key, Contents);
+  Contents = fileContents(Idx);
+  ViewI.add(Key, Contents);
 }
 
 void ScanFsReplayer::hideFile(const std::string &Name, View &ViewI) {
   if (auto It = Shown.find(Name); It != Shown.end()) {
-    ViewI.remove(Value(Name), It->second);
+    ViewI.remove(It->second.first, It->second.second);
     Shown.erase(It);
   }
 }
@@ -205,8 +216,7 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
   if (A.Var == V.OpBlock) {
     assert(A.Args.size() == 2 && A.Args[0].isInt() && A.Args[1].isBytes());
     uint64_t BH = static_cast<uint64_t>(A.Args[0].asInt());
-    std::span<const uint8_t> Data = A.Args[1].asBytes();
-    BlockData[BH].assign(Data.begin(), Data.end());
+    BlockData[BH] = A.Args[1];
     auto OwnerIt = BlockOwner.find(BH);
     if (OwnerIt != BlockOwner.end()) {
       auto NameIt = InodeName.find(OwnerIt->second);
@@ -222,7 +232,7 @@ void ScanFsReplayer::applyUpdate(const Action &A, View &ViewI) {
 void ScanFsReplayer::buildView(View &Out) const {
   Out.clear();
   for (const auto &[Name, Idx] : Dir.Entries)
-    Out.add(Value(Name), Value(fileContents(Idx)));
+    Out.add(Value(Name), fileContents(Idx));
 }
 
 bool ScanFsReplayer::checkInvariants(std::string &Message) const {

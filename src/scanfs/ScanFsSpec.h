@@ -38,13 +38,14 @@ public:
                      const Value &Ret) const override;
   void buildView(View &Out) const override;
 
-  const Bytes *contents(const std::string &Name) const;
-  size_t fileCount() const { return Files.size(); }
+  const Value *contents(const std::string &Name) const;
 
 private:
   FsVocab V;
   uint32_t MaxFiles;
-  std::map<std::string, Bytes> Files;
+  /// Name -> contents, keyed by the string Values the calls carried: they
+  /// are the view keys. Value orders strings as std::string does.
+  std::map<Value, Value> Files;
 };
 
 /// Shadow state from fs.dir / fs.inode / fs.block records.
@@ -58,7 +59,7 @@ public:
 
 private:
   /// Current contents of the file stored in inode \p Idx.
-  Bytes fileContents(uint32_t Idx) const;
+  Value fileContents(uint32_t Idx) const;
   /// Replaces the view entry for the file named \p Name (inode \p Idx).
   void showFile(const std::string &Name, uint32_t Idx, View &ViewI);
   /// Removes the view entry last shown for \p Name, if any.
@@ -67,13 +68,14 @@ private:
   FsVocab V;
   Directory Dir;
   std::unordered_map<uint32_t, Inode> Inodes;
-  std::unordered_map<uint64_t, Bytes> BlockData;
+  std::unordered_map<uint64_t, Value> BlockData;
   /// Reverse index: inode -> name (unique by invariant).
   std::unordered_map<uint32_t, std::string> InodeName;
   /// Reverse index: block handle -> inode referencing it.
   std::unordered_map<uint64_t, uint32_t> BlockOwner;
-  /// View entry value last added per name (what a removal must remove).
-  std::unordered_map<std::string, Value> Shown;
+  /// View entry (key, value) last added per name: what a removal must
+  /// remove. The key is built once, when the name enters the view.
+  std::unordered_map<std::string, std::pair<Value, Value>> Shown;
 };
 
 } // namespace scanfs

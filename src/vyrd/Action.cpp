@@ -32,7 +32,8 @@ const char *vyrd::actionKindName(ActionKind K) {
 }
 
 std::string Action::str() const {
-  std::string Out = "#" + std::to_string(Seq) + " t" + std::to_string(Tid);
+  std::string Out = "#"; // not "#" + ...: a GCC 12 -Wrestrict false positive
+  Out += std::to_string(Seq) + " t" + std::to_string(Tid);
   // Only multi-object logs carry non-zero ids; keep single-object output
   // (and the golden strings in tests) unchanged.
   if (Obj != 0)

@@ -136,19 +136,20 @@ struct alignas(64) Sleeper {
   }
 
   /// Parks the calling thread unless \p HasWork, called once the flag is
-  /// up and the barrier issued, finds something to do. \p BeforeWait runs
-  /// when the thread is about to wait.
-  template <typename Fn, typename Gn> void park(Fn HasWork, Gn BeforeWait) {
+  /// up and the barrier issued, finds something to do. \p OnPark runs when
+  /// the recheck found nothing, or when a waker claimed the flag first: so
+  /// every wake() that returns true follows an OnPark.
+  template <typename Fn, typename Gn> void park(Fn HasWork, Gn OnPark) {
     uint32_t E = Epoch.load(std::memory_order_seq_cst);
     Parked.store(true, std::memory_order_seq_cst);
     membarrierAll();
-    if (HasWork()) {
-      Parked.store(false, std::memory_order_relaxed);
+    bool Work = HasWork();
+    if (Work && Parked.exchange(false, std::memory_order_relaxed))
       return;
-    }
-    BeforeWait();
+    OnPark();
     // A waker clears the flag before it bumps the epoch.
-    Epoch.wait(E, std::memory_order_seq_cst);
+    if (!Work)
+      Epoch.wait(E, std::memory_order_seq_cst);
   }
 };
 
@@ -234,17 +235,15 @@ uint64_t ThreadLogShard::append(Action A) {
   // separate tick counter: every 64th append per shard takes two clock
   // reads, the rest pay nothing.
   uint64_t T0 = 0;
-  if (telemetryCompiledIn()) {
-    if (!TC)
-      if (Telemetry *T = Parent.telemetry())
-        TC = &T->cell();
-    if (TC && (H & 63) == 0)
-      T0 = telemetryNowNanos();
-  }
+  if (!TC)
+    if (Telemetry *T = Parent.telemetry())
+      TC = &T->cell();
+  if (TC && (H & 63) == 0)
+    T0 = telemetryNowNanos();
   if (H - CachedTail > Mask) {
     CachedTail = Tail.load(std::memory_order_acquire);
     if (H - CachedTail > Mask) {
-      if (telemetryCompiledIn() && TC)
+      if (TC)
         TC->count(Counter::C_AppendStalls);
       for (unsigned Round = 0; H - CachedTail > Mask; ++Round) {
         // Ring full: nobody keeps up, so hand the backlog to the flusher.
@@ -271,7 +270,7 @@ uint64_t ThreadLogShard::append(Action A) {
   } else {
     Head.store(H + 1, std::memory_order_seq_cst);
   }
-  if (P.Reader.wake() && telemetryCompiledIn() && TC)
+  if (P.Reader.wake() && TC)
     TC->count(Counter::C_ReaderWakes);
   if (H + 1 - CachedTail == P.ShardHalf) {
     // Passing half full by the cached tail: if the real tail agrees,
@@ -280,7 +279,7 @@ uint64_t ThreadLogShard::append(Action A) {
     if (H + 1 - CachedTail >= P.ShardHalf)
       P.Flusher.wake();
   }
-  if (telemetryCompiledIn() && TC) {
+  if (TC) {
     TC->count(Counter::C_LogAppends);
     if (T0)
       TC->record(Histo::H_AppendNs, telemetryNowNanos() - T0);
@@ -390,9 +389,8 @@ void BufferedLog::park(Action &&A) {
     I->Reorder = std::move(NewReorder);
     I->Parked = std::move(NewParked);
     I->ReorderMask = NewSize - 1;
-    if (telemetryCompiledIn())
-      if (Telemetry *T = telemetry())
-        T->count(Counter::C_ReorderGrows);
+    if (Telemetry *T = telemetry())
+      T->count(Counter::C_ReorderGrows);
   }
   size_t Slot = A.Seq & I->ReorderMask;
   I->Parked[Slot] = SlotParked;
@@ -412,7 +410,7 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
     uint64_t Waited = telemetryNowNanos() - I->BlockedSince;
     I->BlockedSince = 0;
     I->Stats.BlockedNanos += Waited;
-    if (telemetryCompiledIn() && T)
+    if (T)
       T->record(Histo::H_BlockedNs, Waited);
   }
   if (End != S) {
@@ -421,7 +419,7 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
     if (!I->BlockedSince) {
       ++I->Stats.BlockedAppends;
       I->BlockedSince = telemetryNowNanos();
-      if (telemetryCompiledIn() && T)
+      if (T)
         T->count(Counter::C_BlockedAppends);
     }
     Blocked = !Reader;
@@ -434,7 +432,7 @@ void BufferedLog::publishLocked(uint64_t First, uint64_t S) {
     I->Q.push_back(std::move(I->Reorder[Ti & I->ReorderMask]));
   I->Stats.PendingRecordsHwm =
       std::max<uint64_t>(I->Stats.PendingRecordsHwm, I->Q.size());
-  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T)
+  if (Telemetry *T = telemetry())
     T->gaugeAdd(Gauge::G_PendingRecords, S - First);
 }
 
@@ -490,7 +488,7 @@ BufferedLog::mergeRound(bool Reader, std::vector<Action> *Out, size_t Max) {
   if (!I->Parked[I->SeqNext & I->ReorderMask])
     R.Drained = drainShards();
   R.Emitted = emitReady(Reader, R.Blocked, Out, Max);
-  if (telemetryCompiledIn() && R.Emitted)
+  if (R.Emitted)
     if (Telemetry *T = telemetry()) {
       // Recorded by whichever thread ran the round.
       TelemetryCell &TC = T->cell();
@@ -532,15 +530,14 @@ void BufferedLog::awaitRecords() {
         return shardsHold(1);
       },
       [this] {
-        if (telemetryCompiledIn())
-          if (Telemetry *T = telemetry())
-            T->count(Counter::C_ReaderParks);
+        if (Telemetry *T = telemetry())
+          T->count(Counter::C_ReaderParks);
       });
 }
 
 void BufferedLog::flusherMain() {
   auto WakeReader = [this] {
-    if (I->Reader.wake() && telemetryCompiledIn())
+    if (I->Reader.wake())
       if (Telemetry *T = telemetry())
         T->count(Counter::C_ReaderWakes);
   };
@@ -587,7 +584,7 @@ void BufferedLog::close() {
 }
 
 void BufferedLog::dequeuedLocked(size_t N) {
-  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T)
+  if (Telemetry *T = telemetry())
     T->gaugeSub(Gauge::G_PendingRecords, N);
   I->QSpaceCV.notify_one();
 }
@@ -678,7 +675,7 @@ void BufferedLog::reclaimCheckedPrefix(uint64_t Watermark) {
     return;
   if (I->Opts.ReclaimSegments)
     I->Sink.reclaimThrough(Watermark);
-  if (Telemetry *T = telemetry(); telemetryCompiledIn() && T) {
+  if (Telemetry *T = telemetry()) {
     T->gaugeSet(Gauge::G_SegmentsLive, I->Sink.liveSegments());
     BackpressureStats S = I->Sink.stats();
     if (S.SegmentsCreated > I->SegCreatedSeen) {

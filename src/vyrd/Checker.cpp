@@ -563,7 +563,7 @@ void RefinementChecker::processCommit(Event &Ev) {
       uint64_t Ns = telemetryNowNanos() - T0;
       if (Config.CollectTimings)
         Stats.ViewCompareNanos += Ns;
-      if (telemetryCompiledIn() && Telem)
+      if (Telem)
         Telem->record(Histo::H_ViewCompareNs, Ns);
     }
   }

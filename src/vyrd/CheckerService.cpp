@@ -205,8 +205,7 @@ public:
 
 private:
   void workerMain() {
-    TelemetryCell *TC =
-        telemetryCompiledIn() && S.Telem ? &S.Telem->cell() : nullptr;
+    TelemetryCell *TC = S.Telem ? &S.Telem->cell() : nullptr;
     std::unique_lock Lock(M);
     while (true) {
       WorkCV.wait(Lock, [&] { return Stopping || !Runnable.empty(); });

@@ -135,7 +135,7 @@ private:
   /// a thread-local cache hit, so it stays on the fast path (as is the
   /// telemetry cell lookup when a hub is attached).
   void emit(Action A) const {
-    if (telemetryCompiledIn() && Telem)
+    if (Telem)
       Telem->count(Counter::C_HookRecords);
     A.Obj = Obj;
     L->writer().append(std::move(A));

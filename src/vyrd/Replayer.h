@@ -48,8 +48,10 @@ public:
   /// Applies one logged Write or ReplayOp record to the shadow state,
   /// incrementally updating the checker's digest-only \p ViewI with the
   /// entry adds/removes the update causes: remove only an entry you added;
-  /// the checker's view cannot tell. Writes inside a commit block are
-  /// delivered back-to-back at the enclosing commit (Sec. 5.2).
+  /// the checker's view cannot tell. Hold each view value as the Value
+  /// you add, so that removing it shares its payload instead of
+  /// rebuilding it. Writes inside a commit block are delivered
+  /// back-to-back at the enclosing commit (Sec. 5.2).
   virtual void applyUpdate(const Action &A, View &ViewI) = 0;
 
   /// Rebuilds the canonical view of the shadow state from scratch into

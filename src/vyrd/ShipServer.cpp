@@ -492,9 +492,7 @@ void ShipServer::handleFrame(Session &S, const wire::Frame &F) {
         S.Telem->count(Counter::C_ShipPartialDrops);
       break;
     }
-    TelemetryCell *TC = telemetryCompiledIn() && S.Telem
-                            ? &S.Telem->cell()
-                            : nullptr;
+    TelemetryCell *TC = S.Telem ? &S.Telem->cell() : nullptr;
     S.Svc->routeRange(Batch, 0, Batch.size(), TC);
     S.AnyFed = true;
     S.FedIndex = Index;

@@ -58,6 +58,8 @@ public:
   /// Implementations must keep \p ViewS up to date incrementally: apply the
   /// entry adds/removes this transition causes. ViewS is the checker's
   /// digest-only view: remove only an entry you added; it cannot tell.
+  /// Hold each view value as the Value you add, so that removing it and
+  /// returnAllowed share its payload instead of rebuilding it.
   virtual bool applyMutator(Name Method, const ValueList &Args,
                             const Value &Ret, View &ViewS) = 0;
 

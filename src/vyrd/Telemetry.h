@@ -23,9 +23,7 @@
 ///    a close approximation while they run.
 ///  * Instrumented call sites hold a `Telemetry *` (or a cached
 ///    `TelemetryCell *`) that is null when telemetry is off, so the
-///    disabled path is one predictable branch. Defining
-///    VYRD_DISABLE_TELEMETRY turns `telemetryCompiledIn()` into a
-///    compile-time false and the guarded sites fold away entirely.
+///    disabled path is one predictable branch.
 ///  * Latency histograms on the append path are *sampled* (every 64th
 ///    record) so the clock reads cannot dominate a ~25 ns append.
 ///
@@ -44,16 +42,6 @@
 #include <vector>
 
 namespace vyrd {
-
-/// Compile-time switch: with VYRD_DISABLE_TELEMETRY defined every guarded
-/// call site (`if (telemetryCompiledIn() && Cell) ...`) is dead code.
-constexpr bool telemetryCompiledIn() {
-#ifdef VYRD_DISABLE_TELEMETRY
-  return false;
-#else
-  return true;
-#endif
-}
 
 /// Monotonic nanoseconds (CLOCK_MONOTONIC); the pipeline's one time base.
 uint64_t telemetryNowNanos();

@@ -419,8 +419,7 @@ void Verifier::pump() {
   // pipeline (the checkers themselves stay record-at-a-time).
   std::vector<Action> Batch;
   Batch.reserve(PumpBatch);
-  TelemetryCell *TC =
-      telemetryCompiledIn() && Telem ? &Telem->cell() : nullptr;
+  TelemetryCell *TC = Telem ? &Telem->cell() : nullptr;
   const bool SnapshotsOn = Config.Snapshots && Config.Backpressure.SegmentBytes;
   std::vector<SegmentCut> Cuts; ///< pending cut points, oldest first
   uint64_t RoutedUpto = 0;      ///< exclusive frontier of routed records

@@ -97,8 +97,8 @@ TEST(BNodeTest, FindKeyAndLowerBound) {
 }
 
 TEST(BNodeTest, VersionedValueEncoding) {
-  Value V1 = versionedValue(1, {9});
-  Value V2 = versionedValue(2, {9});
+  Value V1 = versionedValue(1, Bytes{9});
+  Value V2 = versionedValue(2, Bytes{9});
   EXPECT_NE(V1, V2) << "version participates in the view value";
   ASSERT_TRUE(V1.isBytes());
   EXPECT_EQ(V1.asBytes().size(), 9u);
@@ -123,7 +123,7 @@ TEST(BLinkTreeTest, InsertLookupDelete) {
   EXPECT_TRUE(R.Tree.lookup(5).isNull());
   EXPECT_TRUE(R.Tree.insert(5, bytes({0xAA})));
   Value V = R.Tree.lookup(5);
-  EXPECT_EQ(V, versionedValue(1, {0xAA}));
+  EXPECT_EQ(V, versionedValue(1, Bytes{0xAA}));
   EXPECT_TRUE(R.Tree.remove(5));
   EXPECT_TRUE(R.Tree.lookup(5).isNull());
   EXPECT_FALSE(R.Tree.remove(5));
@@ -133,7 +133,7 @@ TEST(BLinkTreeTest, OverwriteBumpsVersion) {
   TreeRig R;
   R.Tree.insert(5, bytes({1}));
   R.Tree.insert(5, bytes({2}));
-  EXPECT_EQ(R.Tree.lookup(5), versionedValue(2, {2}));
+  EXPECT_EQ(R.Tree.lookup(5), versionedValue(2, Bytes{2}));
 }
 
 TEST(BLinkTreeTest, SplitsGrowTheTree) {
@@ -144,7 +144,7 @@ TEST(BLinkTreeTest, SplitsGrowTheTree) {
   EXPECT_GT(R.Tree.height(), 1u);
   for (int64_t K = 0; K < 40; ++K)
     EXPECT_EQ(R.Tree.lookup(K),
-              versionedValue(1, {static_cast<uint8_t>(K)}))
+              versionedValue(1, Bytes{static_cast<uint8_t>(K)}))
         << "key " << K;
 }
 
@@ -191,14 +191,14 @@ TEST(BLinkTreeTest, CompressMergesUnderfullLeavesPreservingContents) {
   for (int64_t K = 0; K < 24; ++K) {
     if (K % 5 == 0)
       EXPECT_EQ(R.Tree.lookup(K),
-                versionedValue(1, {static_cast<uint8_t>(K)}))
+                versionedValue(1, Bytes{static_cast<uint8_t>(K)}))
           << "key " << K;
     else
       EXPECT_TRUE(R.Tree.lookup(K).isNull()) << "key " << K;
   }
   // The structure still accepts new work after heavy merging.
   R.Tree.insert(1000, bytes({9}));
-  EXPECT_EQ(R.Tree.lookup(1000), versionedValue(1, {9}));
+  EXPECT_EQ(R.Tree.lookup(1000), versionedValue(1, Bytes{9}));
 }
 
 TEST(BLinkTreeTest, CompressMergesEmptyLeaves) {
@@ -216,7 +216,7 @@ TEST(BLinkTreeTest, CompressMergesEmptyLeaves) {
   for (int64_t K = 0; K < 30; ++K)
     EXPECT_TRUE(R.Tree.lookup(K).isNull());
   R.Tree.insert(17, bytes({9}));
-  EXPECT_EQ(R.Tree.lookup(17), versionedValue(1, {9}));
+  EXPECT_EQ(R.Tree.lookup(17), versionedValue(1, Bytes{9}));
 }
 
 //===----------------------------------------------------------------------===//
@@ -230,13 +230,13 @@ TEST(BLinkSpecTest, InsertOverwriteDeleteSemantics) {
   EXPECT_TRUE(S.applyMutator(
       V.Insert, {Value(1), Value(chunk::Bytes{5})}, Value(true), ViewS));
   EXPECT_TRUE(S.returnAllowed(V.Lookup, {Value(1)},
-                              versionedValue(1, {5})));
+                              versionedValue(1, Bytes{5})));
   EXPECT_TRUE(S.applyMutator(
       V.Insert, {Value(1), Value(chunk::Bytes{6})}, Value(true), ViewS));
   EXPECT_TRUE(S.returnAllowed(V.Lookup, {Value(1)},
-                              versionedValue(2, {6})));
+                              versionedValue(2, Bytes{6})));
   EXPECT_FALSE(S.returnAllowed(V.Lookup, {Value(1)},
-                               versionedValue(1, {6})))
+                               versionedValue(1, Bytes{6})))
       << "stale version rejected";
   EXPECT_TRUE(S.applyMutator(V.Delete, {Value(1)}, Value(true), ViewS));
   EXPECT_TRUE(S.returnAllowed(V.Lookup, {Value(1)}, Value()));
@@ -282,8 +282,8 @@ TEST(BLinkReplayerTest, LeafEntriesEnterView) {
   BNode Leaf;
   Leaf.Entries = {{10, 5}};
   R.applyUpdate(nodeOp(1, Leaf), ViewI);
-  EXPECT_TRUE(
-      viewMatches(ViewI, viewOf({{Value(10), versionedValue(1, {0xAB})}}), R));
+  EXPECT_TRUE(viewMatches(
+      ViewI, viewOf({{Value(10), versionedValue(1, Bytes{0xAB})}}), R));
 }
 
 TEST(BLinkReplayerTest, DataOverwriteUpdatesReferencingKeys) {
@@ -294,8 +294,8 @@ TEST(BLinkReplayerTest, DataOverwriteUpdatesReferencingKeys) {
   Leaf.Entries = {{10, 5}};
   R.applyUpdate(nodeOp(1, Leaf), ViewI);
   R.applyUpdate(dataOp(5, 2, {2}), ViewI);
-  EXPECT_TRUE(
-      viewMatches(ViewI, viewOf({{Value(10), versionedValue(2, {2})}}), R));
+  EXPECT_TRUE(viewMatches(
+      ViewI, viewOf({{Value(10), versionedValue(2, Bytes{2})}}), R));
 }
 
 TEST(BLinkReplayerTest, SplitIsViewNeutral) {
@@ -320,8 +320,8 @@ TEST(BLinkReplayerTest, SplitIsViewNeutral) {
   R.applyUpdate(nodeOp(1, LeftN), ViewI);
   EXPECT_EQ(ViewI.digest(), D) << "split must not change the view";
   EXPECT_TRUE(viewMatches(ViewI,
-                          viewOf({{Value(10), versionedValue(1, {1})},
-                                  {Value(20), versionedValue(1, {2})}}),
+                          viewOf({{Value(10), versionedValue(1, Bytes{1})},
+                                  {Value(20), versionedValue(1, Bytes{2})}}),
                           R));
 }
 
@@ -334,8 +334,8 @@ TEST(BLinkReplayerTest, DuplicateKeysAcrossLeavesVisible) {
   Leaf.Entries = {{10, 5}, {10, 6}}; // the duplicated-data-node shape
   R.applyUpdate(nodeOp(1, Leaf), ViewI);
   EXPECT_TRUE(viewMatches(ViewI,
-                          viewOf({{Value(10), versionedValue(1, {1})},
-                                  {Value(10), versionedValue(1, {1})}}),
+                          viewOf({{Value(10), versionedValue(1, Bytes{1})},
+                                  {Value(10), versionedValue(1, Bytes{1})}}),
                           R));
 }
 

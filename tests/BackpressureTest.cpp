@@ -295,8 +295,6 @@ VerifierReport runThrottled(VerifierConfig C, unsigned ThrottleUs,
 /// The admission telemetry a bounded run publishes must agree with the
 /// exact BackpressureStats in its report (log and pool together).
 void expectAdmissionTelemetryMatches(const VerifierReport &R) {
-  if (!telemetryCompiledIn())
-    return;
   ASSERT_TRUE(R.TelemetryEnabled);
   const TelemetrySnapshot &S = R.Telemetry;
   EXPECT_EQ(S.counter(Counter::C_BlockedAppends),

@@ -106,8 +106,11 @@ TEST(ScanFsTest, WriteToAbsentFails) {
 
 TEST(ScanFsTest, InodeExhaustionFailsCreate) {
   FsRig R; // MaxFiles = 8
-  for (int I = 0; I < 8; ++I)
-    EXPECT_TRUE(R.Fs.create("f" + std::to_string(I)));
+  for (int I = 0; I < 8; ++I) {
+    std::string Name = "f";
+    Name += std::to_string(I);
+    EXPECT_TRUE(R.Fs.create(Name));
+  }
   EXPECT_FALSE(R.Fs.create("one-too-many"));
   EXPECT_TRUE(R.Fs.unlink("f3"));
   EXPECT_TRUE(R.Fs.create("reuses-inode"));

@@ -109,7 +109,10 @@ std::string countsJson(const DenseCounts &C, KeyFn Key) {
     if (!First)
       Out += ",";
     First = false;
-    Out += "\"" + Key(I) + "\":" + std::to_string(C[I]);
+    Out += '"';
+    Out += Key(I);
+    Out += "\":";
+    Out += std::to_string(C[I]);
   }
   return Out + "}";
 }
