@@ -28,6 +28,7 @@
 #include "scanfs/ScanFsSpec.h"
 
 #include <cassert>
+#include <iterator>
 
 using namespace vyrd;
 using namespace vyrd::harness;
@@ -153,6 +154,36 @@ std::vector<Program> vyrd::harness::extensionPrograms() {
 
 namespace {
 
+// Sizes each structure is built with and its pipeline is built over: a
+// spec or replayer sized differently from its structure misjudges the
+// structure's state, and a snapshot sidecar restores only into a
+// pipeline with the recording's parameters.
+/// The cache's handles, allocated from a fresh ChunkManager, which hands
+/// them out as 1..CacheHandles.
+constexpr uint64_t CacheHandles = 24;
+constexpr size_t QueueCapacity = 24;
+constexpr uint32_t ScanFsMaxFiles = 24;
+/// The StringBuffer scenario's family of buffers, and the length its
+/// workload truncates a buffer to after every call that grows it.
+constexpr size_t StringBufferBuffers = 3;
+constexpr size_t StringBufferCap = 64;
+/// The B-link tree's first leaf, which the tree allocates in its
+/// constructor from a fresh ChunkManager; the replayer is anchored to it.
+constexpr uint64_t BLinkAnchorLeaf = 1;
+
+/// The composite scenario's objects in ObjectId order, and the program
+/// whose pipeline checks each.
+struct CompositeObject {
+  const char *Name;
+  Program Prog;
+};
+constexpr CompositeObject CompositeObjects[] = {
+    {"multiset", Program::P_MultisetVector},
+    {"cache", Program::P_Cache},
+    {"blinktree", Program::P_BLinkTree},
+    {"queue", Program::P_Queue},
+};
+
 /// Short deterministic payload bytes derived from a key.
 chunk::Bytes keyBytes(int64_t K, size_t Len) {
   chunk::Bytes B(Len);
@@ -178,36 +209,50 @@ std::string keyString(int64_t K, size_t Len) {
   return S;
 }
 
-/// The log of the logging-only modes. Without a file it keeps every
-/// record in memory, to be read back through Scenario::L after finish;
-/// with a file it only writes the file (nothing consumes it online).
-std::shared_ptr<Log> makeLogOnlyLog(const ScenarioOptions &O) {
-  BufferedLog::Options BO;
-  BO.FilePath = O.LogPath;
-  BO.RetainRecords = O.LogPath.empty();
-  auto BL = std::make_shared<BufferedLog>(std::move(BO));
-  assert(BL->valid() && "cannot open log file");
-  return BL;
+/// Allocates the cache's handles from the fresh \p CM.
+std::shared_ptr<std::vector<uint64_t>>
+allocateCacheHandles(chunk::ChunkManager &CM) {
+  auto Handles = std::make_shared<std::vector<uint64_t>>();
+  for (uint64_t I = 1; I <= CacheHandles; ++I) {
+    Handles->push_back(CM.allocate());
+    assert(Handles->back() == I && "cache pipeline built over other handles");
+  }
+  return Handles;
 }
 
-/// Shared wiring: builds the log / verifier per run mode and fills
-/// Scenario::V, L, Finish. \returns the Hooks the data structure should
-/// use.
-Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
-                   std::unique_ptr<Spec> Spec,
-                   std::unique_ptr<Replayer> Replayer) {
-  bool ViewLevel = O.Mode == RunMode::RM_LogOnlyView ||
-                   O.Mode == RunMode::RM_OnlineView ||
-                   O.Mode == RunMode::RM_OfflineView;
+bool viewLevel(RunMode M) {
+  return M == RunMode::RM_LogOnlyView || M == RunMode::RM_OnlineView ||
+         M == RunMode::RM_OfflineView;
+}
+
+/// The wiring of every scenario: builds the log / verifier per run mode,
+/// registers objects 0 .. NumObjects - 1 as \p Factory builds them, and
+/// fills Scenario::V, L, Finish. \p ShipKey names the recording in a
+/// shipping Hello. \returns each object's hooks, in ObjectId order, for
+/// its data structure to use.
+std::vector<Hooks> wireScenario(Scenario &S, const ScenarioOptions &O,
+                                size_t NumObjects,
+                                const PipelineFactory &Factory,
+                                const char *ShipKey) {
+  bool ViewLevel = viewLevel(O.Mode);
+  std::vector<Hooks> H;
 
   if (!modeLogs(O.Mode)) {
     S.Finish = [] { return VerifierReport(); };
-    return Hooks();
+    H.resize(NumObjects);
+    return H;
   }
 
   if (!modeChecks(O.Mode)) {
-    // Logging only: a bare log with no consumer.
-    std::shared_ptr<Log> L = makeLogOnlyLog(O);
+    // Logging only: a bare log with no consumer. Without a file it keeps
+    // every record in memory, to be read back through Scenario::L after
+    // finish; with a file it only writes the file. The hooks stamp the
+    // object ids registerObject would assign.
+    BufferedLog::Options BO;
+    BO.FilePath = O.LogPath;
+    BO.RetainRecords = O.LogPath.empty();
+    auto L = std::make_shared<BufferedLog>(std::move(BO));
+    assert(L->valid() && "cannot open log file");
     S.L = L.get();
     S.Owned.push_back(L);
     S.Finish = [L] {
@@ -217,8 +262,10 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
       R.LogBytes = L->byteCount();
       return R;
     };
-    return Hooks(L.get(),
-                 ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO);
+    for (size_t Id = 0; Id < NumObjects; ++Id)
+      H.emplace_back(L.get(), ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO,
+                     nullptr, static_cast<ObjectId>(Id));
+    return H;
   }
 
   VerifierConfig VC;
@@ -248,25 +295,34 @@ Hooks wireScenario(Scenario &S, const ScenarioOptions &O,
     // rebuilds the same pipeline at the same check level.
     VC.Shipping.ViewLevel = ViewLevel;
     if (VC.Shipping.Program.empty())
-      VC.Shipping.Program = programShipKey(O.Prog);
+      VC.Shipping.Program = ShipKey;
   }
-  auto V = std::make_shared<Verifier>(
-      std::move(Spec), ViewLevel ? std::move(Replayer) : nullptr, VC);
+  auto V = std::make_shared<Verifier>(VC);
+  for (size_t Id = 0; Id < NumObjects; ++Id) {
+    std::string Name;
+    std::unique_ptr<Spec> Sp;
+    std::unique_ptr<Replayer> R;
+    bool Known = Factory(static_cast<ObjectId>(Id), Name, Sp, R);
+    assert(Known && "pipeline factory does not know the object");
+    (void)Known;
+    H.push_back(V->registerObject(std::move(Name), std::move(Sp),
+                                  std::move(R)));
+  }
   V->start();
   S.V = V.get();
   S.L = &V->log();
   S.Owned.push_back(V);
   S.Finish = [V] { return V->finish(); };
-  return V->hooks();
+  return H;
 }
 
-Scenario makeMultisetScenario(const ScenarioOptions &O) {
-  Scenario S;
+// Each program's structure and operation mix, over the hooks wireScenario
+// handed out for its one object.
+
+void buildMultiset(Scenario &S, const ScenarioOptions &O, Hooks H) {
   multiset::ArrayMultiset::Options MO;
   MO.Capacity = 48;
   MO.BuggyFindSlot = O.Buggy;
-  Hooks H = wireScenario(S, O, std::make_unique<multiset::MultisetSpec>(),
-                         KeyValueReplayer::guardedBag("A"));
   auto M = std::make_shared<multiset::ArrayMultiset>(MO, H);
   S.Owned.push_back(M);
   S.Op = [M](Rng &R, int64_t K1, int64_t K2, double) {
@@ -280,15 +336,11 @@ Scenario makeMultisetScenario(const ScenarioOptions &O) {
     else
       M->lookUp(K1);
   };
-  return S;
 }
 
-Scenario makeBstScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildBst(Scenario &S, const ScenarioOptions &O, Hooks H) {
   bst::BstMultiset::Options BO;
   BO.BuggyInsert = O.Buggy;
-  Hooks H = wireScenario(S, O, std::make_unique<bst::BstSpec>(),
-                         std::make_unique<bst::BstReplayer>());
   auto B = std::make_shared<bst::BstMultiset>(BO, H);
   S.Owned.push_back(B);
   S.Op = [B](Rng &R, int64_t K1, int64_t, double) {
@@ -301,15 +353,11 @@ Scenario makeBstScenario(const ScenarioOptions &O) {
       B->lookUp(K1);
   };
   S.BackgroundOp = [B] { B->compress(); };
-  return S;
 }
 
-Scenario makeVectorScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildVector(Scenario &S, const ScenarioOptions &O, Hooks H) {
   javalib::SyncVector::Options VO;
   VO.BuggyLastIndexOf = O.Buggy;
-  Hooks H = wireScenario(S, O, std::make_unique<javalib::VectorSpec>(),
-                         KeyValueReplayer::prefixVec("vec"));
   auto Vec = std::make_shared<javalib::SyncVector>(VO, H);
   S.Owned.push_back(Vec);
   S.Op = [Vec](Rng &R, int64_t K1, int64_t, double) {
@@ -325,22 +373,12 @@ Scenario makeVectorScenario(const ScenarioOptions &O) {
     else
       Vec->lastIndexOf(K1 % 1000);
   };
-  return S;
 }
 
-/// The StringBuffer scenario's family of buffers, and the length its
-/// workload truncates a buffer to after every call that grows it.
-constexpr size_t StringBufferBuffers = 3;
-constexpr size_t StringBufferCap = 64;
-
-Scenario makeStringBufferScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildStringBuffer(Scenario &S, const ScenarioOptions &O, Hooks H) {
   javalib::StringBufferSystem::Options BO;
   BO.NumBuffers = StringBufferBuffers;
   BO.BuggyAppendBuffer = O.Buggy;
-  Hooks H = wireScenario(
-      S, O, std::make_unique<javalib::StringBufferSpec>(BO.NumBuffers),
-      std::make_unique<javalib::StringBufferReplayer>(BO.NumBuffers));
   auto SB = std::make_shared<javalib::StringBufferSystem>(BO, H);
   S.Owned.push_back(SB);
   size_t N = BO.NumBuffers;
@@ -367,27 +405,17 @@ Scenario makeStringBufferScenario(const ScenarioOptions &O) {
       SB->length(I);
     }
   };
-  return S;
 }
 
-Scenario makeCacheScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildCache(Scenario &S, const ScenarioOptions &O, Hooks H) {
   auto CM = std::make_shared<chunk::ChunkManager>();
-  constexpr size_t NumHandles = 24;
-  std::vector<uint64_t> Handles;
-  for (size_t I = 0; I < NumHandles; ++I)
-    Handles.push_back(CM->allocate());
-
+  auto HandleList = allocateCacheHandles(*CM);
   cache::BoxCache::Options CO;
   CO.ChunkSize = 64;
   CO.BuggyUnprotectedCopy = O.Buggy;
-  Hooks H =
-      wireScenario(S, O, std::make_unique<cache::CacheSpec>(Handles),
-                   std::make_unique<cache::CacheReplayer>(Handles));
   auto C = std::make_shared<cache::BoxCache>(*CM, CO, H);
   S.Owned.push_back(CM);
   S.Owned.push_back(C);
-  auto HandleList = std::make_shared<std::vector<uint64_t>>(Handles);
   S.Owned.push_back(HandleList);
   S.Op = [C, HandleList](Rng &R, int64_t K1, int64_t K2, double) {
     uint64_t Hd = (*HandleList)[static_cast<size_t>(K1) %
@@ -406,11 +434,9 @@ Scenario makeCacheScenario(const ScenarioOptions &O) {
       C->evict();
     }
   };
-  return S;
 }
 
-Scenario makeBLinkScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildBLink(Scenario &S, const ScenarioOptions &O, Hooks H) {
   auto CM = std::make_shared<chunk::ChunkManager>();
   cache::BoxCache::Options CO;
   CO.ChunkSize = 512;
@@ -422,14 +448,9 @@ Scenario makeBLinkScenario(const ScenarioOptions &O) {
   TO.MaxLeafKeys = 8;
   TO.MaxInnerKeys = 8;
   TO.BuggyDuplicates = O.Buggy;
-
-  // The replayer needs the first leaf handle, which the tree allocates in
-  // its constructor; the Chunk Manager hands out handles deterministically
-  // starting at 1, so the first allocation is handle 1.
-  Hooks H = wireScenario(S, O, std::make_unique<blinktree::BLinkSpec>(),
-                         std::make_unique<blinktree::BLinkReplayer>(1));
   auto T = std::make_shared<blinktree::BLinkTree>(*C, *CM, TO, H);
-  assert(T->firstLeafHandle() == 1 && "replayer anchored to wrong leaf");
+  assert(T->firstLeafHandle() == BLinkAnchorLeaf &&
+         "replayer anchored to wrong leaf");
   S.Owned.push_back(CM);
   S.Owned.push_back(C);
   S.Owned.push_back(T);
@@ -443,15 +464,11 @@ Scenario makeBLinkScenario(const ScenarioOptions &O) {
       T->lookup(K1);
   };
   S.BackgroundOp = [T] { T->compress(); };
-  return S;
 }
 
-Scenario makeHashtableScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildHashtable(Scenario &S, const ScenarioOptions &O, Hooks H) {
   javalib::SyncHashtable::Options HO;
   HO.BuggyPutIfAbsent = O.Buggy;
-  Hooks H = wireScenario(S, O, std::make_unique<javalib::HashtableSpec>(),
-                         KeyValueReplayer::map("ht"));
   auto T = std::make_shared<javalib::SyncHashtable>(HO, H);
   S.Owned.push_back(T);
   S.Op = [T](Rng &R, int64_t K1, int64_t K2, double) {
@@ -467,17 +484,12 @@ Scenario makeHashtableScenario(const ScenarioOptions &O) {
     else
       T->size();
   };
-  return S;
 }
 
-Scenario makeQueueScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildQueue(Scenario &S, const ScenarioOptions &O, Hooks H) {
   queue::BoundedQueue::Options QO;
-  QO.Capacity = 24;
+  QO.Capacity = QueueCapacity;
   QO.BuggyPoll = O.Buggy;
-  Hooks H = wireScenario(S, O,
-                         std::make_unique<queue::QueueSpec>(QO.Capacity),
-                         KeyValueReplayer::map("q"));
   auto Q = std::make_shared<queue::BoundedQueue>(QO, H);
   S.Owned.push_back(Q);
   S.Op = [Q](Rng &R, int64_t K1, int64_t, double) {
@@ -491,11 +503,9 @@ Scenario makeQueueScenario(const ScenarioOptions &O) {
     else
       Q->size();
   };
-  return S;
 }
 
-Scenario makeScanFsScenario(const ScenarioOptions &O) {
-  Scenario S;
+void buildScanFs(Scenario &S, const ScenarioOptions &O, Hooks H) {
   auto CM = std::make_shared<chunk::ChunkManager>();
   cache::BoxCache::Options CO;
   CO.ChunkSize = 768; // directory chunks grow with file count
@@ -504,14 +514,10 @@ Scenario makeScanFsScenario(const ScenarioOptions &O) {
   auto C = std::make_shared<cache::BoxCache>(*CM, CO, Hooks());
 
   scanfs::ScanFs::Options FO;
-  FO.MaxFiles = 24;
+  FO.MaxFiles = ScanFsMaxFiles;
   FO.MaxBlocksPerFile = 6;
   FO.BlockSize = 48;
   FO.BuggyEagerInodePublish = O.Buggy;
-
-  Hooks H = wireScenario(
-      S, O, std::make_unique<scanfs::ScanFsSpec>(FO.MaxFiles),
-      std::make_unique<scanfs::ScanFsReplayer>());
   auto F = std::make_shared<scanfs::ScanFs>(*C, *CM, FO, H);
   S.Owned.push_back(CM);
   S.Owned.push_back(C);
@@ -539,7 +545,6 @@ Scenario makeScanFsScenario(const ScenarioOptions &O) {
   };
   // The background "syncer" thread continuously flushes the cache.
   S.BackgroundOp = [F] { F->sync(); };
-  return S;
 }
 
 } // namespace
@@ -561,11 +566,11 @@ size_t vyrd::harness::stringBufferLengthBound(unsigned Threads) {
 
 Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   Scenario S;
-  S.Objects = {"multiset", "cache", "blinktree", "queue"};
-  bool ViewLevel = O.Mode == RunMode::RM_LogOnlyView ||
-                   O.Mode == RunMode::RM_OnlineView ||
-                   O.Mode == RunMode::RM_OfflineView;
-  LogLevel Level = ViewLevel ? LogLevel::LL_View : LogLevel::LL_IO;
+  for (const CompositeObject &Obj : CompositeObjects)
+    S.Objects.push_back(Obj.Name);
+  std::vector<Hooks> H =
+      wireScenario(S, O, std::size(CompositeObjects),
+                   makeCompositePipeline(viewLevel(O.Mode)), "composite");
 
   // Sub-structure configuration. Only the multiset carries the injected
   // bug: a violation must then be attributed to it and to nothing else.
@@ -574,16 +579,13 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   MO.BuggyFindSlot = O.Buggy;
 
   auto CacheCM = std::make_shared<chunk::ChunkManager>();
-  constexpr size_t NumHandles = 24;
-  std::vector<uint64_t> Handles;
-  for (size_t I = 0; I < NumHandles; ++I)
-    Handles.push_back(CacheCM->allocate());
+  auto HandleList = allocateCacheHandles(*CacheCM);
   cache::BoxCache::Options CO;
   CO.ChunkSize = 64;
 
   // The tree brings its own uninstrumented storage stack (the modular
-  // assumption of makeBLinkScenario); a fresh Chunk Manager keeps its
-  // first leaf at the deterministic handle 1 the replayer is anchored to.
+  // assumption of buildBLink); a fresh Chunk Manager keeps its first
+  // leaf at the handle the replayer is anchored to.
   auto TreeCM = std::make_shared<chunk::ChunkManager>();
   cache::BoxCache::Options TreeCO;
   TreeCO.ChunkSize = 512;
@@ -594,80 +596,16 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   TO.MaxInnerKeys = 8;
 
   queue::BoundedQueue::Options QO;
-  QO.Capacity = 24;
+  QO.Capacity = QueueCapacity;
 
-  Hooks HMul, HCache, HTree, HQueue;
-  if (!modeLogs(O.Mode)) {
-    S.Finish = [] { return VerifierReport(); };
-  } else if (!modeChecks(O.Mode)) {
-    // Logging only: a bare log, four hook sets stamping object ids in the
-    // same order registerObject would assign them.
-    std::shared_ptr<Log> L = makeLogOnlyLog(O);
-    S.L = L.get();
-    S.Owned.push_back(L);
-    S.Finish = [L] {
-      L->close();
-      VerifierReport R;
-      R.LogRecords = L->appendCount();
-      R.LogBytes = L->byteCount();
-      return R;
-    };
-    HMul = Hooks(L.get(), Level, nullptr, 0);
-    HCache = Hooks(L.get(), Level, nullptr, 1);
-    HTree = Hooks(L.get(), Level, nullptr, 2);
-    HQueue = Hooks(L.get(), Level, nullptr, 3);
-  } else {
-    VerifierConfig VC;
-    VC.Checker.Mode = ViewLevel ? CheckMode::CM_ViewRefinement
-                                : CheckMode::CM_IORefinement;
-    VC.Checker.StopAtFirstViolation = O.StopAtFirstViolation;
-    VC.Checker.FullViewRecompute = O.FullViewRecompute;
-    VC.Checker.QuiescentOnly = O.QuiescentOnly;
-    VC.Checker.AuditPeriod = O.AuditPeriod;
-    VC.Checker.ContextRecords = O.ContextRecords;
-    VC.Checker.CollectTimings = O.CollectTimings;
-    VC.Telemetry = O.Telemetry;
-    VC.Online = O.Mode == RunMode::RM_OnlineIO ||
-                O.Mode == RunMode::RM_OnlineView;
-    VC.CheckerThreads = VC.Online ? O.CheckerThreads : 1;
-    VC.LogFilePath = O.LogPath;
-    VC.Backpressure = O.Backpressure;
-    VC.Snapshots = O.Snapshots;
-    VC.Monitor = O.Monitor;
-    VC.ForensicPrefix = O.ForensicPrefix;
-    VC.Shipping = O.Shipping;
-    if (VC.Shipping.enabled()) {
-      VC.Shipping.ViewLevel = ViewLevel;
-      if (VC.Shipping.Program.empty())
-        VC.Shipping.Program = "composite";
-    }
-    auto V = std::make_shared<Verifier>(VC);
-    HMul = V->registerObject(
-        "multiset", std::make_unique<multiset::MultisetSpec>(),
-        ViewLevel ? KeyValueReplayer::guardedBag("A") : nullptr);
-    HCache = V->registerObject(
-        "cache", std::make_unique<cache::CacheSpec>(Handles),
-        ViewLevel ? std::make_unique<cache::CacheReplayer>(Handles)
-                  : nullptr);
-    HTree = V->registerObject(
-        "blinktree", std::make_unique<blinktree::BLinkSpec>(),
-        ViewLevel ? std::make_unique<blinktree::BLinkReplayer>(1) : nullptr);
-    HQueue = V->registerObject(
-        "queue", std::make_unique<queue::QueueSpec>(QO.Capacity),
-        ViewLevel ? KeyValueReplayer::map("q") : nullptr);
-    V->start();
-    S.V = V.get();
-    S.L = &V->log();
-    S.Owned.push_back(V);
-    S.Finish = [V] { return V->finish(); };
-  }
-
-  auto M = std::make_shared<multiset::ArrayMultiset>(MO, HMul);
-  auto C = std::make_shared<cache::BoxCache>(*CacheCM, CO, HCache);
+  // H is in CompositeObjects order.
+  auto M = std::make_shared<multiset::ArrayMultiset>(MO, H[0]);
+  auto C = std::make_shared<cache::BoxCache>(*CacheCM, CO, H[1]);
   auto T =
-      std::make_shared<blinktree::BLinkTree>(*TreeCache, *TreeCM, TO, HTree);
-  assert(T->firstLeafHandle() == 1 && "replayer anchored to wrong leaf");
-  auto Q = std::make_shared<queue::BoundedQueue>(QO, HQueue);
+      std::make_shared<blinktree::BLinkTree>(*TreeCache, *TreeCM, TO, H[2]);
+  assert(T->firstLeafHandle() == BLinkAnchorLeaf &&
+         "replayer anchored to wrong leaf");
+  auto Q = std::make_shared<queue::BoundedQueue>(QO, H[3]);
   S.Owned.push_back(CacheCM);
   S.Owned.push_back(TreeCM);
   S.Owned.push_back(TreeCache);
@@ -675,7 +613,6 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
   S.Owned.push_back(C);
   S.Owned.push_back(T);
   S.Owned.push_back(Q);
-  auto HandleList = std::make_shared<std::vector<uint64_t>>(Handles);
   S.Owned.push_back(HandleList);
 
   // One thread interleaves operations on all four objects: the dice pick
@@ -741,33 +678,37 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
 
 Scenario vyrd::harness::makeScenario(const ScenarioOptions &O) {
   Scenario S;
+  Hooks H = wireScenario(S, O, 1,
+                         makeProgramPipeline(O.Prog, viewLevel(O.Mode)),
+                         programShipKey(O.Prog))
+                .front();
   switch (O.Prog) {
   case Program::P_MultisetVector:
-    S = makeMultisetScenario(O);
+    buildMultiset(S, O, H);
     break;
   case Program::P_MultisetBst:
-    S = makeBstScenario(O);
+    buildBst(S, O, H);
     break;
   case Program::P_Vector:
-    S = makeVectorScenario(O);
+    buildVector(S, O, H);
     break;
   case Program::P_StringBuffer:
-    S = makeStringBufferScenario(O);
+    buildStringBuffer(S, O, H);
     break;
   case Program::P_BLinkTree:
-    S = makeBLinkScenario(O);
+    buildBLink(S, O, H);
     break;
   case Program::P_Cache:
-    S = makeCacheScenario(O);
+    buildCache(S, O, H);
     break;
   case Program::P_ScanFs:
-    S = makeScanFsScenario(O);
+    buildScanFs(S, O, H);
     break;
   case Program::P_Hashtable:
-    S = makeHashtableScenario(O);
+    buildHashtable(S, O, H);
     break;
   case Program::P_Queue:
-    S = makeQueueScenario(O);
+    buildQueue(S, O, H);
     break;
   }
   S.Name = std::string(programName(O.Prog)) + "/" + runModeName(O.Mode) +
@@ -777,10 +718,11 @@ Scenario vyrd::harness::makeScenario(const ScenarioOptions &O) {
 
 namespace {
 
-/// Builds the spec + replayer pair for \p P with exactly the constructor
-/// parameters the scenario factories above use — the contract that makes
-/// recorded sidecar blobs restore cleanly. Kept in one place so a scenario
-/// parameter change cannot silently diverge from the resume path.
+/// Builds the spec + replayer pair that checks \p P: the one place that
+/// names a program's pipeline and its constructor parameters. Scenarios
+/// register it, and epochs, resume and shipping rebuild it, so recorded
+/// sidecar blobs restore cleanly. The replayer is built only for view
+/// refinement.
 void buildProgramPipeline(Program P, bool ViewLevel, std::unique_ptr<Spec> &S,
                           std::unique_ptr<Replayer> &R) {
   switch (P) {
@@ -800,20 +742,18 @@ void buildProgramPipeline(Program P, bool ViewLevel, std::unique_ptr<Spec> &S,
       R = KeyValueReplayer::prefixVec("vec");
     break;
   case Program::P_StringBuffer:
-    S = std::make_unique<javalib::StringBufferSpec>(3);
+    S = std::make_unique<javalib::StringBufferSpec>(StringBufferBuffers);
     if (ViewLevel)
-      R = std::make_unique<javalib::StringBufferReplayer>(3);
+      R = std::make_unique<javalib::StringBufferReplayer>(StringBufferBuffers);
     break;
   case Program::P_BLinkTree:
     S = std::make_unique<blinktree::BLinkSpec>();
     if (ViewLevel)
-      R = std::make_unique<blinktree::BLinkReplayer>(1);
+      R = std::make_unique<blinktree::BLinkReplayer>(BLinkAnchorLeaf);
     break;
   case Program::P_Cache: {
-    // The scenario allocates its handles from a fresh ChunkManager, which
-    // hands them out deterministically starting at 1.
     std::vector<uint64_t> Handles;
-    for (uint64_t H = 1; H <= 24; ++H)
+    for (uint64_t H = 1; H <= CacheHandles; ++H)
       Handles.push_back(H);
     S = std::make_unique<cache::CacheSpec>(Handles);
     if (ViewLevel)
@@ -821,7 +761,7 @@ void buildProgramPipeline(Program P, bool ViewLevel, std::unique_ptr<Spec> &S,
     break;
   }
   case Program::P_ScanFs:
-    S = std::make_unique<scanfs::ScanFsSpec>(24);
+    S = std::make_unique<scanfs::ScanFsSpec>(ScanFsMaxFiles);
     if (ViewLevel)
       R = std::make_unique<scanfs::ScanFsReplayer>();
     break;
@@ -831,7 +771,7 @@ void buildProgramPipeline(Program P, bool ViewLevel, std::unique_ptr<Spec> &S,
       R = KeyValueReplayer::map("ht");
     break;
   case Program::P_Queue:
-    S = std::make_unique<queue::QueueSpec>(24);
+    S = std::make_unique<queue::QueueSpec>(QueueCapacity);
     if (ViewLevel)
       R = KeyValueReplayer::map("q");
     break;
@@ -856,26 +796,11 @@ PipelineFactory vyrd::harness::makeProgramPipeline(Program P,
 PipelineFactory vyrd::harness::makeCompositePipeline(bool ViewLevel) {
   return [ViewLevel](ObjectId Id, std::string &Name,
                      std::unique_ptr<Spec> &S, std::unique_ptr<Replayer> &R) {
-    switch (Id) {
-    case 0:
-      Name = "multiset";
-      buildProgramPipeline(Program::P_MultisetVector, ViewLevel, S, R);
-      return true;
-    case 1:
-      Name = "cache";
-      buildProgramPipeline(Program::P_Cache, ViewLevel, S, R);
-      return true;
-    case 2:
-      Name = "blinktree";
-      buildProgramPipeline(Program::P_BLinkTree, ViewLevel, S, R);
-      return true;
-    case 3:
-      Name = "queue";
-      buildProgramPipeline(Program::P_Queue, ViewLevel, S, R);
-      return true;
-    default:
+    if (Id >= std::size(CompositeObjects))
       return false;
-    }
+    Name = CompositeObjects[Id].Name;
+    buildProgramPipeline(CompositeObjects[Id].Prog, ViewLevel, S, R);
+    return true;
   };
 }
 
@@ -884,7 +809,7 @@ bool vyrd::harness::resolveProgramPipeline(const std::string &Key,
                                            size_t &NumObjects,
                                            PipelineFactory &Factory) {
   if (Key == "composite") {
-    NumObjects = 4;
+    NumObjects = std::size(CompositeObjects);
     Factory = makeCompositePipeline(ViewLevel);
     return true;
   }

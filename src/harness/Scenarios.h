@@ -177,17 +177,16 @@ size_t stringBufferLengthBound(unsigned Threads);
 /// violation must be attributed to the "multiset" object.
 Scenario makeCompositeScenario(const ScenarioOptions &O);
 
-/// PipelineFactory (see CheckerService.h) that rebuilds the spec +
-/// replayer of the single object makeScenario registers for \p P, with
-/// the same constructor parameters — so sidecar blobs recorded by the
-/// scenario restore into it. \p ViewLevel must match the recording's check mode
-/// (the replayer is only built for view refinement, mirroring
-/// wireScenario). Pass NumObjects = 1 to epochCheck.
+/// PipelineFactory (see CheckerService.h) of the single object
+/// makeScenario builds for \p P: the spec + replayer that scenario
+/// registers, so sidecar blobs recorded by the scenario restore into it.
+/// \p ViewLevel must match the recording's check mode (the replayer is
+/// only built for view refinement). Pass NumObjects = 1 to epochCheck.
 PipelineFactory makeProgramPipeline(Program P, bool ViewLevel);
 
-/// PipelineFactory mirroring makeCompositeScenario's four objects
-/// (multiset, cache, blinktree, queue in ObjectId order). Pass
-/// NumObjects = 4 to epochCheck.
+/// PipelineFactory of makeCompositeScenario's four objects (multiset,
+/// cache, blinktree, queue in ObjectId order): the pipelines that
+/// scenario registers. Pass NumObjects = 4 to epochCheck.
 PipelineFactory makeCompositePipeline(bool ViewLevel);
 
 /// Resolves a shipping key (programShipKey, or "composite") into the

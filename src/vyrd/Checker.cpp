@@ -88,7 +88,9 @@ void CheckerStats::merge(const CheckerStats &Other) {
 
 RefinementChecker::RefinementChecker(Spec &S, Replayer *R,
                                      CheckerConfig Config)
-    : TheSpec(S), TheReplayer(R), Config(Config) {
+    : TheSpec(S), TheReplayer(R), Config(Config),
+      RecentActions(std::max(Config.ContextRecords,
+                             Config.FlightRecorderDepth)) {
   assert((Config.Mode == CheckMode::CM_IORefinement || R) &&
          "view refinement requires a Replayer");
   // viewI and viewS are initialized to the same value (Sec. 5.1): both
@@ -113,12 +115,12 @@ void RefinementChecker::report(ViolationKind K, uint64_t Seq, ThreadId Tid,
   V.Method = Method;
   V.Message = std::move(Message);
   V.MethodsChecked = Stats.MethodsChecked;
-  // The ring may be flight-recorder sized; the rendered context stays
-  // bounded by ContextRecords as before.
-  size_t N = RecentActions.size();
+  // The window may be flight-recorder sized; the rendered context stays
+  // bounded by ContextRecords.
+  size_t N = RecentHeld;
   size_t First = N - std::min<size_t>(N, Config.ContextRecords);
   for (size_t I = First; I != N; ++I)
-    V.Context += RecentActions[I].str() + "\n";
+    V.Context += recentAction(I).str() + "\n";
   Violations.push_back(std::move(V));
   // Keep the bundle list parallel to Violations so forensics()[i] always
   // pairs with violations()[i].
@@ -185,13 +187,13 @@ std::string RefinementChecker::captureForensic(const Violation &V) const {
 
   // The flight-recorder tail: the last FlightRecorderDepth records fed
   // before (and including) the one that established the violation.
-  size_t N = RecentActions.size();
+  size_t N = RecentHeld;
   size_t First = N - std::min<size_t>(N, Config.FlightRecorderDepth);
   Out += ",\"recent_actions\":[";
   for (size_t I = First; I != N; ++I) {
     if (I != First)
       Out += ",";
-    Out += actionJson(RecentActions[I]);
+    Out += actionJson(recentAction(I));
   }
   Out += "]";
 
@@ -273,10 +275,11 @@ void RefinementChecker::feed(const Action &A) {
   ++Stats.ActionsFed;
   if (Config.StopAtFirstViolation && hasViolation())
     return;
-  if (unsigned Depth = recentRingDepth()) {
-    RecentActions.push_back(A);
-    if (RecentActions.size() > Depth)
-      RecentActions.pop_front();
+  if (!RecentActions.empty()) {
+    RecentActions[RecentNext] = A;
+    if (++RecentNext == RecentActions.size())
+      RecentNext = 0;
+    RecentHeld = std::min(RecentHeld + 1, RecentActions.size());
   }
 
   ExecPtr *Slot = findOpenExec(A.Tid);
@@ -398,7 +401,7 @@ void RefinementChecker::drain() {
   while (!Events.empty()) {
     if (!processHead())
       return;
-    // The ring keeps popped slots alive to recycle their storage; drop
+    // The queue keeps popped slots alive to recycle their storage; drop
     // the Exec reference now so a retired slot cannot pin a pooled Exec
     // (acquireExec reuses an Exec only at use_count == 1).
     Events.front().E = nullptr;
@@ -543,7 +546,7 @@ void RefinementChecker::processCommit(Event &Ev) {
            Msg);
     // Sec. 4.1: distinguish a misplaced commit annotation from a genuine
     // violation by retrying the signature at later window states.
-    if (Config.DiagnoseCommitPoints && ViolationIdx < Violations.size())
+    if (ViolationIdx < Violations.size())
       FailedMutators.emplace_back(Ev.E, ViolationIdx);
   }
   ++Stats.CommitsProcessed;
@@ -1042,7 +1045,7 @@ bool RefinementChecker::restoreState(ByteReader &R) {
     return false;
   // From here on the live state is replaced; a failure below leaves the
   // checker unusable, as documented. Drop Exec references before popping
-  // (ring slots survive pop and would otherwise pin pooled Execs).
+  // (queue slots survive pop and would otherwise pin pooled Execs).
   while (!Events.empty()) {
     Events.front().E = nullptr;
     Events.pop_front();
@@ -1082,12 +1085,13 @@ bool RefinementChecker::restoreState(ByteReader &R) {
     if (OpenFlags[I])
       insertOpenExec(Table[I]->Tid, Table[I]);
 
-  // Diagnostics reset rather than restore: the recent-actions ring loses
+  // Diagnostics reset rather than restore: the recent-actions window loses
   // pre-snapshot context (bounded diagnostic loss, see docs/SNAPSHOTS.md).
   FailedMutators.clear();
   Violations.clear();
   ForensicBundles.clear();
-  RecentActions.clear();
+  RecentNext = 0;
+  RecentHeld = 0;
   ExecPool.clear();
   Finished = false;
   CommitsSinceAudit = NewCommitsSinceAudit;

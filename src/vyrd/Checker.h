@@ -77,17 +77,11 @@ struct CheckerConfig {
   /// "Forensic bundles"): keep the last N fed records and, at every
   /// violation, capture a self-contained JSON bundle — those records,
   /// the open-execution table, and a spec-state digest — retrievable via
-  /// forensics(). 0 = off (the default: the ring copies every fed Action,
+  /// forensics(). 0 = off (the default: the window copies every fed Action,
   /// which the zero-allocation hot path should not pay for unasked).
-  /// Shares the ring with ContextRecords (sized to the larger of the two).
+  /// Shares the window with ContextRecords (sized to the larger of the
+  /// two).
   unsigned FlightRecorderDepth = 0;
-  /// Sec. 4.1's debugging aid: when a mutator's signature has no
-  /// specification transition at its commit, keep retrying it after each
-  /// later commit inside the method's window. If it becomes enabled, the
-  /// transition is applied there and the violation is annotated as a
-  /// likely misplaced commit-point annotation; if it never does, the
-  /// violation is annotated as a likely genuine refinement violation.
-  bool DiagnoseCommitPoints = true;
   /// Accumulate the Table 3 per-phase timings (CheckerStats::ReplayNanos
   /// and friends). Off by default: it adds two clock reads around every
   /// replayed write, driven spec transition and view comparison.
@@ -168,7 +162,7 @@ public:
   /// queue, and cumulative stats. Only a *clean* checker snapshots:
   /// \returns false when violations have been recorded, after finish(), or
   /// when the Spec/Replayer does not implement state serialization. The
-  /// recent-actions context ring is intentionally dropped (bounded
+  /// recent-actions context window is intentionally dropped (bounded
   /// diagnostic loss for violations shortly after a restore).
   bool saveState(ByteWriter &W) const;
 
@@ -234,7 +228,11 @@ private:
   /// \returns false when the head event must stall.
   bool processHead();
   void processCommit(Event &Ev);
-  /// Retries failed mutators (commit-point diagnosis) after a commit.
+  /// Sec. 4.1's commit-point diagnosis, run after each commit: a mutator
+  /// whose signature had no spec transition at its commit is retried
+  /// while its window lasts. If it becomes enabled, the transition is
+  /// applied there and its violation is annotated as a likely misplaced
+  /// commit annotation; if it never does, as a likely genuine violation.
   void retryFailedMutators(uint64_t Seq);
   /// Re-evaluates still-unsatisfied open observers against the current
   /// spec state (after a commit / recovery may have changed it).
@@ -257,9 +255,11 @@ private:
               std::string Message);
   /// Renders the flight-recorder bundle for \p V (see forensics()).
   std::string captureForensic(const Violation &V) const;
-  /// Capacity of the RecentActions ring (context + flight recorder).
-  unsigned recentRingDepth() const {
-    return std::max(Config.ContextRecords, Config.FlightRecorderDepth);
+  /// The \p I-th oldest record held in the RecentActions window.
+  const Action &recentAction(size_t I) const {
+    return RecentActions[(RecentNext + RecentActions.size() - RecentHeld +
+                          I) %
+                         RecentActions.size()];
   }
 
   Spec &TheSpec;
@@ -292,8 +292,13 @@ private:
   std::vector<Violation> Violations;
   /// Flight-recorder bundles, parallel to Violations (see forensics()).
   std::vector<std::string> ForensicBundles;
-  /// Ring of recently fed records for violation context and forensics.
-  RingQueue<Action> RecentActions;
+  /// The last max(ContextRecords, FlightRecorderDepth) records fed, for
+  /// violation context and forensics: a fixed window overwritten round
+  /// robin at RecentNext, so a slot's payload storage is recycled.
+  std::vector<Action> RecentActions;
+  size_t RecentNext = 0;
+  /// Slots holding a record (the window's size until it first wraps).
+  size_t RecentHeld = 0;
   View ViewI = View::digestOnly();
   View ViewS = View::digestOnly();
   uint64_t CommitsSinceAudit = 0;

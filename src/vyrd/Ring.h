@@ -1,18 +1,16 @@
-//===- Ring.h - Storage-recycling FIFO ring queue ---------------*- C++ -*-===//
+//===- Ring.h - Storage-recycling chunked FIFO queue ------------*- C++ -*-===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A FIFO queue over a power-of-two circular buffer whose slots survive
-/// pop_front: a popped element is not destroyed, so any heap storage it
-/// owns (a spilled ValueList's buffer) is reused when the slot is next
-/// assigned. std::deque is the wrong tool for the pipeline's Action-sized
-/// elements: at 96 bytes libstdc++ fits five per 512-byte block, so
-/// steady push/pop traffic frees and reallocates a block every fifth
-/// element. RingQueue reaches steady state after at most log2(max-depth)
-/// capacity doublings and then never touches the heap.
+/// A FIFO queue of fixed-size chunks whose slots survive pop_front: a
+/// popped element is not destroyed, so any heap storage it owns (a
+/// spilled ValueList's buffer) is reused when the slot is next assigned.
+/// std::deque is the wrong tool for the pipeline's Action-sized elements:
+/// at 96 bytes libstdc++ fits five per 512-byte block, so steady
+/// push/pop traffic frees and reallocates a block every fifth element.
 ///
 /// Holding popped slots alive is a deliberate trade: memory stays bounded
 /// by capacity x payload, but an element with observable ownership (e.g.
@@ -29,82 +27,16 @@
 #include <cassert>
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 namespace vyrd {
 
-template <typename T> class RingQueue {
-public:
-  bool empty() const { return Count == 0; }
-  size_t size() const { return Count; }
-
-  T &front() {
-    assert(Count && "front() on empty ring");
-    return Slots[Head];
-  }
-  const T &front() const {
-    assert(Count && "front() on empty ring");
-    return Slots[Head];
-  }
-
-  /// Logical indexing: [0] is the front, [size()-1] the back.
-  T &operator[](size_t I) { return Slots[(Head + I) & (Slots.size() - 1)]; }
-  const T &operator[](size_t I) const {
-    return Slots[(Head + I) & (Slots.size() - 1)];
-  }
-
-  /// Assigns into the recycled slot: one move (or one copy), never a
-  /// by-value parameter's extra move. \p V must not be an element of
-  /// this queue: growing moves the elements.
-  void push_back(T &&V) { slotForPush() = std::move(V); }
-  void push_back(const T &V) { slotForPush() = V; }
-
-  /// Advances past the front element without destroying it; the slot's
-  /// storage is recycled by the next push into it.
-  void pop_front() {
-    assert(Count && "pop_front() on empty ring");
-    Head = (Head + 1) & (Slots.size() - 1);
-    --Count;
-  }
-
-  void clear() {
-    Head = 0;
-    Count = 0;
-  }
-
-private:
-  T &slotForPush() {
-    if (Count == Slots.size())
-      grow();
-    return Slots[(Head + Count++) & (Slots.size() - 1)];
-  }
-
-  void grow() {
-    size_t NewCap = Slots.empty() ? 16 : Slots.size() * 2;
-    std::vector<T> Fresh(NewCap);
-    for (size_t I = 0; I < Count; ++I)
-      Fresh[I] = std::move(Slots[(Head + I) & (Slots.size() - 1)]);
-    Slots.swap(Fresh);
-    Head = 0;
-  }
-
-  std::vector<T> Slots; // power-of-two capacity
-  size_t Head = 0;
-  size_t Count = 0;
-};
-
-/// An unbounded FIFO of fixed-size chunks with a chunk freelist. Where
-/// RingQueue fits bounded windows (its contiguous buffer only ever
-/// grows, and growing copies every element), ChunkQueue is for queues
-/// whose depth swings with backlog: a drained chunk goes to the freelist
-/// and is handed back to the producer still warm, so the small-depth
-/// steady state cycles through the same few cache-hot chunks with zero
-/// heap traffic, while a deep burst degrades gracefully to one
-/// allocation per ChunkElems elements (never a whole-queue copy).
-/// Slots are never destroyed on pop — like RingQueue, a recycled slot's
-/// heap storage (a spilled ValueList's buffer) is reused by the next
-/// element assigned into it, with the same caveat about resettable
-/// ownership and retained payloads (see the file comment).
+/// An unbounded FIFO of fixed-size chunks with a chunk freelist, for
+/// queues whose depth swings with backlog: a drained chunk goes to the
+/// freelist and is handed back to the producer still warm, so the
+/// small-depth steady state cycles through the same few cache-hot chunks
+/// with zero heap traffic, while a deep burst degrades gracefully to one
+/// allocation per ChunkElems elements (never a whole-queue copy). Slots
+/// are never destroyed on pop: see the file comment.
 template <typename T> class ChunkQueue {
   static constexpr size_t ChunkElems = sizeof(T) >= 128 ? 32 : 256;
   static constexpr size_t MaxFreeChunks = 8;

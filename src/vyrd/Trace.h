@@ -80,8 +80,8 @@ public:
 
   /// Records a Chrome counter-track sample at \p Seq: viewers render the
   /// series as a filled area chart. Used for the backpressure gauges
-  /// (pending records, tail bytes, live segments) so a trace shows the
-  /// pipeline level next to the spans that moved it.
+  /// (pending records, live segments) so a trace shows the pipeline
+  /// level next to the spans that moved it.
   void noteGauge(uint64_t Seq, std::string Name, uint64_t Value);
 
   /// Number of events recorded so far (excludes the metadata events that

@@ -214,7 +214,7 @@ double allocsPerRecord(size_t (*Epoch)(LogWriter &, AllocRegisterSpec &,
 TEST(AllocCountTest, SteadyStatePipelineAllocBudget) {
   // Budget: pre-overhaul this pipeline sat at ~2 allocations per record
   // (deque block churn in the log queue, event queue and context ring,
-  // plus open-exec map nodes); the lean pipeline — RingQueue slot
+  // plus open-exec map nodes); the lean pipeline — ChunkQueue slot
   // recycling, dense open-exec slots, pooled Execs, ValueList SBO — runs
   // at zero in steady state. The bound leaves headroom for
   // allocator/libstdc++ differences while still failing if any

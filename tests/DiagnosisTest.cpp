@@ -128,17 +128,3 @@ TEST(DiagnosisTest, GenuineViolationIsAnnotated) {
             std::string::npos)
       << V.Message;
 }
-
-TEST(DiagnosisTest, DisabledDiagnosisLeavesMessagePlain) {
-  MultisetSpec Spec;
-  auto Replay = KeyValueReplayer::guardedBag("A");
-  CheckerConfig CC;
-  CC.DiagnoseCommitPoints = false;
-  RefinementChecker C(Spec, Replay.get(), CC);
-  for (const Action &A : tooEarlyCommitScript())
-    C.feed(A);
-  C.finish();
-  ASSERT_TRUE(C.hasViolation());
-  EXPECT_EQ(C.violations().front().Message.find("diagnosis"),
-            std::string::npos);
-}

@@ -1,4 +1,4 @@
-//===- ViewAgreementTest.cpp - Incremental vs full-recompute verdicts -----===//
+//===- ViewAgreementTest.cpp - One verdict across checking modes ----------===//
 //
 // Part of the VYRD reproduction, released under the MIT license.
 //
@@ -8,9 +8,12 @@
 /// The checker settles views two ways: by the incremental digests (the
 /// default; rebuilding both views only when the digests differ) and by
 /// rebuilding both views at every commit (CheckerConfig::FullViewRecompute,
-/// the Sec. 6.4 ablation). Both must reach the same verdict on the same
-/// log. Each program runs with its injected bug under chaos, is recorded
-/// once at view level, and the recording is checked offline twice.
+/// the Sec. 6.4 ablation). And it checks a run two ways: online, on the
+/// verifier's checker pool while the program runs, and offline over the
+/// recorded log (epochCheck). All must reach the same verdict on the same
+/// log. Each program, and the composite, runs with its injected bug under
+/// chaos, checked online on a pool of four while it is recorded at view
+/// level; the recording is then checked offline twice.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +26,7 @@
 #include <cctype>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -40,14 +44,18 @@ std::vector<Program> everyProgram() {
   return Ps;
 }
 
-/// Records \p P with its bug injected, at view level, into \p Path.
-void recordBuggy(Program P, uint64_t Seed, const std::string &Path) {
+/// Records \p P (the composite when empty) into \p Path with its bug
+/// injected under chaos, checking it online on a pool of four.
+VerifierReport recordOnline(std::optional<Program> P, uint64_t Seed,
+                            const std::string &Path) {
   ScenarioOptions SO;
-  SO.Prog = P;
-  SO.Mode = RunMode::RM_LogOnlyView;
+  SO.Mode = RunMode::RM_OnlineView;
   SO.Buggy = true;
   SO.LogPath = Path;
-  Scenario S = makeScenario(SO);
+  SO.CheckerThreads = 4;
+  if (P)
+    SO.Prog = *P;
+  Scenario S = P ? makeScenario(SO) : makeCompositeScenario(SO);
   Chaos::enable(4, static_cast<unsigned>(Seed));
   WorkloadOptions WO;
   WO.Threads = 4;
@@ -57,16 +65,16 @@ void recordBuggy(Program P, uint64_t Seed, const std::string &Path) {
   WO.BackgroundOp = S.BackgroundOp;
   runWorkload(WO, S.Op);
   Chaos::disable();
-  S.Finish();
+  return S.Finish();
 }
 
-VerifierReport checkOffline(Program P, const std::string &Path,
+VerifierReport checkOffline(const std::string &Path, size_t NumObjects,
+                            const PipelineFactory &Factory,
                             bool FullViewRecompute) {
   EpochCheckOptions Opts;
   Opts.UseSnapshots = false;
   Opts.Checker.FullViewRecompute = FullViewRecompute;
-  EpochReport R =
-      epochCheck(Path, 1, makeProgramPipeline(P, /*ViewLevel=*/true), Opts);
+  EpochReport R = epochCheck(Path, NumObjects, Factory, Opts);
   EXPECT_TRUE(R.Error.empty()) << R.Error;
   return R.Report;
 }
@@ -90,31 +98,46 @@ std::map<uint64_t, std::string> mismatchMessages(const VerifierReport &R) {
   return M;
 }
 
-class ViewAgreement : public ::testing::TestWithParam<Program> {};
-
-} // namespace
-
-TEST_P(ViewAgreement, IncrementalAndFullRecomputeAgree) {
-  Program P = GetParam();
+/// The online verdict and both offline verdicts on \p P (the composite
+/// when empty), over seeds 3, 5 and 7.
+void expectAgreement(std::optional<Program> P) {
+  const char *ShipKey = P ? programShipKey(*P) : "composite";
+  size_t NumObjects = 0;
+  PipelineFactory Factory;
+  ASSERT_TRUE(resolveProgramPipeline(ShipKey, /*ViewLevel=*/true,
+                                     NumObjects, Factory));
   for (uint64_t Seed : {3, 5, 7}) {
-    SCOPED_TRACE(std::string(programName(P)) + " seed " +
-                 std::to_string(Seed));
+    SCOPED_TRACE(std::string(ShipKey) + " seed " + std::to_string(Seed));
     std::string Path = std::string(::testing::TempDir()) + "vyrd-agree-" +
-                       std::to_string(static_cast<int>(P)) + "-" +
-                       std::to_string(Seed) + "-" +
+                       ShipKey + "-" + std::to_string(Seed) + "-" +
                        std::to_string(::getpid()) + ".bin";
-    recordBuggy(P, Seed, Path);
-    VerifierReport Inc = checkOffline(P, Path, /*FullViewRecompute=*/false);
-    VerifierReport Full = checkOffline(P, Path, /*FullViewRecompute=*/true);
+    VerifierReport Online = recordOnline(P, Seed, Path);
+    VerifierReport Inc =
+        checkOffline(Path, NumObjects, Factory, /*FullViewRecompute=*/false);
+    VerifierReport Full =
+        checkOffline(Path, NumObjects, Factory, /*FullViewRecompute=*/true);
     std::remove(Path.c_str());
 
     EXPECT_GT(Inc.LogRecords, 0u);
+    EXPECT_EQ(keys(Online), keys(Inc)) << Online.str() << "\n" << Inc.str();
     EXPECT_EQ(keys(Inc), keys(Full)) << Inc.str() << "\n" << Full.str();
     EXPECT_EQ(mismatchMessages(Inc), mismatchMessages(Full));
     // The spec and replayer keep their digests in step with buildView.
     for (const Violation &V : Inc.Violations)
       EXPECT_EQ(V.Message.find("rebuilt"), std::string::npos) << V.str();
   }
+}
+
+class ViewAgreement : public ::testing::TestWithParam<Program> {};
+
+} // namespace
+
+TEST_P(ViewAgreement, IncrementalAndFullRecomputeAgree) {
+  expectAgreement(GetParam());
+}
+
+TEST(ViewAgreementComposite, OnlineAndOfflineVerdictsAgree) {
+  expectAgreement(std::nullopt);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPrograms, ViewAgreement,
