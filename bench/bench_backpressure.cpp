@@ -28,7 +28,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -49,7 +51,9 @@ void spinFor(std::chrono::nanoseconds D) {
 }
 
 /// Integer register: Set(x) -> true mutates, Get() -> x observes. The
-/// optional busy-wait per spec step is the "slow checker" of the soak.
+/// optional busy-wait per spec step is the "slow checker" of the soak;
+/// the optional HoldUntil holds the first spec call until it returns
+/// true.
 class ThrottledRegisterSpec : public Spec {
 public:
   explicit ThrottledRegisterSpec(unsigned ThrottleUs = 0)
@@ -77,9 +81,15 @@ public:
 
   Name SetM, GetM;
   Value State;
+  mutable std::function<bool()> HoldUntil;
 
 private:
   void throttle() const {
+    if (HoldUntil) {
+      while (!HoldUntil())
+        std::this_thread::yield();
+      HoldUntil = nullptr;
+    }
     if (ThrottleUs)
       spinFor(std::chrono::microseconds(ThrottleUs));
   }
@@ -96,13 +106,26 @@ struct RunResult {
 
 /// Drives \p Execs Set/Get executions through a fresh Verifier, seeding
 /// SeededViolations impossible mutators at even spacings. Every 8th
-/// append is individually timed for the latency distribution.
-RunResult run(VerifierConfig C, unsigned ThrottleUs, unsigned Execs) {
+/// append is individually timed for the latency distribution. With
+/// \p HoldUntilBlocked, the checker's first spec call waits until an
+/// append has met the log's bound, so the bound engages whatever the
+/// producer's pace (on a shared core the producer alone may never
+/// outrun a 1us/step checker by a whole merge round).
+RunResult run(VerifierConfig C, unsigned ThrottleUs, unsigned Execs,
+              bool HoldUntilBlocked = false) {
   using Clock = std::chrono::steady_clock;
   RunResult R;
   ThrottledRegisterSpec Script; // producer-side method names
-  Verifier V(std::make_unique<ThrottledRegisterSpec>(ThrottleUs), nullptr,
-             std::move(C));
+  auto Checked = std::make_unique<ThrottledRegisterSpec>(ThrottleUs);
+  ThrottledRegisterSpec &Held = *Checked;
+  Verifier V(std::move(Checked), nullptr, std::move(C));
+  if (HoldUntilBlocked) {
+    // A Verifier's log is a BufferedLog.
+    const auto &L = static_cast<const BufferedLog &>(V.log());
+    Held.HoldUntil = [&L] {
+      return L.backpressureStats().BlockedAppends > 0;
+    };
+  }
   double W0 = wallSeconds();
   V.start();
   LogWriter &W = V.log().writer();
@@ -225,7 +248,8 @@ int main(int Argc, char **Argv) {
     VerifierConfig C = baseConfig();
     C.Backpressure.Enabled = true;
     C.Backpressure.MaxPendingRecords = PendingBound;
-    RunResult R = run(std::move(C), /*ThrottleUs=*/1, SoakExecs);
+    RunResult R = run(std::move(C), /*ThrottleUs=*/1, SoakExecs,
+                      /*HoldUntilBlocked=*/true);
     requireSeededViolations(R.Report, "block");
     require(R.Report.Backpressure.PendingRecordsHwm <= PendingBound,
             "block: pending HWM exceeded MaxPendingRecords");

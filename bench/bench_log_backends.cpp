@@ -312,7 +312,7 @@ Throughput measureShipped(const std::string &Base, const std::string &Sock,
     ShipperOptions SO;
     SO.Endpoint = "unix:" + Sock;
     SO.Program = "bench";
-    SocketTransport T(SO, nullptr);
+    SocketTransport T(SO);
     SegmentShipper Shipper(T, Base, nullptr);
     std::atomic<bool> StopShip{false};
     std::thread Ship([&L, &Shipper, &StopShip] {

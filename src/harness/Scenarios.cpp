@@ -316,14 +316,51 @@ std::vector<Hooks> wireScenario(Scenario &S, const ScenarioOptions &O,
   return H;
 }
 
+// The structures the single scenarios and the composite share.
+
+multiset::ArrayMultiset::Options multisetOptions(bool Buggy) {
+  multiset::ArrayMultiset::Options MO;
+  MO.Capacity = 48;
+  MO.BuggyFindSlot = Buggy;
+  return MO;
+}
+
+cache::BoxCache::Options cacheOptions(bool Buggy) {
+  cache::BoxCache::Options CO;
+  CO.ChunkSize = 64;
+  CO.BuggyUnprotectedCopy = Buggy;
+  return CO;
+}
+
+/// The B-link tree over its own storage stack, which is assumed correct
+/// and runs uninstrumented (Sec. 7.2.3's modular approach). A fresh Chunk
+/// Manager keeps the first leaf at the handle the replayer is anchored
+/// to. The stack and the tree are kept alive in \p S.
+std::shared_ptr<blinktree::BLinkTree> makeBLinkTree(Scenario &S, bool Buggy,
+                                                    Hooks H) {
+  auto CM = std::make_shared<chunk::ChunkManager>();
+  cache::BoxCache::Options CO;
+  CO.ChunkSize = 512;
+  auto C = std::make_shared<cache::BoxCache>(*CM, CO, Hooks());
+  blinktree::BLinkTree::Options TO;
+  TO.MaxLeafKeys = 8;
+  TO.MaxInnerKeys = 8;
+  TO.BuggyDuplicates = Buggy;
+  auto T = std::make_shared<blinktree::BLinkTree>(*C, *CM, TO, H);
+  assert(T->firstLeafHandle() == BLinkAnchorLeaf &&
+         "replayer anchored to wrong leaf");
+  S.Owned.push_back(CM);
+  S.Owned.push_back(C);
+  S.Owned.push_back(T);
+  return T;
+}
+
 // Each program's structure and operation mix, over the hooks wireScenario
 // handed out for its one object.
 
 void buildMultiset(Scenario &S, const ScenarioOptions &O, Hooks H) {
-  multiset::ArrayMultiset::Options MO;
-  MO.Capacity = 48;
-  MO.BuggyFindSlot = O.Buggy;
-  auto M = std::make_shared<multiset::ArrayMultiset>(MO, H);
+  auto M = std::make_shared<multiset::ArrayMultiset>(multisetOptions(O.Buggy),
+                                                     H);
   S.Owned.push_back(M);
   S.Op = [M](Rng &R, int64_t K1, int64_t K2, double) {
     unsigned Dice = static_cast<unsigned>(R.range(100));
@@ -410,10 +447,7 @@ void buildStringBuffer(Scenario &S, const ScenarioOptions &O, Hooks H) {
 void buildCache(Scenario &S, const ScenarioOptions &O, Hooks H) {
   auto CM = std::make_shared<chunk::ChunkManager>();
   auto HandleList = allocateCacheHandles(*CM);
-  cache::BoxCache::Options CO;
-  CO.ChunkSize = 64;
-  CO.BuggyUnprotectedCopy = O.Buggy;
-  auto C = std::make_shared<cache::BoxCache>(*CM, CO, H);
+  auto C = std::make_shared<cache::BoxCache>(*CM, cacheOptions(O.Buggy), H);
   S.Owned.push_back(CM);
   S.Owned.push_back(C);
   S.Owned.push_back(HandleList);
@@ -437,23 +471,7 @@ void buildCache(Scenario &S, const ScenarioOptions &O, Hooks H) {
 }
 
 void buildBLink(Scenario &S, const ScenarioOptions &O, Hooks H) {
-  auto CM = std::make_shared<chunk::ChunkManager>();
-  cache::BoxCache::Options CO;
-  CO.ChunkSize = 512;
-  // The tree is verified assuming Cache + Chunk Manager are correct
-  // (Sec. 7.2.3's modular approach): the cache runs uninstrumented.
-  auto C = std::make_shared<cache::BoxCache>(*CM, CO, Hooks());
-
-  blinktree::BLinkTree::Options TO;
-  TO.MaxLeafKeys = 8;
-  TO.MaxInnerKeys = 8;
-  TO.BuggyDuplicates = O.Buggy;
-  auto T = std::make_shared<blinktree::BLinkTree>(*C, *CM, TO, H);
-  assert(T->firstLeafHandle() == BLinkAnchorLeaf &&
-         "replayer anchored to wrong leaf");
-  S.Owned.push_back(CM);
-  S.Owned.push_back(C);
-  S.Owned.push_back(T);
+  auto T = makeBLinkTree(S, O.Buggy, H);
   S.Op = [T](Rng &R, int64_t K1, int64_t, double) {
     unsigned Dice = static_cast<unsigned>(R.range(100));
     if (Dice < 40)
@@ -522,9 +540,7 @@ void buildScanFs(Scenario &S, const ScenarioOptions &O, Hooks H) {
   S.Owned.push_back(CM);
   S.Owned.push_back(C);
   S.Owned.push_back(F);
-  size_t MaxBytes =
-      static_cast<size_t>(FO.MaxBlocksPerFile) * FO.BlockSize;
-  S.Op = [F, MaxBytes](Rng &R, int64_t K1, int64_t K2, double) {
+  S.Op = [F](Rng &R, int64_t K1, int64_t K2, double) {
     std::string Name = "f";
     Name += std::to_string(static_cast<uint64_t>(K1) % 20);
     unsigned Dice = static_cast<unsigned>(R.range(100));
@@ -536,7 +552,6 @@ void buildScanFs(Scenario &S, const ScenarioOptions &O, Hooks H) {
       F->write(Name, keyBytes(K2, 8 + static_cast<size_t>(K2) % 80));
     } else if (Dice < 65) {
       F->append(Name, keyBytes(K2 + 1, 4 + static_cast<size_t>(K2) % 24));
-      (void)MaxBytes;
     } else if (Dice < 90) {
       F->read(Name);
     } else {
@@ -572,46 +587,22 @@ Scenario vyrd::harness::makeCompositeScenario(const ScenarioOptions &O) {
       wireScenario(S, O, std::size(CompositeObjects),
                    makeCompositePipeline(viewLevel(O.Mode)), "composite");
 
-  // Sub-structure configuration. Only the multiset carries the injected
-  // bug: a violation must then be attributed to it and to nothing else.
-  multiset::ArrayMultiset::Options MO;
-  MO.Capacity = 48;
-  MO.BuggyFindSlot = O.Buggy;
-
+  // The single scenarios' structures, in CompositeObjects order (H's).
+  // Only the multiset carries the injected bug: a violation must then be
+  // attributed to it and to nothing else.
   auto CacheCM = std::make_shared<chunk::ChunkManager>();
   auto HandleList = allocateCacheHandles(*CacheCM);
-  cache::BoxCache::Options CO;
-  CO.ChunkSize = 64;
-
-  // The tree brings its own uninstrumented storage stack (the modular
-  // assumption of buildBLink); a fresh Chunk Manager keeps its first
-  // leaf at the handle the replayer is anchored to.
-  auto TreeCM = std::make_shared<chunk::ChunkManager>();
-  cache::BoxCache::Options TreeCO;
-  TreeCO.ChunkSize = 512;
-  auto TreeCache =
-      std::make_shared<cache::BoxCache>(*TreeCM, TreeCO, Hooks());
-  blinktree::BLinkTree::Options TO;
-  TO.MaxLeafKeys = 8;
-  TO.MaxInnerKeys = 8;
-
   queue::BoundedQueue::Options QO;
   QO.Capacity = QueueCapacity;
-
-  // H is in CompositeObjects order.
-  auto M = std::make_shared<multiset::ArrayMultiset>(MO, H[0]);
-  auto C = std::make_shared<cache::BoxCache>(*CacheCM, CO, H[1]);
-  auto T =
-      std::make_shared<blinktree::BLinkTree>(*TreeCache, *TreeCM, TO, H[2]);
-  assert(T->firstLeafHandle() == BLinkAnchorLeaf &&
-         "replayer anchored to wrong leaf");
+  auto M =
+      std::make_shared<multiset::ArrayMultiset>(multisetOptions(O.Buggy), H[0]);
+  auto C = std::make_shared<cache::BoxCache>(*CacheCM, cacheOptions(false),
+                                             H[1]);
+  auto T = makeBLinkTree(S, /*Buggy=*/false, H[2]);
   auto Q = std::make_shared<queue::BoundedQueue>(QO, H[3]);
   S.Owned.push_back(CacheCM);
-  S.Owned.push_back(TreeCM);
-  S.Owned.push_back(TreeCache);
   S.Owned.push_back(M);
   S.Owned.push_back(C);
-  S.Owned.push_back(T);
   S.Owned.push_back(Q);
   S.Owned.push_back(HandleList);
 

@@ -207,11 +207,6 @@ void SegmentSink::reclaimThrough(uint64_t Watermark) {
     Segments.erase(Segments.begin(), Segments.begin() + N);
 }
 
-size_t SegmentSink::liveSegments() const {
-  std::lock_guard Lock(M);
-  return Segments.size();
-}
-
 void SegmentSink::drainCuts(std::vector<SegmentCut> &Out) {
   std::lock_guard Lock(M);
   if (Cuts.empty())

@@ -155,9 +155,6 @@ public:
   /// deleted. No-op in plain-file mode.
   void reclaimThrough(uint64_t Watermark);
 
-  /// Segments currently on disk (1 in plain-file mode).
-  size_t liveSegments() const;
-
   /// Segment lifecycle counters (created/reclaimed/live HWM only; the
   /// owning log merges them into its own stats).
   BackpressureStats stats() const;

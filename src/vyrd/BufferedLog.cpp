@@ -206,10 +206,6 @@ struct BufferedLog::Impl {
   /// One wait counts once, whichever round meets it.
   uint64_t BlockedSince = 0;
 
-  /// Segment telemetry deltas already forwarded (pump thread only).
-  uint64_t SegCreatedSeen = 0;
-  uint64_t SegReclaimedSeen = 0;
-
   /// Serializes close() so it is idempotent.
   std::mutex CloseM;
   bool CloseDone = false;
@@ -279,11 +275,8 @@ uint64_t ThreadLogShard::append(Action A) {
     if (H + 1 - CachedTail >= P.ShardHalf)
       P.Flusher.wake();
   }
-  if (TC) {
-    TC->count(Counter::C_LogAppends);
-    if (T0)
-      TC->record(Histo::H_AppendNs, telemetryNowNanos() - T0);
-  }
+  if (T0)
+    TC->record(Histo::H_AppendNs, telemetryNowNanos() - T0);
   return Ticket;
 }
 
@@ -400,18 +393,14 @@ void BufferedLog::park(Action &&A) {
 uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
                                   bool &Blocked) {
   const uint64_t Bound = I->Opts.MaxPendingRecords;
-  Telemetry *T = telemetry();
   // The queue as it will stand after this round's pushes. The reader can
   // only shrink it before they happen, so the bound holds.
   uint64_t Pending = I->Q.size();
   uint64_t Room = Pending < Bound ? Bound - Pending : 0;
   uint64_t End = First + std::min(S - First, Room);
   if (End != First && I->BlockedSince) {
-    uint64_t Waited = telemetryNowNanos() - I->BlockedSince;
+    I->Stats.BlockedNanos += telemetryNowNanos() - I->BlockedSince;
     I->BlockedSince = 0;
-    I->Stats.BlockedNanos += Waited;
-    if (T)
-      T->record(Histo::H_BlockedNs, Waited);
   }
   if (End != S) {
     // The record at End waits parked: for the reader to drain the queue
@@ -419,8 +408,6 @@ uint64_t BufferedLog::admitLocked(uint64_t First, uint64_t S, bool Reader,
     if (!I->BlockedSince) {
       ++I->Stats.BlockedAppends;
       I->BlockedSince = telemetryNowNanos();
-      if (T)
-        T->count(Counter::C_BlockedAppends);
     }
     Blocked = !Reader;
   }
@@ -675,18 +662,4 @@ void BufferedLog::reclaimCheckedPrefix(uint64_t Watermark) {
     return;
   if (I->Opts.ReclaimSegments)
     I->Sink.reclaimThrough(Watermark);
-  if (Telemetry *T = telemetry()) {
-    T->gaugeSet(Gauge::G_SegmentsLive, I->Sink.liveSegments());
-    BackpressureStats S = I->Sink.stats();
-    if (S.SegmentsCreated > I->SegCreatedSeen) {
-      T->count(Counter::C_SegmentsCreated,
-               S.SegmentsCreated - I->SegCreatedSeen);
-      I->SegCreatedSeen = S.SegmentsCreated;
-    }
-    if (S.SegmentsReclaimed > I->SegReclaimedSeen) {
-      T->count(Counter::C_SegmentsReclaimed,
-               S.SegmentsReclaimed - I->SegReclaimedSeen);
-      I->SegReclaimedSeen = S.SegmentsReclaimed;
-    }
-  }
 }

@@ -42,8 +42,13 @@ struct CheckerService::ObjectState {
   std::unique_ptr<Replayer> R;
   CheckerConfig CheckerCfg;
   std::unique_ptr<RefinementChecker> Checker;
-  /// Records routed to this object so far (driving thread only).
-  uint64_t Routed = 0;
+  /// Records routed to this object / fed to its checker so far. Each has
+  /// one writer (the driving thread / the thread owning Checker), so an
+  /// update is a load and a store; atomics so pullTelemetry can read them
+  /// live. Checked is released and read first, which keeps a live
+  /// Routed >= Checked.
+  std::atomic<uint64_t> Routed{0};
+  std::atomic<uint64_t> Checked{0};
 
   // Pool scheduling state, guarded by CheckerPool::M. An object is
   // "scheduled" from the moment it enters the runnable queue until the
@@ -107,13 +112,8 @@ public:
       if (PendingRecs >= Bound) {
         uint64_t T0 = telemetryNowNanos();
         SpaceCV.wait(Lock, [&] { return PendingRecs < Bound; });
-        uint64_t Waited = telemetryNowNanos() - T0;
         ++Stats.BlockedAppends;
-        Stats.BlockedNanos += Waited;
-        if (S.Telem) {
-          S.Telem->count(Counter::C_BlockedAppends);
-          S.Telem->cell().record(Histo::H_BlockedNs, Waited);
-        }
+        Stats.BlockedNanos += telemetryNowNanos() - T0;
       }
       // Enqueue the slice that fits the free room and make the object
       // runnable. A whole-batch slice moves the vector itself (the
@@ -299,10 +299,6 @@ ObjectId CheckerService::addObject(std::string Name, std::unique_ptr<Spec> S,
   O->Checker =
       std::make_unique<RefinementChecker>(*O->S, O->R.get(), O->CheckerCfg);
   O->Checker->setTelemetry(Telem);
-  if (Telem)
-    Telem->registerObject(O->Id, O->Name.empty()
-                                     ? "object" + std::to_string(O->Id)
-                                     : O->Name);
   if (Tracer && !O->Name.empty())
     Tracer->setObjectName(O->Id, O->Name);
   ObjectId Id = O->Id;
@@ -342,13 +338,12 @@ void CheckerService::feedObject(ObjectState &O,
   uint64_t T0 = TC ? telemetryNowNanos() : 0;
   for (const Action &A : Batch)
     O.Checker->feed(A);
+  O.Checked.store(O.Checked.load(std::memory_order_relaxed) + Batch.size(),
+                  std::memory_order_release);
   if (TC) {
-    TC->count(Counter::C_CheckerActions, Batch.size());
     TC->record(Histo::H_FeedBatch, Batch.size());
     TC->record(Histo::H_FeedNs, telemetryNowNanos() - T0);
   }
-  if (Telem)
-    Telem->noteObjectChecked(O.Id, Batch.size());
   if (O.Checker->hasViolation()) {
     ViolationFlag.store(true, std::memory_order_release);
     publishObjectViolations(O);
@@ -428,9 +423,8 @@ void CheckerService::routeRange(std::vector<Action> &Batch, size_t Begin,
     if (Route[I].empty())
       continue;
     ObjectState &O = *Objects[I];
-    O.Routed += Route[I].size();
-    if (Telem)
-      Telem->noteObjectRouted(O.Id, Route[I].size());
+    O.Routed.store(O.Routed.load(std::memory_order_relaxed) + Route[I].size(),
+                   std::memory_order_relaxed);
     if (Pool) {
       // dispatch() swaps in a recycled empty buffer for the next round.
       Pool->dispatch(O, Route[I]);
@@ -560,7 +554,7 @@ void CheckerService::buildReport(VerifierReport &R) {
     OR.Id = OS->Id;
     OR.Name = OS->Name;
     OR.Stats = OS->Checker->stats();
-    OR.Records = OS->Routed;
+    OR.Records = OS->Routed.load(std::memory_order_relaxed);
     OR.Violations = OS->Checker->violations();
     Name Tag = OS->Name.empty() ? Name() : internName(OS->Name);
     for (Violation &V : OR.Violations) {
@@ -595,6 +589,20 @@ Violation CheckerService::unroutedViolation(uint64_t Count,
 void CheckerService::mergePoolStats(BackpressureStats &S) const {
   if (Pool)
     S.merge(Pool->stats());
+}
+
+void CheckerService::pullTelemetry(TelemetrySnapshot &S) const {
+  uint64_t Checked = 0;
+  for (const auto &O : Objects) {
+    ObjectTelemetry OT;
+    OT.Name = O->Name;
+    OT.Checked = O->Checked.load(std::memory_order_acquire);
+    OT.Routed = O->Routed.load(std::memory_order_relaxed);
+    OT.Backlog = OT.Routed - OT.Checked;
+    Checked += OT.Checked;
+    S.Objects.push_back(std::move(OT));
+  }
+  S.counter(Counter::C_CheckerActions) = Checked;
 }
 
 std::vector<Violation> CheckerService::liveViolations() const {

@@ -189,6 +189,10 @@ public:
   /// Merges the pool's admission accounting into \p S (no-op without a
   /// pool).
   void mergePoolStats(BackpressureStats &S) const;
+  /// Fills the checking side's pulled metrics into \p S: one
+  /// ObjectTelemetry per object and checker_actions. Safe from any
+  /// thread once every object is registered (the caller publishes that).
+  void pullTelemetry(TelemetrySnapshot &S) const;
 
   /// Copies of the live (monitor-served) state. Safe from any thread.
   std::vector<Violation> liveViolations() const;

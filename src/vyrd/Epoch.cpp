@@ -94,8 +94,6 @@ SliceResult runSlice(const EpochSlice &E, bool Final,
       return Res;
     }
     Loads.fetch_add(NumObjects, std::memory_order_relaxed);
-    if (Opts.Telem)
-      Opts.Telem->count(Counter::C_SnapshotLoads, NumObjects);
   }
   CheckerService::LogFeed Feed = Svc.feedLog(Segs[E.SegPos].Path, E.EndSeq);
   Res.SeqHwm = Feed.SeqHwm;
@@ -192,14 +190,8 @@ EpochReport vyrd::epochCheck(const std::string &LogPath, size_t NumObjects,
       if (E >= NumEpochs)
         return;
       bool Final = E + 1 == NumEpochs;
-      if (Opts.Telem)
-        Opts.Telem->gaugeAdd(Gauge::G_EpochsInFlight, 1);
       Results[E] = runSlice(Epochs[E], Final, Segs, NumObjects, Factory, Opts,
                             Final ? nullptr : Epochs[E + 1].Snap, Loads);
-      if (Opts.Telem) {
-        Opts.Telem->gaugeSub(Gauge::G_EpochsInFlight, 1);
-        Opts.Telem->count(Counter::C_EpochsChecked, NumObjects);
-      }
     }
   };
   // More workers than epochs would only idle.
@@ -289,12 +281,6 @@ EpochReport vyrd::epochCheck(const std::string &LogPath, size_t NumObjects,
     ER.Report.Violations.push_back(
         CheckerService::unroutedViolation(Unrouted, FirstUnroutedSeq));
   ER.Report.LogRecords = SeqHwm;
-  // Restart lag: how far behind the chain's end the cold restart began.
-  if (Opts.Telem && Epochs[0].Snap)
-    Opts.Telem->gaugeSet(Gauge::G_RestartLag,
-                         SeqHwm > Epochs[0].StartSeq
-                             ? SeqHwm - Epochs[0].StartSeq
-                             : 0);
   ER.SnapshotLoads = Loads.load();
   ER.Report.Notes.push_back(
       "epoch check: " + std::to_string(NumEpochs) + " epoch(s) x " +

@@ -52,13 +52,8 @@ struct EpochCheckOptions {
   bool UseSnapshots = true;
   /// Cold-restart mode (`vyrd-check --resume`): only the front segment's
   /// sidecar seeds the check; later sidecars are ignored, so the chain
-  /// runs as one epoch from the oldest live record to its end. Also sets
-  /// G_RestartLag (records between the resume watermark and the chain's
-  /// end) when a hub is attached.
+  /// runs as one epoch from the oldest live record to its end.
   bool ResumeOnly = false;
-  /// Optional hub for C_SnapshotLoads / C_EpochsChecked /
-  /// G_EpochsInFlight accounting; may be null.
-  Telemetry *Telem = nullptr;
 };
 
 /// Result of an epochCheck run: the familiar report plus the epoch

@@ -85,8 +85,9 @@ public:
   /// Bytes of serialized log produced so far (0 for purely in-memory logs).
   virtual uint64_t byteCount() const { return 0; }
 
-  /// Attaches a telemetry hub: appends count Counter::C_LogAppends (with
-  /// sampled Histo::H_AppendNs latencies) and BufferedLog's merge rounds
+  /// Attaches a telemetry hub: appends sample Histo::H_AppendNs
+  /// latencies (the append count itself is appendCount(), which the
+  /// hub pulls) and BufferedLog's merge rounds
   /// feed the flush-batch/occupancy metrics. Attach before producers start
   /// and keep \p T alive until the log is destroyed; pass nullptr to
   /// detach.

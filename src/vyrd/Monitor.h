@@ -27,9 +27,11 @@
 ///
 /// The server only *reads*, and only through paths that are already safe
 /// against concurrent writers: Telemetry::snapshot() (lock-free cells,
-/// relaxed atomics) and the MonitorSource's mutex-guarded published
-/// violation list. Attaching or detaching any number of clients therefore
-/// costs the append/check hot path nothing. Malformed requests get one
+/// relaxed atomics, and the pull of the stages' own counts under the
+/// locks their reports are read under, none of which an append takes)
+/// and the MonitorSource's mutex-guarded published violation list.
+/// Attaching or detaching any number of clients therefore costs the
+/// append/check hot path nothing. Malformed requests get one
 /// JSON error line; oversized requests and abrupt disconnects close the
 /// client, never the server; the verifier never blocks on a slow client
 /// (bounded output buffers, nonblocking writes).

@@ -314,9 +314,14 @@ ShipServer::bindSession(const std::string &Name, const std::string &Program,
   S->Program = Program;
   S->ViewLevel = ViewLevel;
   S->Fd = Fd;
-  Telemetry::Options TO;
-  S->Telem = std::make_unique<Telemetry>(std::move(TO));
   S->Svc = std::make_unique<CheckerService>(CheckerServiceOptions{});
+  Telemetry::Options TO;
+  // Runs only in snapshot(): the session has no sampler, and the monitor
+  // source and the report hold the session, so Svc outlives every call.
+  TO.Pull = [Svc = S->Svc.get()](TelemetrySnapshot &T) {
+    Svc->pullTelemetry(T);
+  };
+  S->Telem = std::make_unique<Telemetry>(std::move(TO));
   S->Svc->setTelemetry(S->Telem.get());
   CheckerConfig CC = Opts.Checker;
   CC.Mode = ViewLevel ? CheckMode::CM_ViewRefinement

@@ -52,6 +52,8 @@ const char *vyrd::counterName(Counter C) {
     return "watchdog_stalls";
   case Counter::C_BlockedAppends:
     return "blocked_appends";
+  case Counter::C_BlockedNs:
+    return "blocked_ns";
   case Counter::C_SegmentsCreated:
     return "segments_created";
   case Counter::C_SegmentsReclaimed:
@@ -60,10 +62,6 @@ const char *vyrd::counterName(Counter C) {
     return "snapshot_writes";
   case Counter::C_SnapshotSkips:
     return "snapshot_skips";
-  case Counter::C_SnapshotLoads:
-    return "snapshot_loads";
-  case Counter::C_EpochsChecked:
-    return "epochs_checked";
   case Counter::C_GaugeUnderflow:
     return "gauge_underflow";
   case Counter::C_ShipSegments:
@@ -74,8 +72,6 @@ const char *vyrd::counterName(Counter C) {
     return "ship_acks";
   case Counter::C_ShipRetries:
     return "ship_retries";
-  case Counter::C_ShipFallbackRecords:
-    return "ship_fallback_records";
   case Counter::C_ShipSegmentsRecv:
     return "ship_segments_recv";
   case Counter::C_ShipRecordsRecv:
@@ -109,8 +105,6 @@ const char *vyrd::histoName(Histo H) {
     return "view_compare_cost";
   case Histo::H_CheckerLag:
     return "checker_lag";
-  case Histo::H_BlockedNs:
-    return "blocked_append";
   case Histo::NumHistos:
     break;
   }
@@ -123,7 +117,6 @@ const char *vyrd::histoUnit(Histo H) {
   case Histo::H_AppendNs:
   case Histo::H_FeedNs:
   case Histo::H_ViewCompareNs:
-  case Histo::H_BlockedNs:
     return "ns";
   case Histo::H_FlushBatch:
   case Histo::H_FeedBatch:
@@ -143,10 +136,6 @@ const char *vyrd::gaugeName(Gauge G) {
     return "pending_records";
   case Gauge::G_SegmentsLive:
     return "segments_live";
-  case Gauge::G_EpochsInFlight:
-    return "epochs_in_flight";
-  case Gauge::G_RestartLag:
-    return "restart_lag";
   case Gauge::G_ShipAckedWatermark:
     return "ship_acked_watermark";
   case Gauge::G_ShipUnshippedSegments:
@@ -356,55 +345,6 @@ TelemetryCell &Telemetry::cell() {
   return *E.Cell;
 }
 
-uint64_t Telemetry::checkerLag() const {
-  if (!Opts.ProducerProbe)
-    return 0;
-  uint64_t Produced = Opts.ProducerProbe();
-  uint64_t Consumed = consumedSeq();
-  return Produced > Consumed ? Produced - Consumed : 0;
-}
-
-uint64_t Telemetry::counterTotal(Counter C) const {
-  std::lock_guard Lock(RegistryM);
-  uint64_t Total = 0;
-  for (const auto &CellPtr : CellByTid)
-    if (CellPtr)
-      Total += CellPtr->Counters[static_cast<size_t>(C)].load(
-          std::memory_order_relaxed);
-  return Total;
-}
-
-void Telemetry::registerObject(uint32_t Obj, std::string ObjName) {
-  std::lock_guard Lock(RegistryM);
-  if (ObjectsById.size() <= Obj)
-    ObjectsById.resize(Obj + 1);
-  if (!ObjectsById[Obj]) {
-    ObjectsById[Obj] = std::make_unique<ObjectCounters>();
-    ObjectsById[Obj]->Name = std::move(ObjName);
-  }
-}
-
-void Telemetry::noteObjectRouted(uint32_t Obj, uint64_t N) {
-  std::lock_guard Lock(RegistryM);
-  if (Obj < ObjectsById.size() && ObjectsById[Obj])
-    ObjectsById[Obj]->Routed.fetch_add(N, std::memory_order_relaxed);
-}
-
-void Telemetry::noteObjectChecked(uint32_t Obj, uint64_t N) {
-  std::lock_guard Lock(RegistryM);
-  if (Obj < ObjectsById.size() && ObjectsById[Obj])
-    ObjectsById[Obj]->Checked.fetch_add(N, std::memory_order_relaxed);
-}
-
-uint64_t Telemetry::objectBacklog(uint32_t Obj) const {
-  std::lock_guard Lock(RegistryM);
-  if (Obj >= ObjectsById.size() || !ObjectsById[Obj])
-    return 0;
-  uint64_t R = ObjectsById[Obj]->Routed.load(std::memory_order_relaxed);
-  uint64_t C = ObjectsById[Obj]->Checked.load(std::memory_order_relaxed);
-  return R > C ? R - C : 0;
-}
-
 void Telemetry::startSampler() {
   if (SamplerRunning)
     return;
@@ -444,7 +384,8 @@ void Telemetry::samplerMain() {
     if (SamplerStop.load(std::memory_order_relaxed))
       break;
 
-    uint64_t Lag = checkerLag();
+    TelemetrySnapshot S = snapshot();
+    uint64_t Lag = S.CheckerLag;
     TC.record(Histo::H_CheckerLag, Lag);
     TC.count(Counter::C_LagSamples);
 
@@ -467,8 +408,8 @@ void Telemetry::samplerMain() {
         // consuming (pending records pile up) vs producers parked on
         // backpressure behind a bound (appends blocked, pending at the
         // configured ceiling).
-        uint64_t Pending = gauge(Gauge::G_PendingRecords);
-        uint64_t Blocked = counterTotal(Counter::C_BlockedAppends);
+        uint64_t Pending = S.gauge(Gauge::G_PendingRecords);
+        uint64_t Blocked = S.counter(Counter::C_BlockedAppends);
         Opts.StallReport(
             "verifier stalled: consumer stuck at seq " +
             std::to_string(ConsumedNow) + " with lag " +
@@ -510,16 +451,6 @@ TelemetrySnapshot Telemetry::snapshot() const {
         HS.Sum += TC.Sums[H].load(std::memory_order_relaxed);
       }
     }
-    for (const auto &OC : ObjectsById) {
-      ObjectTelemetry OT;
-      if (OC) {
-        OT.Name = OC->Name;
-        OT.Routed = OC->Routed.load(std::memory_order_relaxed);
-        OT.Checked = OC->Checked.load(std::memory_order_relaxed);
-        OT.Backlog = OT.Routed > OT.Checked ? OT.Routed - OT.Checked : 0;
-      }
-      S.Objects.push_back(std::move(OT));
-    }
   }
   for (size_t G = 0; G < NumGauges; ++G) {
     // Value before HWM, and the HWM clamped to it: gaugeAdd raises its
@@ -528,6 +459,10 @@ TelemetrySnapshot Telemetry::snapshot() const {
     S.GaugeHwms[G] = std::max(
         S.Gauges[G], GaugeHwm[G].load(std::memory_order_relaxed));
   }
-  S.CheckerLag = checkerLag();
+  if (Opts.Pull)
+    Opts.Pull(S);
+  uint64_t Produced = S.counter(Counter::C_LogAppends);
+  uint64_t ConsumedNow = consumedSeq();
+  S.CheckerLag = Produced > ConsumedNow ? Produced - ConsumedNow : 0;
   return S;
 }

@@ -15,6 +15,11 @@
 ///
 /// Design constraints (docs/OBSERVABILITY.md has the full metric list):
 ///
+///  * One count per event. An event the pipeline already counts exactly
+///    for its report (appends, blocked admissions, segments, shipped
+///    segments, per-object routed/checked records) is not counted again
+///    here: snapshot() *pulls* it from its owner through Options::Pull.
+///    The cells keep only what nothing else counts.
 ///  * The hot path must stay hot. Each thread writes to its own cell
 ///    (registered on first use, like BufferedLog's shards), so an update
 ///    is one relaxed load+store on an exclusively owned cache line — no
@@ -50,7 +55,7 @@ uint64_t telemetryNowNanos();
 enum class Counter : uint8_t {
   /// Records emitted by instrumentation hooks (call/ret/commit/write/...).
   C_HookRecords,
-  /// Records appended to the log (any backend, any producer).
+  /// Records appended to the log (pulled: Log::appendCount).
   C_LogAppends,
   /// Backoff rounds spent waiting for shard-ring space (BufferedLog).
   C_AppendStalls,
@@ -68,41 +73,39 @@ enum class Counter : uint8_t {
   C_ReaderWakes,
   /// Batches the verification thread pulled from the log.
   C_CheckerBatches,
-  /// Actions fed to the refinement checker.
+  /// Actions fed to the refinement checkers (pulled: the sum of the
+  /// per-object checked counts).
   C_CheckerActions,
   /// Sampler iterations that recorded a checker-lag sample.
   C_LagSamples,
   /// Watchdog stall reports (consumer quiet too long with work pending).
   C_WatchdogStalls,
-  /// Appends that had to wait for queue space (bounded pipeline).
+  /// Appends that had to wait for queue space and the nanoseconds they
+  /// waited (pulled: BackpressureStats::BlockedAppends / BlockedNanos,
+  /// log and pool admission together).
   C_BlockedAppends,
-  /// Log segment files created / reclaimed (SegmentSink rotation and
-  /// checked-prefix deletion).
+  C_BlockedNs,
+  /// Log segment files created / reclaimed (pulled: SegmentSink rotation
+  /// and checked-prefix deletion).
   C_SegmentsCreated,
   C_SegmentsReclaimed,
   /// Snapshot sidecars written at segment cuts / cuts where the snapshot
   /// was skipped (late cut on an asynchronous log, a dirty checker, or an
-  /// unsupported spec) / sidecars loaded by a resuming or epoch checker
-  /// (docs/SNAPSHOTS.md).
+  /// unsupported spec) (docs/SNAPSHOTS.md).
   C_SnapshotWrites,
   C_SnapshotSkips,
-  C_SnapshotLoads,
-  /// (object, epoch) pairs checked by epochCheck (each epoch task adds
-  /// the object count).
-  C_EpochsChecked,
   /// gaugeSub calls that would have driven a gauge below zero (mismatched
   /// add/sub pair somewhere); the gauge is clamped at 0 instead of
   /// wrapping, and this counter flags the accounting bug.
   C_GaugeUnderflow,
-  /// Segment shipping, producer side (docs/SHIPPING.md): closed segments
-  /// / encoded bytes shipped to the remote checker, watermark acks
-  /// received back, connect/send attempts that had to be retried, and
-  /// records re-checked locally by the degrade path.
+  /// Segment shipping, producer side (docs/SHIPPING.md; pulled:
+  /// SocketTransport::stats): closed segments / encoded bytes shipped to
+  /// the remote checker, watermark acks received back, and connect/send
+  /// attempts that had to be retried.
   C_ShipSegments,
   C_ShipBytes,
   C_ShipAcks,
   C_ShipRetries,
-  C_ShipFallbackRecords,
   /// Segment shipping, receiver side (vyrd-checkd): segments / records
   /// accepted and fed, frames rejected by their CRC, resyncs to the next
   /// frame magic after garbage or truncation, and partially transferred
@@ -132,9 +135,6 @@ enum class Histo : uint8_t {
   H_ViewCompareNs,
   /// Sampled checker lag, in sequence numbers (sampler thread).
   H_CheckerLag,
-  /// Time one bounded append spent waiting for queue space, nanoseconds
-  /// (every blocked append records; unblocked appends record nothing).
-  H_BlockedNs,
   NumHistos
 };
 
@@ -147,16 +147,11 @@ enum class Gauge : uint8_t {
   /// Records admitted to an in-memory queue (log tail / pool pending)
   /// and not yet consumed by the checker side.
   G_PendingRecords,
-  /// Log segment files currently on disk.
+  /// Log segment files currently on disk (pulled: segments created minus
+  /// reclaimed; HWM BackpressureStats::SegmentsLiveHwm).
   G_SegmentsLive,
-  /// Epoch tasks currently being checked by epochCheck.
-  G_EpochsInFlight,
-  /// Records between the resume point's watermark and the end of the log
-  /// at restore time: how much re-checking a cold restart saved relative
-  /// to a from-zero replay would be (appendCount - watermark).
-  G_RestartLag,
   /// Remote-checker watermark: every record with Seq below this has been
-  /// acked by the checker fleet (drives producer-side reclamation).
+  /// acked by the checker fleet (pulled: SocketTransport::ackedWatermark).
   G_ShipAckedWatermark,
   /// Closed segments queued at the shipper, not yet on the wire.
   G_ShipUnshippedSegments,
@@ -207,30 +202,37 @@ struct ObjectTelemetry {
 
 /// A frozen, consistent-enough copy of every metric. Exact once writers
 /// are quiescent (e.g. in VerifierReport); a close approximation live.
+/// Telemetry::Options::Pull fills the pulled metrics through the
+/// non-const accessors.
 struct TelemetrySnapshot {
   uint64_t Counters[NumCounters] = {};
   HistoSnapshot Histos[NumHistos] = {};
   /// Gauge level at snapshot time and its all-time high-watermark.
   uint64_t Gauges[NumGauges] = {};
   uint64_t GaugeHwms[NumGauges] = {};
-  /// Producer-minus-consumer distance at snapshot time (0 without a
-  /// producer probe).
+  /// log_appends minus the consumer gauge at snapshot time (0 when
+  /// nothing pulls log_appends).
   uint64_t CheckerLag = 0;
   /// Watchdog state at snapshot time.
   bool Stalled = false;
-  /// One entry per registered object, in object-id order; empty unless
-  /// the hub saw Telemetry::registerObject.
+  /// One entry per verified object, in object-id order (pulled from the
+  /// checker service; empty without one).
   std::vector<ObjectTelemetry> Objects;
 
   uint64_t counter(Counter C) const {
     return Counters[static_cast<size_t>(C)];
   }
+  uint64_t &counter(Counter C) { return Counters[static_cast<size_t>(C)]; }
   const HistoSnapshot &histo(Histo H) const {
     return Histos[static_cast<size_t>(H)];
   }
   uint64_t gauge(Gauge G) const { return Gauges[static_cast<size_t>(G)]; }
   uint64_t gaugeHwm(Gauge G) const {
     return GaugeHwms[static_cast<size_t>(G)];
+  }
+  void setGauge(Gauge G, uint64_t Now, uint64_t Hwm) {
+    Gauges[static_cast<size_t>(G)] = Now;
+    GaugeHwms[static_cast<size_t>(G)] = Hwm;
   }
 
   /// Multi-line human-readable rendering.
@@ -287,9 +289,11 @@ public:
     /// long while the checker lag is non-zero. 0 disables the watchdog.
     /// Requires the sampler (stalls are detected at sample points).
     unsigned WatchdogQuietMs = 0;
-    /// Returns the newest producer ticket (e.g. Log::appendCount). Called
-    /// from the sampler thread and from checkerLag()/snapshot().
-    std::function<uint64_t()> ProducerProbe;
+    /// Fills the metrics whose exact count lives in a pipeline stage
+    /// (log_appends, which also drives the checker lag, and the others
+    /// marked pulled). Called by snapshot(), on the caller's thread and
+    /// on the sampler thread, so it may only read what outlives both.
+    std::function<void(TelemetrySnapshot &)> Pull;
     /// Invoked (from the sampler thread) once per detected stall episode.
     /// Default: a one-line warning on stderr.
     std::function<void(const std::string &)> StallReport;
@@ -319,9 +323,6 @@ public:
   uint64_t consumedSeq() const {
     return Consumed.load(std::memory_order_relaxed);
   }
-
-  /// Producer ticket minus consumer gauge; 0 without a producer probe.
-  uint64_t checkerLag() const;
 
   /// Gauge updates: shared atomics (see the Gauge enum for why these are
   /// not per-cell). gaugeAdd maintains the high-watermark; gaugeSet is
@@ -356,21 +357,6 @@ public:
     return GaugeHwm[static_cast<size_t>(G)].load(std::memory_order_relaxed);
   }
 
-  /// Sum of one counter across every registered cell (convenience for
-  /// watchdog messages that must not pay for a full snapshot).
-  uint64_t counterTotal(Counter C) const;
-
-  /// Registers a verified object's counter pair (multi-object engine).
-  /// \p Obj ids must be dense and registered before the pipeline starts;
-  /// \p ObjName labels the snapshot entry. Idempotent per id.
-  void registerObject(uint32_t Obj, std::string ObjName);
-  /// Demux accounting: \p N more records were routed to \p Obj.
-  void noteObjectRouted(uint32_t Obj, uint64_t N);
-  /// Checker accounting: \p Obj's checker consumed \p N more records.
-  void noteObjectChecked(uint32_t Obj, uint64_t N);
-  /// Records routed to but not yet checked for \p Obj (0 for unknown ids).
-  uint64_t objectBacklog(uint32_t Obj) const;
-
   /// Watchdog verdict: is the consumer currently quiet with work pending?
   bool stalled() const { return StallFlag.load(std::memory_order_acquire); }
 
@@ -397,16 +383,6 @@ private:
 
   mutable std::mutex RegistryM;
   std::vector<std::unique_ptr<TelemetryCell>> CellByTid;
-
-  /// Per-object counter pairs, index = object id. Guarded by RegistryM
-  /// (updates are per consumed batch, not per record, so the lock is off
-  /// the hot path); the atomics let snapshot() read mid-update values.
-  struct ObjectCounters {
-    std::string Name;
-    std::atomic<uint64_t> Routed{0};
-    std::atomic<uint64_t> Checked{0};
-  };
-  std::vector<std::unique_ptr<ObjectCounters>> ObjectsById;
 
   std::atomic<uint64_t> Consumed{0};
   std::atomic<bool> StallFlag{false};

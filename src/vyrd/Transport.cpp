@@ -220,8 +220,7 @@ bool readFileImage(const std::string &Path, std::vector<uint8_t> &Out) {
 
 } // namespace
 
-SocketTransport::SocketTransport(const ShipperOptions &O, Telemetry *Telem)
-    : Opts(O), Telem(Telem) {
+SocketTransport::SocketTransport(const ShipperOptions &O) : Opts(O) {
   std::string Err;
   if (!parseShipEndpoint(Opts.Endpoint, Ep, Err)) {
     std::fprintf(stderr, "vyrd: bad ship endpoint: %s\n", Err.c_str());
@@ -319,17 +318,10 @@ void SocketTransport::handleFrame(const wire::Frame &F) {
   uint64_t W = R.varint();
   if (!R.ok())
     return;
-  if (W > Acked.load(std::memory_order_acquire)) {
+  if (W > Acked.load(std::memory_order_acquire))
     Acked.store(W, std::memory_order_release);
-    if (Telem)
-      Telem->gaugeSet(Gauge::G_ShipAckedWatermark, W);
-  }
-  {
-    std::lock_guard Lock(M);
-    ++St.Acks;
-  }
-  if (Telem)
-    Telem->count(Counter::C_ShipAcks);
+  std::lock_guard Lock(M);
+  ++St.Acks;
 }
 
 void SocketTransport::drainAcks() {
@@ -431,10 +423,6 @@ bool SocketTransport::shipSegment(const ShipSegmentInfo &Seg) {
         ++St.Segments;
         St.Bytes += Bytes;
       }
-      if (Telem) {
-        Telem->count(Counter::C_ShipSegments);
-        Telem->count(Counter::C_ShipBytes, Bytes);
-      }
       drainAcks();
       return true;
     }
@@ -448,8 +436,6 @@ bool SocketTransport::shipSegment(const ShipSegmentInfo &Seg) {
       std::lock_guard Lock(M);
       ++St.Retries;
     }
-    if (Telem)
-      Telem->count(Counter::C_ShipRetries);
     backoffSleep(Attempt);
   }
   Healthy.store(false, std::memory_order_release);
@@ -478,8 +464,6 @@ bool SocketTransport::shipClose(uint64_t FinalSeqExclusive,
       std::lock_guard Lock(M);
       ++St.Retries;
     }
-    if (Telem)
-      Telem->count(Counter::C_ShipRetries);
     backoffSleep(Attempt);
   }
   if (!waitForAck(FinalSeqExclusive, TimeoutMs)) {

@@ -197,8 +197,8 @@ struct ShipSegmentInfo {
 class SocketTransport {
 public:
   /// \p O must carry a parseable Endpoint (validate() guarantees it when
-  /// reached through a Verifier). \p Telem may be null.
-  SocketTransport(const ShipperOptions &O, Telemetry *Telem);
+  /// reached through a Verifier).
+  explicit SocketTransport(const ShipperOptions &O);
   ~SocketTransport();
 
   /// Ships one closed segment (and its sidecar when present). \returns
@@ -221,7 +221,8 @@ public:
   /// False once delivery failed past the retry budget.
   bool healthy() const { return Healthy.load(std::memory_order_acquire); }
 
-  /// Delivery accounting (exact, transport-side).
+  /// Delivery accounting (exact, transport-side; the telemetry hub pulls
+  /// it as ship_segments / ship_bytes / ship_acks / ship_retries).
   struct Stats {
     uint64_t Segments = 0;
     uint64_t Bytes = 0;
@@ -247,7 +248,6 @@ private:
 
   ShipperOptions Opts;
   ShipEndpoint Ep;
-  Telemetry *Telem;
 
   int Fd = -1; ///< owned by the shipping pump thread
   wire::FrameParser Parser;

@@ -346,7 +346,7 @@ Verifier::Verifier(VerifierConfig C) : Config(std::move(C)) {
     TO.WatchdogQuietMs = Config.Telemetry.WatchdogQuietMs;
     if (TO.WatchdogQuietMs && !TO.SampleIntervalUs)
       TO.SampleIntervalUs = 1000; // the watchdog needs sample points
-    TO.ProducerProbe = [L = TheLog.get()] { return L->appendCount(); };
+    TO.Pull = [this](TelemetrySnapshot &S) { pullTelemetry(S); };
     Telem = std::make_unique<Telemetry>(std::move(TO));
     TheLog->setTelemetry(Telem.get());
   }
@@ -383,6 +383,9 @@ Verifier::Verifier(std::unique_ptr<Spec> S, std::unique_ptr<Replayer> R,
 Verifier::~Verifier() {
   if (Started && !Done)
     (void)finish();
+  // The sampler pulls from Svc and Transport, which go before Telem.
+  if (Telem)
+    Telem->stopSampler();
 }
 
 Hooks Verifier::registerObject(std::string ObjName, std::unique_ptr<Spec> S,
@@ -475,9 +478,11 @@ void Verifier::pump() {
     if (Tracer && Telem) {
       Tracer->noteGauge(LastSeq, "pending_records",
                         Telem->gauge(Gauge::G_PendingRecords));
-      if (Config.Backpressure.SegmentBytes)
+      if (Config.Backpressure.SegmentBytes) {
+        BackpressureStats B = TheLog->backpressureStats();
         Tracer->noteGauge(LastSeq, "segments_live",
-                          Telem->gauge(Gauge::G_SegmentsLive));
+                          B.SegmentsCreated - B.SegmentsReclaimed);
+      }
     }
   }
   Svc->finishChecking();
@@ -535,21 +540,43 @@ void Verifier::start() {
   assert(!Started && "start called twice");
   assert(Svc->objectCount() &&
          "start with no registered object (registerObject first)");
-  Started = true;
-  if (!Config.Online)
-    return;
+  // validate() admits shipping and a pool only online.
   if (Config.Shipping.enabled()) {
-    Transport =
-        std::make_unique<SocketTransport>(Config.Shipping, Telem.get());
+    Transport = std::make_unique<SocketTransport>(Config.Shipping);
     Shipper = std::make_unique<SegmentShipper>(*Transport,
                                                Config.LogFilePath,
                                                Telem.get());
-    VerifyThread = std::thread([this] { shipPump(); });
-    return;
-  }
-  if (Config.CheckerThreads > 1)
+  } else if (Config.CheckerThreads > 1) {
     Svc->startPool(Config.CheckerThreads);
-  VerifyThread = std::thread([this] { pump(); });
+  }
+  // Publishes the objects, the pool and the transport to pullTelemetry.
+  Started.store(true, std::memory_order_release);
+  if (Config.Online)
+    VerifyThread = std::thread([this] { Transport ? shipPump() : pump(); });
+}
+
+void Verifier::pullTelemetry(TelemetrySnapshot &S) const {
+  S.counter(Counter::C_LogAppends) = TheLog->appendCount();
+  if (!Started.load(std::memory_order_acquire))
+    return;
+  BackpressureStats B = TheLog->backpressureStats();
+  Svc->mergePoolStats(B);
+  S.counter(Counter::C_BlockedAppends) = B.BlockedAppends;
+  S.counter(Counter::C_BlockedNs) = B.BlockedNanos;
+  S.counter(Counter::C_SegmentsCreated) = B.SegmentsCreated;
+  S.counter(Counter::C_SegmentsReclaimed) = B.SegmentsReclaimed;
+  S.setGauge(Gauge::G_SegmentsLive, B.SegmentsCreated - B.SegmentsReclaimed,
+             B.SegmentsLiveHwm);
+  Svc->pullTelemetry(S);
+  if (Transport) {
+    SocketTransport::Stats TS = Transport->stats();
+    S.counter(Counter::C_ShipSegments) = TS.Segments;
+    S.counter(Counter::C_ShipBytes) = TS.Bytes;
+    S.counter(Counter::C_ShipAcks) = TS.Acks;
+    S.counter(Counter::C_ShipRetries) = TS.Retries;
+    uint64_t W = Transport->ackedWatermark();
+    S.setGauge(Gauge::G_ShipAckedWatermark, W, W);
+  }
 }
 
 bool Verifier::degradeShipping(VerifierReport &R,
@@ -632,8 +659,6 @@ VerifierReport Verifier::finish() {
     for (const ObjectReport &O : R.Objects)
       N += O.Records;
     R.Shipping.FallbackRecords = N;
-    if (Telem)
-      Telem->count(Counter::C_ShipFallbackRecords, N);
   }
   R.LogRecords = TheLog->appendCount();
   R.LogBytes = TheLog->byteCount();

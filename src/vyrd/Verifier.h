@@ -47,6 +47,7 @@
 #include "vyrd/Trace.h"
 #include "vyrd/Transport.h"
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -296,8 +297,8 @@ public:
   Log &log() { return *TheLog; }
 
   /// The pipeline's telemetry hub, or null when telemetry is disabled.
-  /// Live metrics (checkerLag(), objectBacklog(), stalled(), snapshot())
-  /// can be read while the run is in flight.
+  /// Live metrics (stalled(), and snapshot() with its checker lag and
+  /// per-object backlog) can be read while the run is in flight.
   Telemetry *telemetry() { return Telem.get(); }
 
   /// The live monitor endpoint, or null when VerifierConfig::Monitor is
@@ -320,11 +321,14 @@ private:
   /// \returns true when the chain was re-checked locally (so the report
   /// carries a sound verdict and FallbackRecords should be filled).
   bool degradeShipping(VerifierReport &R, uint64_t FinalSeqExclusive);
+  /// Telemetry::Options::Pull: the exact counts the log, the checker
+  /// service and the transport keep (log_appends only before start()).
+  void pullTelemetry(TelemetrySnapshot &S) const;
 
   VerifierConfig Config;
   std::unique_ptr<BufferedLog> TheLog;
-  /// Declared after TheLog: the sampler (which probes the log's append
-  /// count) is joined before the log is destroyed.
+  /// Declared after TheLog, which the sampler's pull reads; the
+  /// destructor stops the sampler before Svc and Transport go.
   std::unique_ptr<Telemetry> Telem;
   std::unique_ptr<TraceRecorder> Tracer;
   /// The checker half (objects, demux, pool, live violations). Declared
@@ -334,7 +338,8 @@ private:
   std::unique_ptr<SocketTransport> Transport;
   std::unique_ptr<SegmentShipper> Shipper;
   std::thread VerifyThread;
-  bool Started = false;
+  /// Set (release) once start() has built the pool and transport.
+  std::atomic<bool> Started{false};
   bool Done = false;
   /// Declared last (after Telem and Svc): the monitor thread reads both,
   /// so it must be joined first on destruction.

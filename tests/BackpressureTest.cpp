@@ -14,6 +14,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TelemetryCheck.h"
 #include "TestUtil.h"
 #include "vyrd/BufferedLog.h"
 #include "vyrd/Verifier.h"
@@ -146,19 +147,26 @@ private:
   const std::atomic<bool> *Gate;
 };
 
-/// One correct Set(x) execution (3 records) through \p W.
+/// One correct Set(x) execution (3 records) through \p W, on object
+/// \p Obj.
 void appendSet(LogWriter &W, const ThrottledRegisterSpec &S, int64_t X,
-               ThreadId Tid = 1) {
-  W.append(Action::call(Tid, S.SetM, {Value(X)}));
-  W.append(Action::commit(Tid));
-  W.append(Action::ret(Tid, S.SetM, Value(true)));
+               ThreadId Tid = 1, ObjectId Obj = 0) {
+  for (Action A : {Action::call(Tid, S.SetM, {Value(X)}), Action::commit(Tid),
+                   Action::ret(Tid, S.SetM, Value(true))}) {
+    A.Obj = Obj;
+    W.append(std::move(A));
+  }
 }
 
-/// One correct Get() == \p X execution (2 records) through \p W.
+/// One correct Get() == \p X execution (2 records) through \p W, on
+/// object \p Obj.
 void appendGet(LogWriter &W, const ThrottledRegisterSpec &S, int64_t X,
-               ThreadId Tid = 1) {
-  W.append(Action::call(Tid, S.GetM, {}));
-  W.append(Action::ret(Tid, S.GetM, Value(X)));
+               ThreadId Tid = 1, ObjectId Obj = 0) {
+  for (Action A :
+       {Action::call(Tid, S.GetM, {}), Action::ret(Tid, S.GetM, Value(X))}) {
+    A.Obj = Obj;
+    W.append(std::move(A));
+  }
 }
 
 } // namespace
@@ -292,18 +300,6 @@ VerifierReport runThrottled(VerifierConfig C, unsigned ThrottleUs,
   return V.finish();
 }
 
-/// The admission telemetry a bounded run publishes must agree with the
-/// exact BackpressureStats in its report (log and pool together).
-void expectAdmissionTelemetryMatches(const VerifierReport &R) {
-  ASSERT_TRUE(R.TelemetryEnabled);
-  const TelemetrySnapshot &S = R.Telemetry;
-  EXPECT_EQ(S.counter(Counter::C_BlockedAppends),
-            R.Backpressure.BlockedAppends);
-  EXPECT_EQ(S.histo(Histo::H_BlockedNs).Count, R.Backpressure.BlockedAppends)
-      << "every counted wait must close with its length";
-  EXPECT_EQ(S.histo(Histo::H_BlockedNs).Sum, R.Backpressure.BlockedNanos);
-}
-
 } // namespace
 
 TEST(VerifierBackpressureTest, BlockKeepsPendingUnderBoundInline) {
@@ -314,7 +310,7 @@ TEST(VerifierBackpressureTest, BlockKeepsPendingUnderBoundInline) {
   C.Backpressure.MaxPendingRecords = 64;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
   EXPECT_TRUE(R.ok()) << R.str();
-  expectAdmissionTelemetryMatches(R);
+  expectTelemetryMatchesReport(R);
   EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
   EXPECT_LE(R.Backpressure.PendingRecordsHwm, 64u);
   EXPECT_GT(R.Backpressure.BlockedAppends, 0u)
@@ -331,7 +327,7 @@ TEST(VerifierBackpressureTest, BlockBoundsThePoolToo) {
   C.Backpressure.MaxPendingRecords = 64;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/1, /*Execs=*/3000);
   EXPECT_TRUE(R.ok()) << R.str();
-  expectAdmissionTelemetryMatches(R);
+  expectTelemetryMatchesReport(R);
   EXPECT_EQ(R.Stats.MethodsChecked, 6000u);
   // The pump hands the pool 256-record batches, four times the bound.
   // Admission slices each batch at the free room, so the bound holds
@@ -370,7 +366,7 @@ TEST(VerifierBackpressureTest, BlockWithSegmentsReclaimsCheckedPrefix) {
   C.Backpressure.SegmentBytes = 4096;
   VerifierReport R = runThrottled(C, /*ThrottleUs=*/0, /*Execs=*/4000);
   EXPECT_TRUE(R.ok()) << R.str();
-  expectAdmissionTelemetryMatches(R);
+  expectTelemetryMatchesReport(R);
   EXPECT_EQ(R.Stats.MethodsChecked, 8000u);
   EXPECT_LE(R.Backpressure.PendingRecordsHwm, 32u);
   EXPECT_GT(R.Backpressure.SegmentsCreated, 2u);
@@ -378,6 +374,77 @@ TEST(VerifierBackpressureTest, BlockWithSegmentsReclaimsCheckedPrefix) {
             2u)
       << "a fully checked run keeps at most the active segment (plus one "
          "rotation in flight)";
+  removeChain(Path);
+}
+
+TEST(VerifierBackpressureTest, PulledTelemetryEqualsTheReportLiveAndFinal) {
+  // The hub keeps no copy of blocked appends, segments or the per-object
+  // counts: it pulls them from the log, the pool and the checker
+  // service. Both checkers are held at their first spec call, so the
+  // pool and then the log fill to their bounds while the monitor is
+  // read mid-run; once released, the final snapshot must equal the
+  // report field for field.
+  std::string Path = tempPath("pulled");
+  removeChain(Path);
+  std::atomic<bool> Open{false};
+  VerifierConfig C;
+  C.Checker.Mode = CheckMode::CM_IORefinement;
+  C.CheckerThreads = 2;
+  C.LogFilePath = Path;
+  C.Telemetry.Enabled = true;
+  C.Monitor.SocketPath = tempSocketPath("bppulled");
+  C.Backpressure.Enabled = true;
+  C.Backpressure.MaxPendingRecords = 64;
+  C.Backpressure.SegmentBytes = 4096;
+  Verifier V(C);
+  for (const char *Name : {"a", "b"})
+    (void)V.registerObject(
+        Name, std::make_unique<ThrottledRegisterSpec>(/*ThrottleUs=*/1, &Open));
+  V.start();
+  ThrottledRegisterSpec Script;
+  std::thread Producer([&] {
+    LogWriter &W = V.log().writer();
+    for (int I = 0; I < 2000; ++I)
+      for (ObjectId Obj : {0u, 1u}) {
+        appendSet(W, Script, I, 1, Obj);
+        appendGet(W, Script, I, 1, Obj);
+      }
+  });
+
+  // Poll until both held objects have records queued and an append has
+  // met the bound; every line read on the way must be consistent. (No
+  // ASSERT before the producer is joined.)
+  MonClient M(C.Monitor.SocketPath);
+  bool Saturated = false, Consistent = true;
+  std::string Line;
+  for (int I = 0; I < 400 && !Saturated && Consistent; ++I) {
+    Line = M.send("stats") ? M.readLine() : "";
+    std::vector<std::array<uint64_t, 3>> Live = objectCounts(Line);
+    Consistent = Live.size() == 2;
+    Saturated = Consistent && jsonCount(Line, "blocked_appends") > 0;
+    for (const std::array<uint64_t, 3> &O : Live) {
+      Consistent = Consistent && O[1] <= O[0] && O[2] == O[0] - O[1];
+      Saturated = Saturated && O[2] > 0;
+    }
+    if (!Saturated)
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  Open.store(true, std::memory_order_release);
+  Producer.join();
+  EXPECT_TRUE(Consistent)
+      << "two objects, checked <= routed, backlog == routed - checked: "
+      << Line;
+  EXPECT_TRUE(Saturated)
+      << "held checkers must queue records and back the pipeline up into "
+         "the log: "
+      << Line;
+
+  VerifierReport R = V.finish();
+  EXPECT_TRUE(R.ok()) << R.str();
+  EXPECT_EQ(R.Stats.MethodsChecked, 8000u);
+  EXPECT_GT(R.Backpressure.BlockedAppends, 0u);
+  EXPECT_GT(R.Backpressure.SegmentsReclaimed, 0u);
+  expectTelemetryMatchesReport(R);
   removeChain(Path);
 }
 

@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TelemetryCheck.h"
 #include "TestUtil.h"
 #include "multiset/ArrayMultiset.h"
 #include "vyrd/Auto.h"
@@ -26,93 +27,12 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 using namespace vyrd;
 using namespace vyrd::test;
-
-namespace {
-
-std::string tempSocketPath(const char *Tag) {
-  // Keep it short: sun_path caps around 100 bytes and TempDir can be
-  // long, so sockets live directly in /tmp.
-  return "/tmp/vyrd-" + std::string(Tag) + "-" +
-         std::to_string(::getpid()) + ".sock";
-}
-
-/// Minimal blocking client for the monitor socket.
-struct MonClient {
-  int Fd = -1;
-  std::string Buf;
-
-  explicit MonClient(const std::string &Path) {
-    sockaddr_un Addr;
-    std::memset(&Addr, 0, sizeof(Addr));
-    Addr.sun_family = AF_UNIX;
-    std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-    // The server binds before the constructor returns, but the listen
-    // backlog can overflow transiently under the multi-client tests;
-    // retry briefly instead of flaking.
-    for (int I = 0; I < 100; ++I) {
-      Fd = socket(AF_UNIX, SOCK_STREAM, 0);
-      if (Fd < 0)
-        break;
-      if (connect(Fd, reinterpret_cast<sockaddr *>(&Addr),
-                  sizeof(Addr)) == 0)
-        return;
-      close(Fd);
-      Fd = -1;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  }
-  ~MonClient() {
-    if (Fd >= 0)
-      close(Fd);
-  }
-
-  bool send(const std::string &Cmd) {
-    std::string Line = Cmd + "\n";
-    return write(Fd, Line.data(), Line.size()) ==
-           static_cast<ssize_t>(Line.size());
-  }
-
-  /// Reads one '\n'-terminated line (blocking). Empty on EOF.
-  std::string readLine() {
-    for (;;) {
-      size_t Pos = Buf.find('\n');
-      if (Pos != std::string::npos) {
-        std::string Line = Buf.substr(0, Pos);
-        Buf.erase(0, Pos + 1);
-        return Line;
-      }
-      char Chunk[4096];
-      ssize_t N = read(Fd, Chunk, sizeof(Chunk));
-      if (N <= 0)
-        return "";
-      Buf.append(Chunk, static_cast<size_t>(N));
-    }
-  }
-
-  /// Reads lines until the `# EOF` terminator; returns the block.
-  std::string readBlock() {
-    std::string Out;
-    for (;;) {
-      std::string Line = readLine();
-      if (Line.empty() || Line == "# EOF")
-        return Out;
-      Out += Line + "\n";
-    }
-  }
-};
-
-} // namespace
 
 //===----------------------------------------------------------------------===//
 // Renderers
@@ -153,8 +73,9 @@ TEST(MonitorTest, HealthVerdictPriorities) {
 }
 
 TEST(MonitorTest, PromTextExposesCountersAndGauges) {
-  Telemetry T;
-  T.count(Counter::C_LogAppends, 11);
+  Telemetry::Options O;
+  O.Pull = [](TelemetrySnapshot &S) { S.counter(Counter::C_LogAppends) = 11; };
+  Telemetry T(std::move(O));
   T.gaugeAdd(Gauge::G_PendingRecords, 4);
   T.record(Histo::H_AppendNs, 100);
   std::string P = monitor::promText(T.snapshot(), /*Violations=*/1);

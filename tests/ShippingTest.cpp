@@ -16,6 +16,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TelemetryCheck.h"
 #include "TestUtil.h"
 #include "harness/Scenarios.h"
 #include "harness/Workload.h"
@@ -425,7 +426,7 @@ TEST(ShippingTest, ShippedVerdictMatchesFromZeroCheck) {
   SO.StreamName = "equiv";
   SO.Program = "composite";
   SO.ViewLevel = true;
-  SocketTransport T(SO, nullptr);
+  SocketTransport T(SO);
   std::string Err;
   ASSERT_TRUE(shipChain(Base, T, FinalSeq, /*CloseTimeoutMs=*/10000, Err))
       << Err;
@@ -524,9 +525,7 @@ TEST(ShippingTest, LiveRunReclaimsOnlyAckedSegments) {
       << "the final ack covers the entire stream";
   EXPECT_TRUE(R.Violations.empty())
       << "a shipping producer runs no local checkers";
-  ASSERT_TRUE(R.TelemetryEnabled);
-  EXPECT_EQ(R.Telemetry.counter(Counter::C_ShipSegments),
-            R.Shipping.SegmentsShipped);
+  test::expectTelemetryMatchesReport(R);
 
   // The confirmed final ack reclaimed the acked prefix.
   FILE *Seg1 = std::fopen(logSegmentPath(Base, 1).c_str(), "rb");
@@ -851,7 +850,7 @@ TEST(ShippingTest, RetryBudgetAndBackoffAccounting) {
   O.MaxRetries = 3;
   O.BackoffInitialMs = 1;
   O.BackoffCapMs = 4;
-  SocketTransport T(O, nullptr);
+  SocketTransport T(O);
   EXPECT_TRUE(T.healthy());
 
   ShipSegmentInfo Seg;

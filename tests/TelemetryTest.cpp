@@ -15,6 +15,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TelemetryCheck.h"
 #include "TestUtil.h"
 #include "multiset/ArrayMultiset.h"
 #include "vyrd/Auto.h"
@@ -60,16 +61,16 @@ TEST(TelemetryTest, BucketOfIsBitWidth) {
 
 TEST(TelemetryTest, SnapshotSumsKnownValues) {
   Telemetry T;
-  T.count(Counter::C_LogAppends, 3);
-  T.count(Counter::C_LogAppends);
+  T.count(Counter::C_HookRecords, 3);
+  T.count(Counter::C_HookRecords);
   T.record(Histo::H_AppendNs, 0);
   T.record(Histo::H_AppendNs, 1);
   T.record(Histo::H_AppendNs, 5);
   T.record(Histo::H_AppendNs, 1024);
 
   TelemetrySnapshot S = T.snapshot();
-  EXPECT_EQ(S.counter(Counter::C_LogAppends), 4u);
-  EXPECT_EQ(S.counter(Counter::C_HookRecords), 0u);
+  EXPECT_EQ(S.counter(Counter::C_HookRecords), 4u);
+  EXPECT_EQ(S.counter(Counter::C_AppendStalls), 0u);
   const HistoSnapshot &H = S.histo(Histo::H_AppendNs);
   EXPECT_EQ(H.Count, 4u);
   EXPECT_EQ(H.Sum, 1030u);
@@ -94,7 +95,7 @@ TEST(TelemetryTest, ConcurrentWritersConserveTotals) {
     Workers.emplace_back([&T] {
       TelemetryCell &C = T.cell();
       for (unsigned I = 0; I < CountsPerThread; ++I)
-        C.count(Counter::C_LogAppends);
+        C.count(Counter::C_HookRecords);
       for (unsigned I = 0; I < RecordsPerThread; ++I)
         C.record(Histo::H_FeedBatch, I % 64);
       // Reading while writers run must be safe (approximate totals).
@@ -104,7 +105,7 @@ TEST(TelemetryTest, ConcurrentWritersConserveTotals) {
     W.join();
 
   TelemetrySnapshot S = T.snapshot();
-  EXPECT_EQ(S.counter(Counter::C_LogAppends),
+  EXPECT_EQ(S.counter(Counter::C_HookRecords),
             uint64_t(Threads) * CountsPerThread);
   const HistoSnapshot &H = S.histo(Histo::H_FeedBatch);
   EXPECT_EQ(H.Count, uint64_t(Threads) * RecordsPerThread);
@@ -142,29 +143,43 @@ TEST(TelemetryTest, GaugeSubClampsAtZeroAndCountsUnderflow) {
   EXPECT_EQ(S.counter(Counter::C_GaugeUnderflow), 1u);
 }
 
-TEST(TelemetryTest, CheckerLagGauge) {
-  Telemetry::Options O;
-  std::atomic<uint64_t> Produced{100};
-  O.ProducerProbe = [&Produced] { return Produced.load(); };
-  Telemetry T(std::move(O));
+namespace {
 
-  EXPECT_EQ(T.checkerLag(), 100u);
+/// Options whose pull reports \p Produced as log_appends.
+Telemetry::Options pullingAppends(const std::atomic<uint64_t> &Produced) {
+  Telemetry::Options O;
+  O.Pull = [&Produced](TelemetrySnapshot &S) {
+    S.counter(Counter::C_LogAppends) = Produced.load();
+  };
+  return O;
+}
+
+} // namespace
+
+TEST(TelemetryTest, CheckerLagGauge) {
+  std::atomic<uint64_t> Produced{100};
+  Telemetry T(pullingAppends(Produced));
+
+  EXPECT_EQ(T.snapshot().CheckerLag, 100u);
   T.noteConsumed(40);
   EXPECT_EQ(T.consumedSeq(), 40u);
-  EXPECT_EQ(T.checkerLag(), 60u);
-  // A consumer momentarily ahead of the probe clamps to zero.
+  TelemetrySnapshot S = T.snapshot();
+  EXPECT_EQ(S.CheckerLag, 60u);
+  EXPECT_EQ(S.counter(Counter::C_LogAppends), 100u)
+      << "the pulled count lands in the snapshot";
+  // A consumer momentarily ahead of the pull clamps to zero.
   T.noteConsumed(200);
-  EXPECT_EQ(T.checkerLag(), 0u);
+  EXPECT_EQ(T.snapshot().CheckerLag, 0u);
 
-  Telemetry NoProbe;
-  NoProbe.noteConsumed(10);
-  EXPECT_EQ(NoProbe.checkerLag(), 0u);
+  Telemetry NoPull;
+  NoPull.noteConsumed(10);
+  EXPECT_EQ(NoPull.snapshot().CheckerLag, 0u);
 }
 
 TEST(TelemetryTest, SamplerRecordsLag) {
-  Telemetry::Options O;
+  std::atomic<uint64_t> Produced{50};
+  Telemetry::Options O = pullingAppends(Produced);
   O.SampleIntervalUs = 200;
-  O.ProducerProbe = [] { return uint64_t(50); };
   Telemetry T(std::move(O));
   ASSERT_TRUE(eventually([&T] {
     return T.snapshot().counter(Counter::C_LagSamples) >= 3;
@@ -183,10 +198,10 @@ TEST(TelemetryTest, WatchdogReportsStalledConsumer) {
   std::string Msg;
   std::atomic<unsigned> Reports{0};
 
-  Telemetry::Options O;
+  std::atomic<uint64_t> Produced{50}; // work always pending
+  Telemetry::Options O = pullingAppends(Produced);
   O.SampleIntervalUs = 200;
   O.WatchdogQuietMs = 10;
-  O.ProducerProbe = [] { return uint64_t(50); }; // work always pending
   O.StallReport = [&](const std::string &M) {
     std::lock_guard Lock(MsgM);
     Msg = M;
@@ -215,12 +230,12 @@ TEST(TelemetryTest, WatchdogReportsStalledConsumer) {
 
 TEST(TelemetryTest, SnapshotRendersValidJson) {
   Telemetry T;
-  T.count(Counter::C_CheckerActions, 12);
+  T.count(Counter::C_CheckerBatches, 12);
   T.record(Histo::H_FeedNs, 900);
   TelemetrySnapshot S = T.snapshot();
   std::string J = S.json();
   EXPECT_TRUE(jsonValid(J)) << J;
-  EXPECT_NE(J.find("\"checker_actions\":12"), std::string::npos) << J;
+  EXPECT_NE(J.find("\"checker_batches\":12"), std::string::npos) << J;
   EXPECT_NE(J.find("\"feed_latency\""), std::string::npos) << J;
 }
 
@@ -237,43 +252,42 @@ TEST(TelemetryTest, MetricNamesAreDefined) {
 
 TEST(TelemetryTest, GaugeSetOverwritesAndKeepsHwm) {
   // gaugeSet is a plain relaxed store: the value is a point-in-time truth
-  // (a restored run's restart lag, the live segment count), the HWM keeps
-  // the largest value ever published.
+  // (the shipper's unshipped segment count), the HWM keeps the largest
+  // value ever published.
   Telemetry T;
-  T.gaugeSet(Gauge::G_RestartLag, 512);
-  T.gaugeSet(Gauge::G_RestartLag, 2048);
-  T.gaugeSet(Gauge::G_RestartLag, 128);
-  T.gaugeSet(Gauge::G_SegmentsLive, 2);
+  T.gaugeSet(Gauge::G_ShipUnshippedSegments, 512);
+  T.gaugeSet(Gauge::G_ShipUnshippedSegments, 2048);
+  T.gaugeSet(Gauge::G_ShipUnshippedSegments, 128);
   TelemetrySnapshot S = T.snapshot();
-  EXPECT_EQ(S.gauge(Gauge::G_RestartLag), 128u);
-  EXPECT_EQ(S.gaugeHwm(Gauge::G_RestartLag), 2048u);
-  EXPECT_EQ(S.gauge(Gauge::G_SegmentsLive), 2u);
+  EXPECT_EQ(S.gauge(Gauge::G_ShipUnshippedSegments), 128u);
+  EXPECT_EQ(S.gaugeHwm(Gauge::G_ShipUnshippedSegments), 2048u);
   std::string J = S.json();
-  EXPECT_NE(J.find("\"restart_lag\""), std::string::npos) << J;
-  EXPECT_NE(J.find("\"segments_live\""), std::string::npos) << J;
+  EXPECT_NE(J.find("\"ship_unshipped_segments\":{\"now\":128,\"hwm\":2048}"),
+            std::string::npos)
+      << J;
 }
 
 TEST(TelemetryTest, ControlGaugesAreSafeUnderConcurrentSnapshots) {
-  // One writer hammering gaugeSet (as the pump thread does for the live
-  // segment count) while another thread snapshots: relaxed atomics, no
-  // torn or out-of-range values ever observed.
+  // One writer hammering gaugeSet (as the ship pump does for the
+  // unshipped segment count) while another thread snapshots: relaxed
+  // atomics, no torn or out-of-range values ever observed.
   Telemetry T;
   std::atomic<bool> Stop{false};
   std::thread Writer([&] {
     for (uint64_t I = 1; !Stop.load(std::memory_order_relaxed); ++I) {
-      T.gaugeSet(Gauge::G_RestartLag, 64 + (I % 8192));
-      T.gaugeSet(Gauge::G_SegmentsLive, I % 3);
+      T.gaugeSet(Gauge::G_ShipUnshippedSegments, 64 + (I % 8192));
+      T.gaugeSet(Gauge::G_PendingRecords, I % 3);
     }
   });
   for (int I = 0; I < 200; ++I) {
     TelemetrySnapshot S = T.snapshot();
-    uint64_t Lag = S.gauge(Gauge::G_RestartLag);
-    if (Lag) {
-      EXPECT_GE(Lag, 64u);
-      EXPECT_LT(Lag, 64u + 8192u);
-      EXPECT_LE(Lag, S.gaugeHwm(Gauge::G_RestartLag));
+    uint64_t Level = S.gauge(Gauge::G_ShipUnshippedSegments);
+    if (Level) {
+      EXPECT_GE(Level, 64u);
+      EXPECT_LT(Level, 64u + 8192u);
+      EXPECT_LE(Level, S.gaugeHwm(Gauge::G_ShipUnshippedSegments));
     }
-    EXPECT_LT(S.gauge(Gauge::G_SegmentsLive), 3u);
+    EXPECT_LT(S.gauge(Gauge::G_PendingRecords), 3u);
   }
   Stop.store(true, std::memory_order_relaxed);
   Writer.join();
@@ -314,8 +328,8 @@ TEST(TelemetryTest, PipelineCountersBalance) {
   const TelemetrySnapshot &S = R.Telemetry;
   // Every hook record was appended, and every appended record reached the
   // checker — nothing lost between the stages.
+  expectTelemetryMatchesReport(R);
   EXPECT_EQ(S.counter(Counter::C_HookRecords), R.LogRecords);
-  EXPECT_EQ(S.counter(Counter::C_LogAppends), R.LogRecords);
   EXPECT_EQ(S.counter(Counter::C_CheckerActions), R.LogRecords);
   EXPECT_GE(S.counter(Counter::C_CheckerBatches), 1u);
   EXPECT_EQ(S.histo(Histo::H_FeedBatch).Count,
@@ -339,7 +353,6 @@ TEST(TelemetryTest, BufferedBackendFeedsFlusherMetrics) {
   ASSERT_TRUE(R.ok()) << R.str();
 
   const TelemetrySnapshot &S = R.Telemetry;
-  EXPECT_EQ(S.counter(Counter::C_LogAppends), R.LogRecords);
   EXPECT_EQ(S.counter(Counter::C_FlushedRecords), R.LogRecords);
   EXPECT_GE(S.counter(Counter::C_FlushBatches), 1u);
   EXPECT_EQ(S.histo(Histo::H_FlushBatch).Sum,
@@ -382,32 +395,15 @@ TEST(TelemetryTest, VerifierExposesLiveLag) {
 // Per-object counters (the multi-object engine's telemetry dimension)
 //===----------------------------------------------------------------------===//
 
-TEST(TelemetryTest, PerObjectCountersAccumulate) {
-  Telemetry T;
-  T.registerObject(0, "alpha");
-  T.registerObject(1, "beta");
-  T.noteObjectRouted(0, 10);
-  T.noteObjectRouted(0, 5);
-  T.noteObjectRouted(1, 7);
-  T.noteObjectChecked(0, 12);
-  TelemetrySnapshot S = T.snapshot();
-  ASSERT_EQ(S.Objects.size(), 2u);
-  EXPECT_EQ(S.Objects[0].Name, "alpha");
-  EXPECT_EQ(S.Objects[0].Routed, 15u);
-  EXPECT_EQ(S.Objects[0].Checked, 12u);
-  EXPECT_EQ(S.Objects[0].Backlog, 3u);
-  EXPECT_EQ(S.Objects[1].Name, "beta");
-  EXPECT_EQ(S.Objects[1].Routed, 7u);
-  EXPECT_EQ(S.Objects[1].Checked, 0u);
-  EXPECT_EQ(T.objectBacklog(0), 3u);
-  EXPECT_EQ(T.objectBacklog(1), 7u);
-}
-
 TEST(TelemetryTest, PerObjectCountersRenderInJsonAndText) {
-  Telemetry T;
-  T.registerObject(0, "alpha");
-  T.noteObjectRouted(0, 4);
-  T.noteObjectChecked(0, 4);
+  Telemetry::Options O;
+  O.Pull = [](TelemetrySnapshot &S) {
+    ObjectTelemetry OT;
+    OT.Name = "alpha";
+    OT.Routed = OT.Checked = 4;
+    S.Objects.push_back(OT);
+  };
+  Telemetry T(std::move(O));
   TelemetrySnapshot S = T.snapshot();
   std::string J = S.json();
   EXPECT_TRUE(jsonValid(J)) << J;
@@ -419,6 +415,8 @@ TEST(TelemetryTest, PerObjectCountersRenderInJsonAndText) {
 
 TEST(TelemetryTest, MultiObjectVerifierRunPopulatesObjectCounters) {
   VerifierConfig VC;
+  VC.Online = true;
+  VC.CheckerThreads = 2;
   VC.Telemetry.Enabled = true;
   Verifier V(VC);
   Hooks A = V.registerObject("a", std::make_unique<multiset::MultisetSpec>(),
@@ -436,13 +434,10 @@ TEST(TelemetryTest, MultiObjectVerifierRunPopulatesObjectCounters) {
   }
   VerifierReport R = V.finish();
   ASSERT_TRUE(R.ok()) << R.str();
-  ASSERT_TRUE(R.TelemetryEnabled);
+  expectTelemetryMatchesReport(R);
   ASSERT_EQ(R.Telemetry.Objects.size(), 2u);
-  for (const ObjectTelemetry &O : R.Telemetry.Objects) {
+  for (const ObjectTelemetry &O : R.Telemetry.Objects)
     EXPECT_GT(O.Routed, 0u) << O.Name;
-    EXPECT_EQ(O.Routed, O.Checked) << "fully drained at finish: " << O.Name;
-    EXPECT_EQ(O.Backlog, 0u) << O.Name;
-  }
   // The per-object routed counts partition the consumed stream.
   EXPECT_EQ(R.Telemetry.Objects[0].Routed + R.Telemetry.Objects[1].Routed,
             R.LogRecords);
